@@ -6,8 +6,8 @@
 # (compiled + batched circuit kernels vs interpreted loop), serve-smoke
 # (clrserve daemon report vs direct sim.Run, byte-identical), compdiff
 # (registry-composed default memory system vs the seed, bit-identical),
-# and ffbench-smoke (adaptive fast-forward must not lose to planner-off on
-# the memory-intensive profile).
+# and ffbench-smoke (fast-forward must not lose to planner-off on the
+# memory-intensive profile).
 
 .PHONY: all tier1 race check fmt docs-check ffdiff ckdiff serve-smoke compdiff ffbench-smoke bench bench-ff bench-circuit report
 
@@ -51,12 +51,12 @@ docs-check: fmt
 # across the full 71-profile workload set, a 4-core mix, an end-to-end
 # Fig. 12 CSV (DESIGN.md §9), and — for the decoupled per-core lag path
 # (DESIGN.md §15) — the heterogeneous-mix matrix (1mcf+3gamess,
-# 2mcf+2gamess, 4×random under both planner modes, plus an experiment-level
-# sweep at workers 1 and 4), the RunFor retirement-ceiling legs, and the
-# flush-boundary twin invariant. Also part of `go test ./...`; called out
-# here so `make check` names the property it guards.
+# 2mcf+2gamess, 4×random with fast-forward on vs off, plus an
+# experiment-level sweep at workers 1 and 4), the RunFor retirement-ceiling
+# legs, and the flush-boundary twin invariant. Also part of `go test ./...`;
+# called out here so `make check` names the property it guards.
 ffdiff:
-	go test ./internal/sim -run 'TestFastForwardIdentity|TestDecoupled|TestAccumulator' -count=1
+	go test ./internal/sim -run 'TestFastForwardIdentity|TestDecoupled' -count=1
 
 # ckdiff proves the compiled circuit-stepping kernel AND the batched
 # K-draw kernel bit-identical to the interpreted reference loop: exact
@@ -95,9 +95,9 @@ compdiff:
 	go test ./internal/sim -run 'TestDefaultComposition|TestCompositionIdentityMatrix' -count=1
 
 # ffbench-smoke is the fast-forward performance gate: a short interleaved
-# off-vs-adaptive measurement on the memory-intensive profile asserting the
-# adaptive governor keeps planner overhead from dragging throughput below
-# the plain per-cycle loop (within a small noise tolerance).
+# off-vs-on measurement on the memory-intensive profile asserting planner
+# overhead does not drag throughput below the plain per-cycle loop (within
+# a 3% noise tolerance).
 ffbench-smoke:
 	go run ./cmd/ffbench -smoke -instructions 300000
 
@@ -106,10 +106,10 @@ check: tier1 race fmt docs-check ffdiff ckdiff serve-smoke compdiff ffbench-smok
 bench:
 	go test -bench=. -benchmem -run=^$$ .
 
-# bench-ff measures the fast-forward payoff across all three modes (off,
-# always-on, adaptive) over the compute-bound, memory-intensive, and random
-# single-core profiles plus the heterogeneous multi-core mixes the decoupled
-# lag path targets, and writes BENCH_ff.json (EXPERIMENTS.md tables W4/W6).
+# bench-ff measures the fast-forward payoff (off vs on) over the
+# compute-bound, memory-intensive, and random single-core profiles plus the
+# heterogeneous multi-core mixes the decoupled lag path targets, and writes
+# BENCH_ff.json (EXPERIMENTS.md tables W4/W6/W7).
 bench-ff:
 	go run ./cmd/ffbench -out BENCH_ff.json
 

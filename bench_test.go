@@ -148,14 +148,16 @@ func BenchmarkFig14Power(b *testing.B) {
 	p := benchProfile("random_00")
 	opts := benchOpts()
 	for i := 0; i < b.N; i++ {
-		base, err := sim.RunSingle(p, core.Baseline(), opts)
+		out, err := sim.Run(context.Background(), sim.SingleSpec(p, core.Baseline()), sim.WithOptions(opts))
 		if err != nil {
 			b.Fatal(err)
 		}
-		clr, err := sim.RunSingle(p, core.CLR(1.0), opts)
+		base := out.Single
+		out, err = sim.Run(context.Background(), sim.SingleSpec(p, core.CLR(1.0)), sim.WithOptions(opts))
 		if err != nil {
 			b.Fatal(err)
 		}
+		clr := out.Single
 		if i == 0 {
 			b.ReportMetric(clr.PowerMW/base.PowerMW, "norm-power-100%")
 		}
@@ -201,14 +203,16 @@ func BenchmarkAblationEarlyTermination(b *testing.B) {
 	noET := core.CLR(1.0)
 	noET.EarlyTermination = false
 	for i := 0; i < b.N; i++ {
-		with, err := sim.RunSingle(p, core.CLR(1.0), opts)
+		out, err := sim.Run(context.Background(), sim.SingleSpec(p, core.CLR(1.0)), sim.WithOptions(opts))
 		if err != nil {
 			b.Fatal(err)
 		}
-		without, err := sim.RunSingle(p, noET, opts)
+		with := out.Single
+		out, err = sim.Run(context.Background(), sim.SingleSpec(p, noET), sim.WithOptions(opts))
 		if err != nil {
 			b.Fatal(err)
 		}
+		without := out.Single
 		if i == 0 {
 			b.ReportMetric(with.PerCore[0].IPC()/without.PerCore[0].IPC(), "ET-speedup")
 		}
@@ -223,7 +227,7 @@ func BenchmarkAblationRowHitCap(b *testing.B) {
 			opts := benchOpts()
 			opts.Mem.RowHitCap = cap
 			for i := 0; i < b.N; i++ {
-				if _, err := sim.RunSingle(p, core.CLR(1.0), opts); err != nil {
+				if _, err := sim.Run(context.Background(), sim.SingleSpec(p, core.CLR(1.0)), sim.WithOptions(opts)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -240,7 +244,7 @@ func BenchmarkAblationMappingScheme(b *testing.B) {
 			opts := benchOpts()
 			opts.Mem.Scheme = scheme
 			for i := 0; i < b.N; i++ {
-				if _, err := sim.RunSingle(p, core.Baseline(), opts); err != nil {
+				if _, err := sim.Run(context.Background(), sim.SingleSpec(p, core.Baseline()), sim.WithOptions(opts)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -332,27 +336,26 @@ func BenchmarkEndToEndSimulatedInstructions(b *testing.B) {
 	b.ResetTimer()
 	var instr uint64
 	for i := 0; i < b.N; i++ {
-		res, err := sim.RunSingle(p, core.CLR(1.0), opts)
+		out, err := sim.Run(context.Background(), sim.SingleSpec(p, core.CLR(1.0)), sim.WithOptions(opts))
 		if err != nil {
 			b.Fatal(err)
 		}
-		instr += res.PerCore[0].Instructions
+		instr += out.Single.PerCore[0].Instructions
 	}
 	b.ReportMetric(float64(instr)/b.Elapsed().Seconds(), "sim-instr/s")
 }
 
 // --- internal/sim: next-event fast-forward ---
 //
-// Mode triples run the identical workload under the three fast-forward
-// modes (results are bit-identical by construction — see
+// Mode pairs run the identical workload with fast-forward on and off
+// (results are bit-identical by construction — see
 // TestFastForwardIdentityAllProfiles). The compute-bound profile is the
 // headline case: long pure-bubble stretches collapse into bulk skips, so
 // the planner should show it well over 1.5× faster than the per-cycle
 // loop. The memory-intensive profile bounds the other end, where horizons
-// are short and planning mostly breaks even; the adaptive governor's job
-// there is to hold parity with planner-off. cmd/ffbench runs the same
-// comparison with interleaved rounds and CPU-time minima (`make bench-ff`)
-// — these benchmarks are the `go test -bench` view of it.
+// are short and planning must hold parity with planner-off. cmd/ffbench
+// runs the same comparison with interleaved rounds and CPU-time minima
+// (`make bench-ff`) — these benchmarks are the `go test -bench` view of it.
 
 func benchFastForward(b *testing.B, name string, mode sim.FFMode) {
 	p := benchProfile(name)
@@ -367,21 +370,17 @@ func benchFastForward(b *testing.B, name string, mode sim.FFMode) {
 	b.ResetTimer()
 	var instr uint64
 	for i := 0; i < b.N; i++ {
-		res, err := sim.RunSingle(p, core.CLR(0.5), opts)
+		out, err := sim.Run(context.Background(), sim.SingleSpec(p, core.CLR(0.5)), sim.WithOptions(opts))
 		if err != nil {
 			b.Fatal(err)
 		}
-		instr += res.PerCore[0].Instructions
+		instr += out.Single.PerCore[0].Instructions
 	}
 	b.ReportMetric(float64(instr)/b.Elapsed().Seconds(), "sim-instr/s")
 }
 
 func BenchmarkFastForwardComputeBoundOn(b *testing.B) {
-	benchFastForward(b, "416.gamess-like", sim.FFAlways)
-}
-
-func BenchmarkFastForwardComputeBoundAdaptive(b *testing.B) {
-	benchFastForward(b, "416.gamess-like", sim.FFAdaptive)
+	benchFastForward(b, "416.gamess-like", sim.FFOn)
 }
 
 func BenchmarkFastForwardComputeBoundOff(b *testing.B) {
@@ -389,11 +388,7 @@ func BenchmarkFastForwardComputeBoundOff(b *testing.B) {
 }
 
 func BenchmarkFastForwardMemIntensiveOn(b *testing.B) {
-	benchFastForward(b, "429.mcf-like", sim.FFAlways)
-}
-
-func BenchmarkFastForwardMemIntensiveAdaptive(b *testing.B) {
-	benchFastForward(b, "429.mcf-like", sim.FFAdaptive)
+	benchFastForward(b, "429.mcf-like", sim.FFOn)
 }
 
 func BenchmarkFastForwardMemIntensiveOff(b *testing.B) {
@@ -522,11 +517,11 @@ func BenchmarkAblationRefreshPostponement(b *testing.B) {
 			opts.Mem.MaxPostponedRefresh = postpone
 			var ipc float64
 			for i := 0; i < b.N; i++ {
-				res, err := sim.RunSingle(p, core.CLR(1.0), opts)
+				out, err := sim.Run(context.Background(), sim.SingleSpec(p, core.CLR(1.0)), sim.WithOptions(opts))
 				if err != nil {
 					b.Fatal(err)
 				}
-				ipc = res.PerCore[0].IPC()
+				ipc = out.Single.PerCore[0].IPC()
 			}
 			b.ReportMetric(ipc, "IPC")
 		})

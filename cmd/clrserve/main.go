@@ -140,12 +140,12 @@ func runDaemon(cfg serve.Config, addr string, resume bool, drainTimeout time.Dur
 
 // smokeSpec is the tiny Fig12 sweep both gates (smoke, loadtest self-host)
 // use. The fast-forward mode is pinned explicitly so the smoke gate's
-// byte-identity check covers the adaptive planner end to end.
+// byte-identity check covers the planner end to end.
 func smokeSpec(instrs uint64) (sim.Spec, serve.RunOptions) {
 	return sim.Fig12Spec(workload.All()[:2]), serve.RunOptions{
 		Seed:               7,
 		TargetInstructions: instrs,
-		FastForward:        "adaptive",
+		FastForward:        "on",
 	}
 }
 

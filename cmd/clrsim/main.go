@@ -51,8 +51,7 @@ func main() {
 		channels = flag.Int("channels", 1, "number of memory channels")
 		statsF   = flag.Bool("stats", false, "collect the observability report and print it after the run")
 		statsOut = flag.String("stats-out", "", "write the observability report as JSON to this file ('-' for stdout; implies stats collection)")
-		ffMode   = flag.String("fastforward", "on", "event-driven cycle skipping: adaptive, on or off (results are bit-identical in every mode)")
-		ffAdapt  = flag.Bool("ff-adaptive", true, "with -fastforward on: adaptively disengage skip planning when skips are too short to pay off")
+		ffMode   = flag.String("fastforward", "on", "event-driven cycle skipping, on or off (results are bit-identical either way)")
 		schedF   = flag.String("scheduler", "", "memory scheduler: "+strings.Join(mem.SchedulerNames(), "|")+" (default "+mem.DefaultScheduler+")")
 		policyF  = flag.String("rowpolicy", "", "row-buffer policy: "+strings.Join(mem.RowPolicyNames(), "|")+" (default "+mem.DefaultRowPolicy+")")
 		mapperF  = flag.String("mapper", "", "address mapper for raw-address enqueue: "+strings.Join(mem.MapperNames(), "|")+" (default "+mem.DefaultMapper+")")
@@ -91,19 +90,11 @@ func main() {
 		opts.Standard = *stdF
 		opts.Device = dram.Config{} // let the standard prescribe the device
 	}
-	switch *ffMode {
-	case "adaptive":
-		opts.FastForward = sim.FFAdaptive
-	case "on", "true", "1":
-		opts.FastForward = sim.FFAdaptive
-		if !*ffAdapt {
-			opts.FastForward = sim.FFAlways
-		}
-	case "off", "false", "0":
-		opts.FastForward = sim.FFOff
-	default:
-		fatal(fmt.Errorf("-fastforward must be adaptive, on or off, got %q", *ffMode))
+	ff, err := sim.ParseFFMode(*ffMode)
+	if err != nil {
+		fatal(fmt.Errorf("-fastforward: %w", err))
 	}
+	opts.FastForward = ff
 
 	// Ctrl-C / SIGTERM cancels the run cleanly through the context-aware
 	// API, and the process exits with the conventional 128+signum code

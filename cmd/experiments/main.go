@@ -70,8 +70,7 @@ func main() {
 		ckptDir   = flag.String("checkpoint", "", "persist completed shards into this directory and resume from it")
 		statsF    = flag.Bool("stats", false, "collect observability stats and print a sweep report (with engine timings) at the end")
 		statsOut  = flag.String("stats-out", "", "write the sweep report as JSON to this file ('-' for stdout; implies -stats)")
-		ffMode    = flag.String("fastforward", "on", "event-driven cycle skipping: adaptive, on or off (results are bit-identical in every mode)")
-		ffAdapt   = flag.Bool("ff-adaptive", true, "with -fastforward on: adaptively disengage skip planning when skips are too short to pay off")
+		ffMode    = flag.String("fastforward", "on", "event-driven cycle skipping, on or off (results are bit-identical either way)")
 		warmFork  = flag.Bool("warmup-fork", true, "snapshot warmed cache state once per workload set and fork it across sweep configurations (results are byte-identical either way)")
 		ckMode    = flag.String("ckcompile", "on", "compiled circuit-stepping kernel, on or off (results are bit-identical either way)")
 		ckBatch   = flag.Int("ckbatch", spice.DefaultBatchWidth, "circuit Monte Carlo batch width (1 = unbatched; results are bit-identical at every width)")
@@ -104,19 +103,11 @@ func main() {
 		opts.Standard = *stdF
 		opts.Device = dram.Config{} // let the standard prescribe the device
 	}
-	switch *ffMode {
-	case "adaptive":
-		opts.FastForward = sim.FFAdaptive
-	case "on", "true", "1":
-		opts.FastForward = sim.FFAdaptive
-		if !*ffAdapt {
-			opts.FastForward = sim.FFAlways
-		}
-	case "off", "false", "0":
-		opts.FastForward = sim.FFOff
-	default:
-		fatal(fmt.Errorf("-fastforward must be adaptive, on or off, got %q", *ffMode))
+	ff, err := sim.ParseFFMode(*ffMode)
+	if err != nil {
+		fatal(fmt.Errorf("-fastforward: %w", err))
 	}
+	opts.FastForward = ff
 	opts.DisableWarmupFork = !*warmFork
 	var spiceOpts spice.TableOptions
 	switch *ckMode {

@@ -3,12 +3,13 @@
 //
 //	ffbench -out BENCH_ff.json      full measurement (default)
 //	ffbench -out -                  print the report to stdout
-//	ffbench -smoke                  short CI gate: adaptive must not lose to
-//	                                planner-off on the memory-intensive profile
+//	ffbench -smoke                  short CI gate: fast-forward must not lose
+//	                                to planner-off on the memory-intensive
+//	                                profile
 //
-// Each profile runs the identical simulation under the three fast-forward
-// modes (off, on, adaptive — bit-identical results by the ffdiff contract;
-// only run time differs) for several interleaved rounds, keeping each mode's
+// Each profile runs the identical simulation with fast-forward off and on
+// (bit-identical results by the ffdiff contract; only run time differs) for
+// several interleaved rounds, keeping each mode's
 // minimum run time. Runs are timed in process CPU seconds where available
 // (wall time otherwise): co-tenant load on a shared host inflates wall
 // clocks without touching consumed CPU. Interleaving exposes every mode to
@@ -42,7 +43,7 @@ type benchSpec struct {
 
 // benchSpecs are the measured workloads. Single-core: the two acceptance
 // anchors (the compute-bound profile that must keep its big win, the
-// memory-intensive one the adaptive governor exists for) plus a synthetic
+// memory-intensive one where planning must hold parity) plus a synthetic
 // random stream between them. Multi-core: the heterogeneous mixes the
 // decoupled lag path (DESIGN.md §15) exists for — a joint planner can skip
 // nothing while any core streams memory, so these rows isolate what per-core
@@ -60,9 +61,9 @@ var benchSpecs = []benchSpec{
 // always-on planner historically lost to the per-cycle loop.
 const smokeProfile = "429.mcf-like"
 
-// smokeTolerance is the fraction of planner-off throughput the adaptive mode
-// must reach in -smoke: nominally ≥ 1.0 by design (the governor disengages a
-// losing planner), with a small allowance for one-sided timing noise that
+// smokeTolerance is the fraction of planner-off throughput fast-forward must
+// reach in -smoke: nominally ≥ 1.0 (event-paced retry keeps failed planning
+// attempts rare), with a small allowance for one-sided timing noise that
 // min-of-rounds cannot fully cancel on a busy host.
 const smokeTolerance = 0.97
 
@@ -72,10 +73,6 @@ type modeResult struct {
 	// Skip accounting (sim.System.FFStats); zero for mode "off".
 	Skips         int64 `json:"skips,omitempty"`
 	SkippedCycles int64 `json:"skipped_cycles,omitempty"`
-	// Governor accounting (sim.System.FFGovernorStats); nonzero only for
-	// mode "adaptive".
-	PlanAttempts int64 `json:"plan_attempts,omitempty"`
-	Disengages   int64 `json:"disengages,omitempty"`
 	// Decoupled-lag accounting (sim.System.FFLagStats); nonzero only when
 	// the classification went mixed and per-core lagging engaged.
 	LagFlushes       int64 `json:"lag_flushes,omitempty"`
@@ -85,22 +82,20 @@ type modeResult struct {
 // profileResult is one workload's row in the report. Instructions is the
 // per-core target; sim_instr_per_s counts all cores' retired instructions.
 type profileResult struct {
-	Name            string     `json:"name"`
-	Cores           int        `json:"cores"`
-	Workloads       []string   `json:"workloads"`
-	MemIntensive    bool       `json:"mem_intensive"`
-	Instructions    uint64     `json:"instructions"`
-	Rounds          int        `json:"rounds"`
-	Off             modeResult `json:"off"`
-	On              modeResult `json:"on"`
-	Adaptive        modeResult `json:"adaptive"`
-	SpeedupOn       float64    `json:"speedup_on_vs_off"`
-	SpeedupAdaptive float64    `json:"speedup_adaptive_vs_off"`
+	Name         string     `json:"name"`
+	Cores        int        `json:"cores"`
+	Workloads    []string   `json:"workloads"`
+	MemIntensive bool       `json:"mem_intensive"`
+	Instructions uint64     `json:"instructions"`
+	Rounds       int        `json:"rounds"`
+	Off          modeResult `json:"off"`
+	On           modeResult `json:"on"`
+	SpeedupOn    float64    `json:"speedup_on_vs_off"`
 }
 
-// benchReport is the BENCH_ff.json schema (v2: multi-core rows with per-core
-// workload lists and decoupled-lag counters), regenerable with
-// `make bench-ff`.
+// benchReport is the BENCH_ff.json schema (v3: fast-forward off and on
+// only; multi-core rows with per-core workload lists and decoupled-lag
+// counters), regenerable with `make bench-ff`.
 type benchReport struct {
 	Schema   string          `json:"schema"`
 	GOOS     string          `json:"goos"`
@@ -109,12 +104,12 @@ type benchReport struct {
 	Profiles []profileResult `json:"profiles"`
 }
 
-var ffModes = []sim.FFMode{sim.FFOff, sim.FFAlways, sim.FFAdaptive}
+var ffModes = []sim.FFMode{sim.FFOff, sim.FFOn}
 
 func main() {
 	var (
 		out    = flag.String("out", "BENCH_ff.json", "write the report as JSON to this file ('-' for stdout)")
-		smoke  = flag.Bool("smoke", false, "short CI gate: assert adaptive throughput ≥ planner-off on the memory-intensive profile, no report file")
+		smoke  = flag.Bool("smoke", false, "short CI gate: assert fast-forward throughput ≥ planner-off on the memory-intensive profile, no report file")
 		instrs = flag.Uint64("instructions", 1_000_000, "instructions per measured run")
 		rounds = flag.Int("rounds", 5, "interleaved measurement rounds (per-mode minima)")
 	)
@@ -129,7 +124,7 @@ func main() {
 	}
 
 	rep := benchReport{
-		Schema: "clrdram/bench-ff/v2",
+		Schema: "clrdram/bench-ff/v3",
 		GOOS:   runtime.GOOS,
 		GOARCH: runtime.GOARCH,
 		CPUs:   runtime.NumCPU(),
@@ -140,16 +135,15 @@ func main() {
 			fatal(err)
 		}
 		rep.Profiles = append(rep.Profiles, pr)
-		logf("%s: off %.2fM on %.2fM (%.2fx) adaptive %.2fM (%.2fx) sim-instr/s",
-			spec.name, pr.Off.SimInstrPerS/1e6, pr.On.SimInstrPerS/1e6, pr.SpeedupOn,
-			pr.Adaptive.SimInstrPerS/1e6, pr.SpeedupAdaptive)
+		logf("%s: off %.2fM on %.2fM (%.2fx) sim-instr/s",
+			spec.name, pr.Off.SimInstrPerS/1e6, pr.On.SimInstrPerS/1e6, pr.SpeedupOn)
 	}
 	if err := writeReport(*out, rep); err != nil {
 		fatal(err)
 	}
 }
 
-// measureSpec runs one workload spec under all three modes for the given
+// measureSpec runs one workload spec under both modes for the given
 // number of interleaved rounds and reduces to per-mode minima.
 func measureSpec(spec benchSpec, instrs uint64, rounds int, logf func(string, ...any)) (profileResult, error) {
 	profiles := make([]workload.Profile, len(spec.cores))
@@ -181,7 +175,7 @@ func measureSpec(spec benchSpec, instrs uint64, rounds int, logf func(string, ..
 			if r == 0 || sec < best[mi] {
 				best[mi] = sec
 			}
-			// Skip/governor/lag counters are deterministic per mode; any
+			// Skip and lag counters are deterministic per mode; any
 			// round's snapshot is the run's snapshot.
 			stats[mi] = st
 		}
@@ -190,9 +184,8 @@ func measureSpec(spec benchSpec, instrs uint64, rounds int, logf func(string, ..
 	for mi := range ffModes {
 		stats[mi].SimInstrPerS = float64(instrs) * float64(len(profiles)) / best[mi]
 	}
-	pr.Off, pr.On, pr.Adaptive = stats[0], stats[1], stats[2]
+	pr.Off, pr.On = stats[0], stats[1]
 	pr.SpeedupOn = pr.On.SimInstrPerS / pr.Off.SimInstrPerS
-	pr.SpeedupAdaptive = pr.Adaptive.SimInstrPerS / pr.Off.SimInstrPerS
 	return pr, nil
 }
 
@@ -226,26 +219,24 @@ func measureOnce(profiles []workload.Profile, mode sim.FFMode, instrs uint64) (f
 	}
 	var st modeResult
 	st.Skips, st.SkippedCycles = s.FFStats()
-	st.PlanAttempts, st.Disengages = s.FFGovernorStats()
 	st.LagFlushes, st.LaggedCoreCycles = s.FFLagStats()
 	return sec, st, nil
 }
 
 // runSmoke is the CI gate behind `make ffbench-smoke`: min-of-3 short rounds
-// on the memory-intensive profile, asserting the adaptive governor keeps
-// planner overhead from dragging throughput below the planner-off loop.
+// on the memory-intensive profile, asserting planner overhead does not drag
+// fast-forward throughput below the planner-off loop.
 func runSmoke(instrs uint64, logf func(string, ...any)) error {
 	pr, err := measureSpec(benchSpec{name: smokeProfile, cores: []string{smokeProfile}}, instrs, 3, logf)
 	if err != nil {
 		return err
 	}
-	logf("%s: off %.2fM adaptive %.2fM sim-instr/s (%.3fx, %d disengages)",
-		smokeProfile, pr.Off.SimInstrPerS/1e6, pr.Adaptive.SimInstrPerS/1e6,
-		pr.SpeedupAdaptive, pr.Adaptive.Disengages)
-	if pr.Adaptive.SimInstrPerS < smokeTolerance*pr.Off.SimInstrPerS {
-		return fmt.Errorf("adaptive fast-forward below planner-off on %s: %.2fM vs %.2fM sim-instr/s (%.3fx < %.2f)",
-			smokeProfile, pr.Adaptive.SimInstrPerS/1e6, pr.Off.SimInstrPerS/1e6,
-			pr.SpeedupAdaptive, smokeTolerance)
+	logf("%s: off %.2fM on %.2fM sim-instr/s (%.3fx)",
+		smokeProfile, pr.Off.SimInstrPerS/1e6, pr.On.SimInstrPerS/1e6, pr.SpeedupOn)
+	if pr.On.SimInstrPerS < smokeTolerance*pr.Off.SimInstrPerS {
+		return fmt.Errorf("fast-forward below planner-off on %s: %.2fM vs %.2fM sim-instr/s (%.3fx < %.2f)",
+			smokeProfile, pr.On.SimInstrPerS/1e6, pr.Off.SimInstrPerS/1e6,
+			pr.SpeedupOn, smokeTolerance)
 	}
 	return nil
 }

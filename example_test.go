@@ -9,6 +9,33 @@ import (
 	"clrdram"
 )
 
+// Example is the README quickstart: one memory-intensive workload on the
+// DDR4 baseline and on CLR-DRAM with every row in high-performance mode.
+// The instruction budget is kept small so the example runs with the test
+// suite; the paper simulates 200 M instructions per core.
+func Example() {
+	mcf, _ := clrdram.WorkloadByName("429.mcf-like")
+	opts := clrdram.DefaultOptions()
+	opts.TargetInstructions = 50_000
+
+	ctx := context.Background()
+	base, err := clrdram.Run(ctx, clrdram.SingleSpec(mcf, clrdram.Baseline()), clrdram.WithOptions(opts))
+	if err != nil {
+		log.Fatal(err)
+	}
+	// All rows in high-performance mode.
+	fast, err := clrdram.Run(ctx, clrdram.SingleSpec(mcf, clrdram.CLR(1.0)), clrdram.WithOptions(opts))
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	b, f := base.Single, fast.Single
+	fmt.Printf("speedup: %.1f%%  energy: %.1f%%\n",
+		(f.PerCore[0].IPC()/b.PerCore[0].IPC()-1)*100,
+		(1-f.Energy.Total()/b.Energy.Total())*100)
+	// Output: speedup: 45.7%  energy: 34.1%
+}
+
 // ExampleCapacityFactor shows the §6.1 capacity accounting: configuring X%
 // of rows as high-performance forfeits X/2% of device capacity.
 func ExampleCapacityFactor() {

@@ -88,7 +88,7 @@ func TestDefaultCompositionResolution(t *testing.T) {
 // horizon_test.go over the full scheduler × row-policy matrix: for every
 // pair, the controller that jumps dead spans via NextEventCycle/SkipTicks
 // must match the per-cycle twin completion-for-completion and
-// counter-for-counter, in both horizon republication modes.
+// counter-for-counter.
 func TestCompositionSkipVsTickedTwin(t *testing.T) {
 	type arrival struct {
 		cycle int64
@@ -115,9 +115,8 @@ func TestCompositionSkipVsTickedTwin(t *testing.T) {
 		ID    int
 		Cycle int64
 	}
-	run := func(t *testing.T, cfg Config, skip, eager bool) (done []completion, st Stats, clock int64) {
+	run := func(t *testing.T, cfg Config, skip bool) (done []completion, st Stats, clock int64) {
 		c := newTestController(t, cfg)
-		c.SetEagerHorizon(eager)
 		next := 0
 		for c.Clock() < end {
 			now := c.Clock()
@@ -161,27 +160,19 @@ func TestCompositionSkipVsTickedTwin(t *testing.T) {
 						{Mode: dram.ModeHighPerf, Interval: 1700},
 					},
 				}
-				tickedDone, tickedStats, tickedClock := run(t, cfg, false, false)
+				tickedDone, tickedStats, tickedClock := run(t, cfg, false)
 				if len(tickedDone) == 0 {
 					t.Fatal("weak reference run: no completions")
 				}
-				for _, eager := range []bool{false, true} {
-					name := "lazy"
-					if eager {
-						name = "eager"
-					}
-					skipDone, skipStats, skipClock := run(t, cfg, true, eager)
-					if skipClock != tickedClock {
-						t.Errorf("%s: final clock %d != ticked %d", name, skipClock, tickedClock)
-					}
-					if !reflect.DeepEqual(skipDone, tickedDone) {
-						t.Errorf("%s: completion log diverges (%d vs %d entries)",
-							name, len(skipDone), len(tickedDone))
-					}
-					if !reflect.DeepEqual(skipStats, tickedStats) {
-						t.Errorf("%s: stats diverge:\n skip:   %+v\n ticked: %+v",
-							name, skipStats, tickedStats)
-					}
+				skipDone, skipStats, skipClock := run(t, cfg, true)
+				if skipClock != tickedClock {
+					t.Errorf("final clock %d != ticked %d", skipClock, tickedClock)
+				}
+				if !reflect.DeepEqual(skipDone, tickedDone) {
+					t.Errorf("completion log diverges (%d vs %d entries)", len(skipDone), len(tickedDone))
+				}
+				if !reflect.DeepEqual(skipStats, tickedStats) {
+					t.Errorf("stats diverge:\n skip:   %+v\n ticked: %+v", skipStats, tickedStats)
 				}
 			})
 		}

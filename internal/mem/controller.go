@@ -160,12 +160,7 @@ type Controller struct {
 	// can only open when a read leaves it, so a lagged core's CanEnqueue
 	// re-check is needed only on a generation change — one integer compare
 	// per cycle instead of a queue-length probe per lagged core.
-	deqGen uint64
-	// ffEager opts into eager schedule-horizon republication (horizon.go's
-	// SetEagerHorizon): issue and enqueue events recompute the memo
-	// immediately instead of leaving it to the next failed scan. Off by
-	// default so planner-less runs never pay the extra scans.
-	ffEager    bool
+	deqGen     uint64
 	ffCap      [2]int64 // DeadCycleTrips memo per queue: 0 = read, 1 = write
 	ffCapValid [2]bool
 	// Per-bank row-close entries (geometries ≤ 64 banks; see
@@ -176,9 +171,6 @@ type Controller struct {
 	ffTOAll   uint64
 	ffTOAgg   int64
 	ffTOAggOK bool
-	// Scratch for eagerQueueHorizon's per-bank ACT dedup (row last evaluated
-	// per bank); allocated with ffBankTO (≤ 64-bank geometries).
-	ffActRow []int
 	// Whole-scan fallback memo for geometries beyond 64 banks.
 	ffTimeout      int64
 	ffTimeoutValid bool
@@ -272,7 +264,6 @@ func NewController(dev *dram.Device, cfg Config) (*Controller, error) {
 		c.ffBankTO = make([]int64, banks)
 		c.ffTOAll = ^uint64(0) >> (64 - uint(banks))
 		c.ffTODirty = c.ffTOAll
-		c.ffActRow = make([]int, banks)
 	}
 	m, err := NewAddressMapper(cfg.Mapper, dev.Config(), cfg)
 	if err != nil {
@@ -413,23 +404,9 @@ func (c *Controller) EnqueueDecoded(req *Request, da Address) bool {
 }
 
 // admit appends a decoded request to its queue and maintains the horizon
-// bookkeeping. In eager-horizon mode the schedule memo is folded rather than
-// dropped: the newcomer is the youngest request, so it is the only new
-// candidate and no existing candidate's floor or cap status moves — when the
-// settled scan regime is unchanged the new memo is min(old, newcomer's
-// floor), an O(1) update instead of a queue rescan (enqueueEager).
+// bookkeeping.
 func (c *Controller) admit(req *Request) {
 	req.enqueuedAt = c.dev.Clock()
-	var (
-		oldSched      int64
-		oldValid      bool
-		preT1, preOsc bool
-	)
-	if c.ffEager {
-		oldSched, oldValid = c.ffSched, c.ffSchedValid
-		preT1 = c.nextDraining(c.draining)
-		preOsc = c.nextDraining(preT1) != preT1
-	}
 	if req.Write {
 		c.writeQ = append(c.writeQ, req)
 	} else {
@@ -437,29 +414,6 @@ func (c *Controller) admit(req *Request) {
 	}
 	c.noteEnqueued(req)
 	c.dirtyBank(req.decoded.Bank)
-	if c.ffEager {
-		c.enqueueEager(req, oldSched, oldValid, preT1, preOsc)
-	}
-}
-
-// enqueueEager restores the schedule memo after admit's dirtyBank: the O(1)
-// min-fold when the settled scan regime is unchanged, the full republish
-// otherwise (the enqueue flipped a drain watermark or filled an empty
-// system, so candidate scan parity changed).
-func (c *Controller) enqueueEager(req *Request, oldSched int64, oldValid, preT1, preOsc bool) {
-	now := c.dev.Clock()
-	t1 := c.nextDraining(c.draining)
-	osc := c.nextDraining(t1) != t1
-	if !oldValid || preOsc || osc || t1 != preT1 {
-		c.publishEager(now)
-		return
-	}
-	if req.Write == t1 {
-		q := c.scanQueue(t1)
-		oldSched = min(oldSched, c.sched.CandidateIssue(c, q, len(q)-1, req))
-	}
-	c.ffSched = oldSched
-	c.ffSchedValid = true
 }
 
 // Tick advances the controller and device by one device cycle: it fires due
@@ -484,13 +438,6 @@ func (c *Controller) Tick() {
 	}
 	if !issued {
 		c.tickRowClose(now)
-	}
-	if c.ffEager && !c.ffSchedValid && c.refPending == -1 {
-		// Eager mode: an issue this cycle (schedule, timeout close, or the
-		// REF that just retired) invalidated the schedule memo; republish it
-		// from post-issue state now instead of waiting for the next failed
-		// scan, so the planner can open a span at the very next CPU cycle.
-		c.publishEager(now)
 	}
 	if c.collect {
 		c.obsTick(issued)
@@ -685,9 +632,6 @@ func (c *Controller) tickSchedule(now int64) bool {
 // imminent, which is safe (horizons may only be underestimates).
 func (c *Controller) publishSched(h int64) {
 	if c.nextDraining(c.draining) != c.draining {
-		// The memo stays invalid in the oscillating regime in eager mode
-		// too: publishEager refuses it (scan parity depends on the publish
-		// site — see its comment), so there is nothing to republish here.
 		return
 	}
 	c.ffSched = h

@@ -113,57 +113,6 @@ func (c *Controller) HorizonSettled() bool {
 	return c.ffSchedValid || c.refPending != -1
 }
 
-// SetEagerHorizon opts the controller into eager schedule-horizon
-// republication: issue and enqueue events recompute the memo from post-event
-// state (publishEager) instead of degrading it to "imminent" until the next
-// failed scheduler scan. On memory-intensive profiles a command issues every
-// few device ticks, so lazy republication leaves the planner gated
-// (HorizonSettled) for a tick or two after every one of them; eager
-// republication raises skip coverage ~35% there. It is off by default
-// because the O(queue) republish scan per issue event currently costs
-// slightly more than the extra skipped cycles recover (see the NewSystem
-// comment in internal/sim); the option and its banked-dedup scan are kept
-// because the balance is machine- and workload-dependent. Results are
-// bit-identical either way (the memo only feeds skip planning).
-func (c *Controller) SetEagerHorizon(on bool) { c.ffEager = on }
-
-// eagerScanner is the optional Scheduler extension publishEager uses: a
-// scheduler-specific republish scan cheaper than the reference fixpoint
-// walk (frfcfsCap dedups candidates per bank). The result must equal the
-// scheduler's fixpoint scheduleHorizon answer — or undershoot it, horizons
-// being underestimates-only.
-type eagerScanner interface {
-	EagerQueueHorizon(c *Controller, q []*Request) int64
-}
-
-// publishEager installs a from-scratch schedule-horizon recompute as the
-// memo, from any point where the drain flag has settled to a fixpoint: the
-// future scan queue is then the same every cycle, so candidate floors are
-// independent of which cycle the publish happened on. In the oscillating
-// drain regime it refuses and leaves the memo invalid, exactly as the lazy
-// path does there: the scanned queue alternates per cycle, so a correct
-// candidate floor depends on whether the publishing event preceded or
-// followed this cycle's scheduler scan — an anchoring the controller cannot
-// see — and guessing wrong by one cycle would overestimate the horizon and
-// skip a live issue. Leaving the memo invalid merely degrades the planner
-// to "imminent" through the (short, actively-issuing) drain tail. A
-// scheduler implementing eagerScanner supplies the fixpoint fast path
-// (frfcfsCap dedups candidates per bank); others — and >64-bank geometries,
-// whose dedup scratch is absent — fall back to the reference scan's
-// fixpoint branch.
-func (c *Controller) publishEager(now int64) {
-	t1 := c.nextDraining(c.draining)
-	if c.nextDraining(t1) != t1 {
-		return
-	}
-	if es, ok := c.sched.(eagerScanner); ok && c.ffBankTO != nil {
-		c.ffSched = es.EagerQueueHorizon(c, c.scanQueue(t1))
-	} else {
-		c.ffSched = c.scheduleHorizon(now)
-	}
-	c.ffSchedValid = true
-}
-
 // HorizonGen returns a generation counter that advances whenever controller
 // or device state changes in a way NextEventCycle's answer could depend on:
 // request arrival, command issue, completion delivery, refresh arming and
@@ -510,15 +459,6 @@ func (c *Controller) SkipTicks(n int64) {
 		c.skipObs(n, now, trueCount, schedRuns)
 	}
 	c.dev.AdvanceClock(n)
-}
-
-// scanQueue returns the queue tickSchedule scans for a settled draining
-// value.
-func (c *Controller) scanQueue(draining bool) []*Request {
-	if draining {
-		return c.writeQ
-	}
-	return c.readQ
 }
 
 // skipObs bulk-records what obsTick would have recorded over n skipped

@@ -10,8 +10,8 @@ import (
 // The incremental-horizon tests: NextEventCycle's memoised assembly is
 // checked against the scratch oracle (fullRescanHorizon) under randomized
 // traffic, and SkipTicks against a cycle-by-cycle ticked twin across
-// refresh-arm boundaries, drain-regime flips, and timeout closes — in both
-// the lazy and the eager republication modes.
+// refresh-arm boundaries, drain-regime flips, and timeout closes. The
+// schedule memo is lazy: only a failed scheduler scan republishes it.
 
 // horizonTrafficStep deterministically generates the next request of a
 // traffic pattern mixing hot-row streaks (to trip the FR-FCFS row-hit cap)
@@ -38,26 +38,19 @@ func TestHorizonMatchesFullRescan(t *testing.T) {
 	cases := []struct {
 		name  string
 		cfg   Config
-		eager bool
 		exact bool // assert equality when the horizon is ahead of the clock
 	}{
-		{"lazy/no-refresh", Config{}, false, true},
-		{"eager/no-refresh", Config{}, true, true},
+		{"lazy/no-refresh", Config{}, true},
 		{"lazy/refresh", Config{
 			MaxPostponedRefresh: 4,
 			Refresh:             []RefreshStream{{Mode: dram.ModeDefault, Interval: 700}},
-		}, false, false},
-		{"eager/refresh", Config{
-			MaxPostponedRefresh: 4,
-			Refresh:             []RefreshStream{{Mode: dram.ModeDefault, Interval: 700}},
-		}, true, false},
+		}, false},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			c := newTestController(t, tc.cfg)
-			c.SetEagerHorizon(tc.eager)
 			state := uint64(0x9e3779b97f4a7c15)
 			for cycle := 0; cycle < 20_000; cycle++ {
 				if cycle%3 == 0 {
@@ -120,9 +113,8 @@ func TestSkipTicksMatchesTickedTwin(t *testing.T) {
 		Cycle int64
 	}
 
-	run := func(skip, eager bool) (done []completion, accepted int, st Stats, clock int64) {
+	run := func(skip bool) (done []completion, accepted int, st Stats, clock int64) {
 		c := newTestController(t, cfg)
-		c.SetEagerHorizon(eager)
 		next := 0
 		for c.Clock() < end {
 			now := c.Clock()
@@ -153,29 +145,23 @@ func TestSkipTicksMatchesTickedTwin(t *testing.T) {
 		return done, accepted, c.Stats(), c.Clock()
 	}
 
-	tickedDone, tickedAcc, tickedStats, tickedClock := run(false, false)
+	tickedDone, tickedAcc, tickedStats, tickedClock := run(false)
 	if len(tickedDone) == 0 || tickedStats.Refreshes == 0 || tickedStats.TimeoutCloses == 0 {
 		t.Fatalf("weak reference run: %d completions, %d refreshes, %d timeout closes — schedule does not exercise the horizon components",
 			len(tickedDone), tickedStats.Refreshes, tickedStats.TimeoutCloses)
 	}
-	for _, eager := range []bool{false, true} {
-		name := "lazy"
-		if eager {
-			name = "eager"
-		}
-		skipDone, skipAcc, skipStats, skipClock := run(true, eager)
-		if skipClock != tickedClock {
-			t.Errorf("%s: final clock %d != ticked %d", name, skipClock, tickedClock)
-		}
-		if skipAcc != tickedAcc {
-			t.Errorf("%s: accepted %d != ticked %d", name, skipAcc, tickedAcc)
-		}
-		if !reflect.DeepEqual(skipDone, tickedDone) {
-			t.Errorf("%s: completion log diverges (%d vs %d entries)", name, len(skipDone), len(tickedDone))
-		}
-		if !reflect.DeepEqual(skipStats, tickedStats) {
-			t.Errorf("%s: stats diverge:\n skip:   %+v\n ticked: %+v", name, skipStats, tickedStats)
-		}
+	skipDone, skipAcc, skipStats, skipClock := run(true)
+	if skipClock != tickedClock {
+		t.Errorf("final clock %d != ticked %d", skipClock, tickedClock)
+	}
+	if skipAcc != tickedAcc {
+		t.Errorf("accepted %d != ticked %d", skipAcc, tickedAcc)
+	}
+	if !reflect.DeepEqual(skipDone, tickedDone) {
+		t.Errorf("completion log diverges (%d vs %d entries)", len(skipDone), len(tickedDone))
+	}
+	if !reflect.DeepEqual(skipStats, tickedStats) {
+		t.Errorf("stats diverge:\n skip:   %+v\n ticked: %+v", skipStats, tickedStats)
 	}
 }
 

@@ -47,8 +47,7 @@ type Scheduler interface {
 
 // frfcfsCap is FR-FCFS-Cap (the paper's Table 2 scheduler): row hits first,
 // oldest first, with a per-bank consecutive-hit cap that stops a hit stream
-// from starving an older conflicting request. It also implements
-// eagerScanner (horizon.go) with a per-bank-deduplicated republish scan.
+// from starving an older conflicting request.
 type frfcfsCap struct{}
 
 func (frfcfsCap) Name() string { return "frfcfs-cap" }
@@ -142,57 +141,6 @@ func (frfcfsCap) DeadCycleTrips(c *Controller, q []*Request) int64 {
 		}
 	}
 	return n
-}
-
-// EagerQueueHorizon is the per-bank-deduplicated equivalent of
-// scheduleHorizon's fixpoint path: the minimum candidate floor over q. All
-// row hits on a bank share one floor (same open row, same command kind per
-// queue), all PREs share one, and ACT floors are keyed by (bank, row) —
-// cmd.Row picks the CLR mode whose tFAW applies — so the scan runs at most
-// a couple of EarliestIssue calls per touched bank instead of one per
-// request. Cap-withholding matches CandidateIssue exactly: only the oldest
-// hit per bank needs the check, because conflicts accumulate in queue order
-// (an older conflict for the first hit is older than every later hit, and
-// later hits share the first one's floor anyway).
-func (frfcfsCap) EagerQueueHorizon(c *Controller, q []*Request) int64 {
-	h := int64(ffNever)
-	var seenHit, seenPre, seenAct, conflict uint64
-	for _, req := range q {
-		b := req.decoded.Bank
-		bit := uint64(1) << uint(b)
-		open, row := c.dev.BankState(b)
-		switch {
-		case open && row == req.decoded.Row:
-			if seenHit&bit != 0 {
-				continue
-			}
-			seenHit |= bit
-			if c.hitStreak[b] >= c.cfg.RowHitCap && conflict&bit != 0 {
-				continue // withheld until another issue dirties the memo
-			}
-			kind := dram.KindRD
-			if req.Write {
-				kind = dram.KindWR
-			}
-			h = min(h, c.dev.EarliestIssue(dram.Command{Kind: kind, Bank: b, Row: row, Column: req.decoded.Column}))
-		case open:
-			conflict |= bit
-			if seenPre&bit != 0 {
-				continue
-			}
-			seenPre |= bit
-			h = min(h, c.dev.EarliestIssue(dram.Command{Kind: dram.KindPRE, Bank: b}))
-		default:
-			conflict |= bit
-			if seenAct&bit != 0 && c.ffActRow[b] == req.decoded.Row {
-				continue
-			}
-			seenAct |= bit
-			c.ffActRow[b] = req.decoded.Row
-			h = min(h, c.dev.EarliestIssue(dram.Command{Kind: dram.KindACT, Bank: b, Row: req.decoded.Row}))
-		}
-	}
-	return h
 }
 
 // frfcfs is FR-FCFS without the row-hit cap: row hits always win over older

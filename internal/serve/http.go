@@ -96,7 +96,12 @@ func writeError(w http.ResponseWriter, err error) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	// Unknown fields are errors, not silently dropped: a misspelled or
+	// retired option would otherwise run a different job than the client
+	// asked for.
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		writeError(w, fmt.Errorf("serve: bad request body: %w", err))
 		return
 	}

@@ -217,6 +217,41 @@ func TestServerBackpressureAndErrors(t *testing.T) {
 	}
 }
 
+// TestServerRejectsUnknownOptions checks that a submission naming a field
+// the server does not know (a retired option or a misspelling) or an
+// unsupported fast-forward mode is refused with a 400 that names it,
+// instead of running a job other than the one the client asked for.
+func TestServerRejectsUnknownOptions(t *testing.T) {
+	m := stubManager(t, Config{MaxConcurrent: 1}, func(ctx context.Context, j *Job) ([]byte, error) {
+		return []byte("{}\n"), nil
+	})
+	ts := httptest.NewServer(NewServer(m))
+	defer ts.Close()
+
+	spec := `{"version":1,"kind":"single","profile":{"name":"random_00"}}`
+	for _, tc := range []struct{ name, options, want string }{
+		{"retired field", `{"disable_fast_forward":true}`, "disable_fast_forward"},
+		{"misspelled field", `{"target_instruction":1000}`, "target_instruction"},
+		{"adaptive mode", `{"fast_forward":"adaptive"}`, "adaptive"},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+			strings.NewReader(`{"spec":`+spec+`,"options":`+tc.options+`}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rb, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400 (body %s)", tc.name, resp.StatusCode, rb)
+		} else if !strings.Contains(string(rb), tc.want) {
+			t.Errorf("%s: 400 body does not name %q: %s", tc.name, tc.want, rb)
+		}
+	}
+	if st := m.Stats(); st.Queued != 0 || st.Running != 0 {
+		t.Fatalf("a rejected submission was admitted: %+v", st)
+	}
+}
+
 // TestLoadTestAgainstStubServer drives the load-test client at an
 // httptest daemon with a stubbed runner: thousands of submissions in a few
 // identity classes must all be accounted for (queued+deduped+cached+

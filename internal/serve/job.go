@@ -22,19 +22,16 @@ type RunOptions struct {
 	WarmupRecords      int    `json:"warmup_records,omitempty"`
 	ProfileRecords     int    `json:"profile_records,omitempty"`
 	Channels           int    `json:"channels,omitempty"`
-	// FastForward selects the cycle-skipping policy: "adaptive" (the
-	// default), "on", or "off". Results are bit-identical across all three
-	// (the repo's ffdiff gate), but the mode is still part of the job
-	// identity so its effect on wall-clock is attributable.
+	// FastForward selects the cycle-skipping policy: "on" (the default) or
+	// "off". Results are bit-identical either way (the repo's ffdiff gate),
+	// but the mode is still part of the job identity so its effect on
+	// wall-clock is attributable.
 	FastForward string `json:"fast_forward,omitempty"`
-	// DisableFastForward is the older boolean spelling of FastForward:"off",
-	// kept for wire compatibility; Normalize folds it into FastForward.
-	DisableFastForward bool `json:"disable_fast_forward,omitempty"`
 }
 
 // Normalize fills zero fields with the simulator defaults and canonicalizes
-// the fast-forward mode (legacy boolean folded in, spelling canonicalized),
-// so two requests meaning the same run hash to the same job ID.
+// the fast-forward spelling, so two requests meaning the same run hash to
+// the same job ID.
 func (o RunOptions) Normalize() RunOptions {
 	d := sim.DefaultOptions()
 	if o.Seed == 0 {
@@ -52,11 +49,7 @@ func (o RunOptions) Normalize() RunOptions {
 	if o.Channels == 0 {
 		o.Channels = 1
 	}
-	if o.DisableFastForward {
-		o.FastForward = sim.FFOff.String()
-		o.DisableFastForward = false
-	}
-	// Canonicalize recognized spellings ("always" → "on", "" → "adaptive");
+	// Canonicalize recognized spellings ("always" → "on", "" → "on");
 	// unknown ones pass through verbatim for Validate to reject.
 	if m, err := sim.ParseFFMode(o.FastForward); err == nil {
 		o.FastForward = m.String()

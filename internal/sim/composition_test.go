@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -31,15 +32,17 @@ func TestDefaultCompositionUnchanged(t *testing.T) {
 	explicit.Mem.RowPolicy = mem.DefaultRowPolicy
 	explicit.Mem.Mapper = mem.DefaultMapper
 
-	zero, err := RunSingle(p, core.CLR(0.5), ffDiffOpts())
+	out, err := Run(context.Background(), SingleSpec(p, core.CLR(0.5)), WithOptions(ffDiffOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	named, err := RunSingle(p, core.CLR(0.5), explicit)
+	zero := out.Single
+	out, err = Run(context.Background(), SingleSpec(p, core.CLR(0.5)), WithOptions(explicit))
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertIdenticalResults(t, zero, named)
+	named := out.Single
+	assertIdenticalResults(t, *zero, *named)
 }
 
 // TestDefaultCompositionFig12CSVIdentity is the `make compdiff` gate: the
@@ -107,17 +110,17 @@ func TestCompositionIdentityMatrix(t *testing.T) {
 				opts.Mem.RowPolicy = policy
 				opts.Mem.MaxRowHits = 6
 				on, off := opts, opts
-				on.DisableFastForward = false
-				off.DisableFastForward = true
-				ff, err := RunMix(mix, core.CLR(0.5), on)
+				on.FastForward = FFOn
+				off.FastForward = FFOff
+				ff, err := Run(context.Background(), MixSpec(mix, core.CLR(0.5)), WithOptions(on))
 				if err != nil {
 					t.Fatal(err)
 				}
-				ticked, err := RunMix(mix, core.CLR(0.5), off)
+				ticked, err := Run(context.Background(), MixSpec(mix, core.CLR(0.5)), WithOptions(off))
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertIdenticalResults(t, ff, ticked)
+				assertIdenticalResults(t, *ff.Single, *ticked.Single)
 
 				// parallel == serial on the same mix, via the sweep engine.
 				sweep := opts
@@ -159,10 +162,11 @@ func TestStandardLPDDR4(t *testing.T) {
 	ff, ticked := runBothWays(t, p, core.Baseline(), lp)
 	assertIdenticalResults(t, ff, ticked)
 
-	ddr4, err := RunSingle(p, core.Baseline(), ffDiffOpts())
+	out, err := Run(context.Background(), SingleSpec(p, core.Baseline()), WithOptions(ffDiffOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	ddr4 := out.Single
 	if ff.DRAMCycles == ddr4.DRAMCycles {
 		t.Error("lpddr4-3200 run is indistinguishable from ddr4-2400 — the standard was not applied")
 	}

@@ -88,15 +88,11 @@ type Options struct {
 	// strips them.
 	Timer *engine.Timer
 
-	// FastForward selects the next-event fast-forward policy: FFAdaptive
-	// (the zero value) plans skips with adaptive engagement, FFAlways plans
-	// on every eligible cycle, FFOff forces the per-cycle reference loop.
-	// All three are bit-identical by contract (enforced by the differential
-	// test suite) — the mode only moves wall-clock.
+	// FastForward selects the next-event fast-forward policy: FFOn (the
+	// zero value) plans skips on every eligible cycle, FFOff forces the
+	// per-cycle reference loop. Both are bit-identical by contract (enforced
+	// by the differential test suite) — the mode only moves wall-clock.
 	FastForward FFMode
-	// DisableFastForward is the older boolean toggle, kept for existing
-	// callers: when set it forces FFOff regardless of FastForward.
-	DisableFastForward bool
 	// Warmup, when non-nil, shares profiled rankings and warmed LLC state
 	// across the NewSystem calls of a sweep (checkpoint-and-fork warmup,
 	// DESIGN.md §13). Sweep drivers install one automatically unless
@@ -128,13 +124,9 @@ type Options struct {
 type FFMode int
 
 const (
-	// FFAdaptive plans next-event skips but tracks a skip-length EMA and
-	// disengages planning while it sits below breakeven, re-probing
-	// periodically — the default, and the right choice when the workload
-	// mix is unknown (fastforward.go).
-	FFAdaptive FFMode = iota
-	// FFAlways plans a skip on every eligible cycle.
-	FFAlways
+	// FFOn plans a next-event skip on every eligible cycle (fastforward.go)
+	// — the default.
+	FFOn FFMode = iota
 	// FFOff forces the per-cycle reference loop.
 	FFOff
 )
@@ -142,9 +134,7 @@ const (
 // String returns the CLI spelling of the mode.
 func (m FFMode) String() string {
 	switch m {
-	case FFAdaptive:
-		return "adaptive"
-	case FFAlways:
+	case FFOn:
 		return "on"
 	case FFOff:
 		return "off"
@@ -152,27 +142,16 @@ func (m FFMode) String() string {
 	return fmt.Sprintf("FFMode(%d)", int(m))
 }
 
-// ParseFFMode parses the CLI spellings of FFMode: "adaptive", "on" (or
-// "always", "true", "1"), "off" (or "false", "0").
+// ParseFFMode parses the CLI spellings of FFMode: "on" (or "", "always",
+// "true", "1") and "off" (or "false", "0").
 func ParseFFMode(s string) (FFMode, error) {
 	switch s {
-	case "adaptive", "":
-		return FFAdaptive, nil
-	case "on", "always", "true", "1":
-		return FFAlways, nil
+	case "on", "", "always", "true", "1":
+		return FFOn, nil
 	case "off", "false", "0":
 		return FFOff, nil
 	}
-	return FFAdaptive, fmt.Errorf("sim: unknown fast-forward mode %q (want adaptive|on|off)", s)
-}
-
-// ffMode resolves the run's effective fast-forward mode: the older
-// DisableFastForward toggle wins as an off-switch.
-func (o *Options) ffMode() FFMode {
-	if o.DisableFastForward {
-		return FFOff
-	}
-	return o.FastForward
+	return FFOn, fmt.Errorf("sim: unknown fast-forward mode %q (want on|off)", s)
 }
 
 // DefaultOptions returns the paper's Table 2 system scaled to a fast default

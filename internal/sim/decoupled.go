@@ -17,16 +17,6 @@ const (
 	// FFState classification on top of every Tick erases the stretch's
 	// savings. Lagging a few cycles late is always allowed.
 	ffRetryStride = 4
-	// ffStallLagWorth discounts stall-class lag cycles in the governor
-	// signal: a stalled or drained core's Tick is nearly empty, so lagging
-	// it saves far less wall time than lagging a bursting core (whose Tick
-	// retires and issues full-width every cycle).
-	ffStallLagWorth = 0.2
-	// ffStretchOverheadFrac charges the stretch's own per-cycle bookkeeping
-	// (classification retries, wake checks, lag accounting) against its lag
-	// savings, in Tick-equivalents per stretch cycle, so the adaptive
-	// governor disengages the planner where decoupling would lose.
-	ffStretchOverheadFrac = 0.75
 )
 
 // Decoupled per-core lag (DESIGN.md §15). The joint planner (planSkip) is
@@ -76,12 +66,9 @@ const (
 // runDecoupled runs a decoupled stretch. It must be entered immediately
 // after a planSkip call that set ffMixed (same CPU cycle, no intervening
 // mutation): the per-core classifications in s.ffStates / s.ffCanLag seed
-// the lag set. It returns the stretch's governor gain — lagged core-cycles
-// normalized to whole-system-equivalent skipped cycles — plus the timeout
-// flag and context error, mirroring runLoop's own checks. All lags are
-// flushed on every exit path.
-func (s *System) runDecoupled(ctx context.Context, done func() bool, ceilings []uint64, ctxCheck *int) (gain float64, timedOut bool, err error) {
-	worth0 := s.ffLagWorth
+// the lag set. It returns the timeout flag and context error, mirroring
+// runLoop's own checks. All lags are flushed on every exit path.
+func (s *System) runDecoupled(ctx context.Context, done func() bool, ceilings []uint64, ctxCheck *int) (timedOut bool, err error) {
 	entry := s.cpuCycle
 	probe := 0
 	s.ffAnyLag = true
@@ -174,10 +161,10 @@ func (s *System) runDecoupled(ctx context.Context, done func() bool, ceilings []
 		// nothing observable can change before the next device tick (queues,
 		// horizons and completions only move inside Controller.Tick), the
 		// next due hit completion, or the earliest lag cap. Jump the CPU
-		// clock over those dead cycles in one step — the accumulator walk
-		// (exact by the orbit contract, shared with the joint planner) bounds
-		// the jump to cycles carrying zero device ticks, so the next loop
-		// iteration lands exactly where the per-cycle walk would.
+		// clock over those dead cycles in one step — the joint planner's
+		// exact accumulator walk bounds the jump to cycles carrying zero
+		// device ticks, so the next loop iteration lands exactly where the
+		// per-cycle walk would.
 		if nLagged == len(s.cores) && len(s.pendingWB) == 0 {
 			bound := s.opts.MaxCPUCycles - s.cpuCycle
 			for i := range s.cores {
@@ -190,17 +177,7 @@ func (s *System) runDecoupled(ctx context.Context, done func() bool, ceilings []
 					bound = left
 				}
 			}
-			// Zero-device-tick spans are short (⌊1/per⌋ cycles at most), so
-			// the exact float64 walk inline beats the orbit dispatch here.
-			stride, acc := int64(0), s.dramAcc
-			for stride < bound {
-				a := acc + s.dramPerCPU
-				if a >= 1 {
-					break
-				}
-				acc = a
-				stride++
-			}
+			stride, _, acc := s.walkAccumulator(bound, 0)
 			if stride > 0 {
 				for i := range s.ffLag {
 					s.ffLag[i] += stride
@@ -263,15 +240,7 @@ func (s *System) runDecoupled(ctx context.Context, done func() bool, ceilings []
 		}
 	}
 	s.ffAnyLag = false
-	// Governor signal: class-weighted lag savings net of the stretch's own
-	// bookkeeping, normalized to whole-system-equivalent skipped cycles.
-	// Lagged stall cycles are cheap Ticks avoided, not full skips — counting
-	// them at par would pin the planner on in mixes where decoupling loses.
-	gain = (s.ffLagWorth - worth0 - ffStretchOverheadFrac*float64(s.cpuCycle-entry)) / float64(len(s.cores))
-	if gain < 0 {
-		gain = 0
-	}
-	return gain, timedOut, err
+	return timedOut, err
 }
 
 // jointViable reports whether handing an all-lagged stretch back to the
@@ -382,11 +351,6 @@ func (s *System) flushLag(i int) {
 	}
 	s.ffLagFlushes++
 	s.ffLaggedCycles += k
-	if st.Burst || st.Fill {
-		s.ffLagWorth += float64(k)
-	} else {
-		s.ffLagWorth += ffStallLagWorth * float64(k)
-	}
 	if s.ffOnFlush != nil {
 		s.ffOnFlush(i, k)
 	}

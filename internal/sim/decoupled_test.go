@@ -39,41 +39,37 @@ func hetMixes(t testing.TB) []workload.Mix {
 
 // TestFastForwardIdentityHeterogeneousMixes is the tentpole's differential
 // gate: on mixes engineered to keep the classification mixed, the decoupled
-// lag path (both forced and behind the adaptive governor) must produce a
-// bit-identical Result and canonical RunReport to the ticked loop.
+// lag path must produce a bit-identical Result and canonical RunReport to
+// the ticked loop.
 func TestFastForwardIdentityHeterogeneousMixes(t *testing.T) {
 	for _, m := range hetMixes(t) {
 		m := m
-		for _, mode := range []FFMode{FFAdaptive, FFAlways} {
-			mode := mode
-			t.Run(m.Name+"/"+mode.String(), func(t *testing.T) {
-				t.Parallel()
-				opts := ffDiffOpts()
-				on, off := opts, opts
-				on.FastForward = mode
-				off.DisableFastForward = true
-				ff, err := RunMix(m, core.CLR(0.5), on)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ticked, err := RunMix(m, core.CLR(0.5), off)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertIdenticalResults(t, ff, ticked)
-			})
-		}
+		t.Run(m.Name+"/on", func(t *testing.T) {
+			t.Parallel()
+			on, off := ffDiffOpts(), ffDiffOpts()
+			on.FastForward = FFOn
+			off.FastForward = FFOff
+			ff, err := Run(context.Background(), MixSpec(m, core.CLR(0.5)), WithOptions(on))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ticked, err := Run(context.Background(), MixSpec(m, core.CLR(0.5)), WithOptions(off))
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertIdenticalResults(t, *ff.Single, *ticked.Single)
+		})
 	}
 }
 
 // TestDecoupledEngages pins down that the heterogeneous mixes actually
-// exercise the decoupled path: with the planner forced on, the flagship
+// exercise the decoupled path: with the planner on, the flagship
 // 1×mcf+3×gamess mix must accumulate lagged core-cycles, and all lag state
 // must be drained by the end of the run.
 func TestDecoupledEngages(t *testing.T) {
 	m := hetMixes(t)[0]
 	opts := ffDiffOpts()
-	opts.FastForward = FFAlways
+	opts.FastForward = FFOn
 	s, err := NewSystem(m.Profiles[:], core.CLR(0.5), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +106,7 @@ type flushPoint struct {
 func TestDecoupledFlushInvariant(t *testing.T) {
 	m := hetMixes(t)[0]
 	opts := ffDiffOpts()
-	opts.FastForward = FFAlways
+	opts.FastForward = FFOn
 
 	a, err := NewSystem(m.Profiles[:], core.CLR(0.5), opts)
 	if err != nil {
@@ -129,7 +125,7 @@ func TestDecoupledFlushInvariant(t *testing.T) {
 	}
 
 	off := opts
-	off.DisableFastForward = true
+	off.FastForward = FFOff
 	b, err := NewSystem(m.Profiles[:], core.CLR(0.5), off)
 	if err != nil {
 		t.Fatal(err)
@@ -165,13 +161,13 @@ func TestDecoupledFlushInvariant(t *testing.T) {
 func TestFastForwardIdentityRunFor(t *testing.T) {
 	m := hetMixes(t)[0]
 	opts := ffDiffOpts()
-	opts.FastForward = FFAlways
+	opts.FastForward = FFOn
 	a, err := NewSystem(m.Profiles[:], core.CLR(0.5), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	off := opts
-	off.DisableFastForward = true
+	off.FastForward = FFOff
 	b, err := NewSystem(m.Profiles[:], core.CLR(0.5), off)
 	if err != nil {
 		t.Fatal(err)
@@ -201,13 +197,13 @@ func TestFastForwardIdentityHetMixWorkers(t *testing.T) {
 
 	var want []byte
 	for _, cfg := range []struct {
-		ff      bool
+		ff      FFMode
 		workers int
 	}{
-		{true, 1}, {true, 4}, {false, 1}, {false, 4},
+		{FFOn, 1}, {FFOn, 4}, {FFOff, 1}, {FFOff, 4},
 	} {
 		o := opts
-		o.DisableFastForward = !cfg.ff
+		o.FastForward = cfg.ff
 		o.Workers = cfg.workers
 		res, err := RunFig13(groups, o)
 		if err != nil {

@@ -38,32 +38,6 @@ const (
 	ffMinSpan = 4
 	// ffCtxStride is how many loop iterations pass between ctx.Err checks.
 	ffCtxStride = 4096
-
-	// Adaptive-engagement governor (FFAdaptive). The EMA tracks cycles
-	// gained per planning attempt that reached the horizon stage; while it
-	// sits below breakeven the planner disengages for a stretch of real
-	// steps, then probes again. Pure performance heuristics — skipping less
-	// is always allowed, so results are bit-identical in every mode.
-	//
-	// ffEmaInvWindow smooths over ~64 attempts: long enough to ride out a
-	// burst of failures inside a skippable phase, short enough to disengage
-	// within a few hundred cycles of entering a dense one.
-	ffEmaInvWindow = 1.0 / 64
-	// ffBreakevenSpan is the EMA threshold in skipped cycles per attempt.
-	// With the lazy schedule memo a failed horizon-stage attempt is a few
-	// memo reads — well under one step's worth of work — and a successful
-	// span of k saves k−1 steps, so engagement pays for itself just above
-	// one skipped cycle per attempt. Event-paced retry already absorbs
-	// dense stretches; the governor only needs to catch workloads where
-	// planning never finds spans at all.
-	ffBreakevenSpan = 1.5
-	// ffDisengageSteps is how many real steps run planner-less after the
-	// EMA drops below breakeven, before the next probe window.
-	ffDisengageSteps = 1024
-	// ffProbeAttempts is the probation window after re-engaging: the EMA
-	// must climb back over breakeven within this many horizon-stage
-	// attempts or the planner disengages again.
-	ffProbeAttempts = 16
 )
 
 // runLoop drives the system until done() (or the cycle safety bound, or ctx
@@ -71,9 +45,7 @@ const (
 // when non-nil, are per-core retired-instruction bounds that bulk skips must
 // not cross (RunFor's stop condition is evaluated between real steps only).
 func (s *System) runLoop(ctx context.Context, done func() bool, ceilings []uint64) (timedOut bool, err error) {
-	mode := s.opts.ffMode()
-	ff := mode != FFOff
-	adaptive := mode == FFAdaptive
+	ff := s.opts.FastForward != FFOff
 	ctxCheck := 0
 	for !done() {
 		if s.cpuCycle >= s.opts.MaxCPUCycles {
@@ -94,20 +66,17 @@ func (s *System) runLoop(ctx context.Context, done func() bool, ceilings []uint6
 				// scheduler scan: its horizon degrades to "imminent", so an
 				// attempt cannot find a span. Real-step until the scan
 				// settles it (a few cycles at most) — these steps are free
-				// of planning cost and don't feed the governor.
+				// of planning cost.
 			} else {
 				k, devTicks, accAfter, costly, paced := s.planSkip(ceilings)
 				if k >= ffMinSpan {
 					s.applySkip(k, devTicks, accAfter)
-					if adaptive {
-						s.ffGovern(float64(k))
-					}
 					if paced {
 						// The span stopped because its next CPU cycle carries
 						// the horizon device tick: the immediate re-attempt is
 						// a guaranteed failure, so step through the boundary
-						// planner-less instead of paying (and, in adaptive
-						// mode, governing on) a no-op planning attempt.
+						// planner-less instead of paying a no-op planning
+						// attempt.
 						s.ffSleep = 1
 					}
 					continue
@@ -118,25 +87,14 @@ func (s *System) runLoop(ctx context.Context, done func() bool, ceilings []uint6
 					// controllers and the device step for real every cycle
 					// while skippable cores accumulate lag counters that are
 					// flushed at their first wake event (decoupled.go). The
-					// stretch returns with all lags flushed; its gain feeds
-					// the governor as whole-system-equivalent skipped cycles
-					// so mixes keep the planner engaged.
-					gain, timedOut, err := s.runDecoupled(ctx, done, ceilings, &ctxCheck)
+					// stretch returns with all lags flushed.
+					timedOut, err := s.runDecoupled(ctx, done, ceilings, &ctxCheck)
 					if timedOut || err != nil {
 						return timedOut, err
-					}
-					if adaptive {
-						s.ffGovern(gain)
 					}
 					continue
 				}
 				if costly {
-					if adaptive {
-						// Only horizon-stage failures feed the governor: cheap
-						// pre-horizon bails (a core mid-record, a hit completion
-						// due) cost next to nothing and resolve within a cycle.
-						s.ffGovern(0)
-					}
 					// Event-paced retry: the attempt got as far as a real span
 					// bound, so some constraint (horizon, due hit, burst cap)
 					// bites within k+1 cycles — no span ≥ ffMinSpan can begin
@@ -145,10 +103,7 @@ func (s *System) runLoop(ctx context.Context, done func() bool, ceilings []uint6
 					// planner-less THROUGH the boundary cycle (k+1 steps): an
 					// attempt at or just before it is a guaranteed re-failure,
 					// so resume planning only once the bounding event has run.
-					// (ffGovern may have set a longer disengage sleep already.)
-					if p := k + 1; p > s.ffSleep {
-						s.ffSleep = p
-					}
+					s.ffSleep = k + 1
 				}
 			}
 		}
@@ -168,30 +123,6 @@ func (s *System) horizonsSettled() bool {
 		}
 	}
 	return true
-}
-
-// ffGovern folds one horizon-stage planning outcome (the applied span, or 0
-// for a failure) into the engagement EMA and disengages the planner when the
-// average gain sits below breakeven. The skip-length EMA is nominally per
-// core, but the planner coalesces all cores and channels into one joint span
-// (planSkip), so every core's skip length is the joint k and one EMA carries
-// them all.
-func (s *System) ffGovern(k float64) {
-	s.ffEma += (k - s.ffEma) * ffEmaInvWindow
-	s.ffAttempts++
-	if s.ffProbe > 0 {
-		// Probation after a re-engage: give the EMA the whole window before
-		// judging it, so one dense cycle doesn't re-disengage instantly.
-		s.ffProbe--
-		if s.ffProbe > 0 {
-			return
-		}
-	}
-	if s.ffEma < ffBreakevenSpan {
-		s.ffSleep = ffDisengageSteps
-		s.ffProbe = ffProbeAttempts
-		s.ffDisengages++
-	}
 }
 
 // planSkip determines the longest skippable span from the current state. It
@@ -339,24 +270,8 @@ func (s *System) jointHorizon() int64 {
 
 // walkAccumulator finds the largest k ≤ kMax whose span carries at most
 // maxDev device ticks, landing the post-span accumulator bit-identically to
-// k real steps. The closed form in accumulator.go answers from the cached
-// trajectory orbit in O(log k) and self-verifies with a float64 replay of
-// the final span; the O(k) replay of step()'s exact float64 operations below
-// remains both the fallback and the reference.
+// k real steps: it replays step()'s exact float64 operations cycle by cycle.
 func (s *System) walkAccumulator(kMax, maxDev int64) (k, devTicks int64, accAfter float64) {
-	// Provably short walks skip the orbit dispatch: k never exceeds kMax,
-	// and each cycle adds per to the accumulator, so maxDev ticks are
-	// exhausted within ~(maxDev+1)/per cycles. Below the threshold the
-	// replay loop is cheaper than the closed form's binary search and
-	// confirmation replay — and horizon-bound planning attempts on
-	// memory-busy workloads sit in exactly that regime.
-	short := kMax <= ffAccShortWalk ||
-		(s.dramPerCPU > 0 && float64(maxDev+1) <= float64(ffAccShortWalk)*s.dramPerCPU)
-	if !short {
-		if k, devTicks, accAfter, ok := s.walkAccumulatorClosed(kMax, maxDev); ok {
-			return k, devTicks, accAfter
-		}
-	}
 	acc := s.dramAcc
 	per := s.dramPerCPU
 	for k < kMax {

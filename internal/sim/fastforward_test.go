@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -58,17 +59,17 @@ func assertIdenticalResults(t *testing.T, ff, ticked Result) {
 func runBothWays(t *testing.T, p workload.Profile, clr core.Config, opts Options) (ff, ticked Result) {
 	t.Helper()
 	on, off := opts, opts
-	on.DisableFastForward = false
-	off.DisableFastForward = true
-	ff, err := RunSingle(p, clr, on)
+	on.FastForward = FFOn
+	off.FastForward = FFOff
+	ffOut, err := Run(context.Background(), SingleSpec(p, clr), WithOptions(on))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ticked, err = RunSingle(p, clr, off)
+	tickedOut, err := Run(context.Background(), SingleSpec(p, clr), WithOptions(off))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ff, ticked
+	return *ffOut.Single, *tickedOut.Single
 }
 
 // TestFastForwardIdentityAllProfiles is the tentpole's acceptance test: over
@@ -111,17 +112,17 @@ func TestFastForwardIdentityMix(t *testing.T) {
 	mix := workload.MixGroups(1, 1)[workload.GroupM][0]
 	opts := ffDiffOpts()
 	on, off := opts, opts
-	on.DisableFastForward = false
-	off.DisableFastForward = true
-	ff, err := RunMix(mix, core.CLR(0.5), on)
+	on.FastForward = FFOn
+	off.FastForward = FFOff
+	ff, err := Run(context.Background(), MixSpec(mix, core.CLR(0.5)), WithOptions(on))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ticked, err := RunMix(mix, core.CLR(0.5), off)
+	ticked, err := Run(context.Background(), MixSpec(mix, core.CLR(0.5)), WithOptions(off))
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertIdenticalResults(t, ff, ticked)
+	assertIdenticalResults(t, *ff.Single, *ticked.Single)
 }
 
 // TestFastForwardIdentityFig12CSV checks the exported artifact end to end: a
@@ -134,13 +135,13 @@ func TestFastForwardIdentityFig12CSV(t *testing.T) {
 
 	var want []byte
 	for _, cfg := range []struct {
-		ff      bool
+		ff      FFMode
 		workers int
 	}{
-		{true, 1}, {true, 4}, {false, 1}, {false, 4},
+		{FFOn, 1}, {FFOn, 4}, {FFOff, 1}, {FFOff, 4},
 	} {
 		o := opts
-		o.DisableFastForward = !cfg.ff
+		o.FastForward = cfg.ff
 		o.Workers = cfg.workers
 		res, err := RunFig12(profiles, o)
 		if err != nil {

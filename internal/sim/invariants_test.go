@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"clrdram/internal/core"
@@ -63,10 +64,11 @@ func TestFlowConservation(t *testing.T) {
 func TestMaxCyclesTimeout(t *testing.T) {
 	opts := fastOpts()
 	opts.MaxCPUCycles = 1000 // far too small to retire the target
-	res, err := RunSingle(randomProfile(), core.Baseline(), opts)
+	out, err := Run(context.Background(), SingleSpec(randomProfile(), core.Baseline()), WithOptions(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.Single
 	if !res.TimedOut {
 		t.Fatal("run should have reported a timeout")
 	}
@@ -80,16 +82,18 @@ func TestMaxCyclesTimeout(t *testing.T) {
 // and should not hurt performance.
 func TestRefreshPostponementAtSystemLevel(t *testing.T) {
 	opts := fastOpts()
-	base, err := RunSingle(randomProfile(), core.CLR(1.0), opts)
+	out, err := Run(context.Background(), SingleSpec(randomProfile(), core.CLR(1.0)), WithOptions(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
+	base := out.Single
 	opts2 := opts
 	opts2.Mem.MaxPostponedRefresh = 2 // small budget so the short run must catch up
-	post, err := RunSingle(randomProfile(), core.CLR(1.0), opts2)
+	out, err = Run(context.Background(), SingleSpec(randomProfile(), core.CLR(1.0)), WithOptions(opts2))
 	if err != nil {
 		t.Fatal(err)
 	}
+	post := out.Single
 	if post.TimedOut {
 		t.Fatal("postponement run timed out")
 	}

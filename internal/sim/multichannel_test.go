@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"clrdram/internal/core"
@@ -10,10 +11,11 @@ import (
 func TestMultiChannelRunCompletes(t *testing.T) {
 	opts := fastOpts()
 	opts.Channels = 2
-	res, err := RunSingle(randomProfile(), core.CLR(0.5), opts)
+	out, err := Run(context.Background(), SingleSpec(randomProfile(), core.CLR(0.5)), WithOptions(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.Single
 	if res.TimedOut {
 		t.Fatal("2-channel run timed out")
 	}
@@ -31,17 +33,19 @@ func TestTwoChannelsRelieveBandwidthBoundMixes(t *testing.T) {
 	opts := fastOpts()
 	opts.TargetInstructions = 30_000
 
-	one, err := RunMix(mix, core.Baseline(), opts)
+	out, err := Run(context.Background(), MixSpec(mix, core.Baseline()), WithOptions(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
+	one := out.Single
 	opts2 := opts
 	opts2.Channels = 2
-	two, err := RunMix(mix, core.Baseline(), opts2)
+	out, err = Run(context.Background(), MixSpec(mix, core.Baseline()), WithOptions(opts2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := func(r Result) float64 {
+	two := out.Single
+	sum := func(r *Result) float64 {
 		s := 0.0
 		for _, ipc := range r.IPC() {
 			s += ipc
@@ -83,15 +87,17 @@ func TestMultiChannelDistributesTraffic(t *testing.T) {
 
 func TestMultiChannelEnergyAggregates(t *testing.T) {
 	opts := fastOpts()
-	base, err := RunSingle(randomProfile(), core.Baseline(), opts)
+	out, err := Run(context.Background(), SingleSpec(randomProfile(), core.Baseline()), WithOptions(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
+	base := out.Single
 	opts.Channels = 2
-	multi, err := RunSingle(randomProfile(), core.Baseline(), opts)
+	out, err = Run(context.Background(), SingleSpec(randomProfile(), core.Baseline()), WithOptions(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
+	multi := out.Single
 	// Two channels burn more background power (two idle ranks) even if
 	// dynamic energy is similar; aggregate energy must exceed half of two
 	// single-channel runs and include both channels' background.

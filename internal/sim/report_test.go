@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -23,10 +24,11 @@ func reportOpts() Options {
 
 func TestRunReportPopulated(t *testing.T) {
 	p, _ := workload.ByName("random_00")
-	res, err := RunSingle(p, core.CLR(0.5), reportOpts())
+	out, err := Run(context.Background(), SingleSpec(p, core.CLR(0.5)), WithOptions(reportOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.Single
 	rep := res.Report
 	if rep == nil {
 		t.Fatal("CollectStats set but Result.Report is nil")
@@ -104,10 +106,11 @@ func TestRunReportDisabledByDefault(t *testing.T) {
 	p, _ := workload.ByName("random_00")
 	o := reportOpts()
 	o.CollectStats = false
-	res, err := RunSingle(p, core.CLR(0.5), o)
+	out, err := Run(context.Background(), SingleSpec(p, core.CLR(0.5)), WithOptions(o))
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.Single
 	if res.Report != nil {
 		t.Error("Report non-nil without CollectStats")
 	}
@@ -121,10 +124,11 @@ func TestRunReportDisabledByDefault(t *testing.T) {
 func TestRunReportDeterministic(t *testing.T) {
 	p, _ := workload.ByName("429.mcf-like")
 	run := func() []byte {
-		res, err := RunSingle(p, core.CLR(0.25), reportOpts())
+		out, err := Run(context.Background(), SingleSpec(p, core.CLR(0.25)), WithOptions(reportOpts()))
 		if err != nil {
 			t.Fatal(err)
 		}
+		res := out.Single
 		b, err := json.Marshal(res.Report.Canonical())
 		if err != nil {
 			t.Fatal(err)
@@ -206,10 +210,11 @@ func TestFig12RowsCarryMeasuredSeries(t *testing.T) {
 
 func TestRunReportWriteFormats(t *testing.T) {
 	p, _ := workload.ByName("random_00")
-	res, err := RunSingle(p, core.CLR(1.0), reportOpts())
+	out, err := Run(context.Background(), SingleSpec(p, core.CLR(1.0)), WithOptions(reportOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.Single
 	var txt, js bytes.Buffer
 	if err := res.Report.WriteText(&txt); err != nil {
 		t.Fatal(err)

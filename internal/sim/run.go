@@ -10,23 +10,7 @@ import (
 	"clrdram/internal/workload"
 )
 
-// RunSingle simulates one workload on one core under the given CLR-DRAM
-// configuration.
-//
-// Deprecated: use Run with SingleSpec; this wrapper delegates to it.
-func RunSingle(p workload.Profile, clr core.Config, opts Options) (Result, error) {
-	return runSingle(context.Background(), p, clr, opts)
-}
-
-// RunMix simulates a four-core multiprogrammed mix.
-//
-// Deprecated: use Run with MixSpec; this wrapper delegates to it.
-func RunMix(m workload.Mix, clr core.Config, opts Options) (Result, error) {
-	return runMix(context.Background(), m, clr, opts)
-}
-
-// runSingle is the context-aware single-workload driver behind both
-// RunSingle and Run(SingleSpec).
+// runSingle is the single-workload driver behind Run(SingleSpec).
 func runSingle(ctx context.Context, p workload.Profile, clr core.Config, opts Options) (Result, error) {
 	s, err := NewSystem([]workload.Profile{p}, clr, opts)
 	if err != nil {
@@ -39,8 +23,7 @@ func runSingle(ctx context.Context, p workload.Profile, clr core.Config, opts Op
 	return res, nil
 }
 
-// runMix is the context-aware mix driver behind both RunMix and
-// Run(MixSpec).
+// runMix is the multiprogrammed-mix driver behind Run(MixSpec).
 func runMix(ctx context.Context, m workload.Mix, clr core.Config, opts Options) (Result, error) {
 	s, err := NewSystem(m.Profiles[:], clr, opts)
 	if err != nil {

@@ -128,16 +128,11 @@ func WithStats(on bool) Option {
 // WithFastForward toggles the next-event fast-forward path (on by default;
 // results are bit-identical either way).
 func WithFastForward(on bool) Option {
-	return func(o *Options) { o.DisableFastForward = !on }
-}
-
-// WithFastForwardMode selects the fast-forward policy directly (FFAdaptive,
-// FFAlways, FFOff); it also clears the older DisableFastForward toggle so the
-// mode it sets is the one that runs.
-func WithFastForwardMode(m FFMode) Option {
 	return func(o *Options) {
-		o.FastForward = m
-		o.DisableFastForward = false
+		o.FastForward = FFOn
+		if !on {
+			o.FastForward = FFOff
+		}
 	}
 }
 
@@ -168,8 +163,8 @@ func WithTimer(t *engine.Timer) Option {
 // spec under ctx with the composed options and returns the matching Outcome
 // field. Cancellation is uniform — every inner loop (single systems and
 // engine-fanned sweeps alike) observes ctx — and every failure is a
-// *RunError carrying the run's identity. The deprecated RunSingle, RunMix,
-// RunFig12/13/15 and RunComparison functions are thin wrappers over this.
+// *RunError carrying the run's identity. RunFig12/13/15 and RunComparison
+// are thin wrappers over this.
 func Run(ctx context.Context, spec Spec, optFns ...Option) (Outcome, error) {
 	opts := DefaultOptions()
 	for _, fn := range optFns {

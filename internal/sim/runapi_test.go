@@ -3,45 +3,12 @@ package sim
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
-	"reflect"
 	"testing"
 
 	"clrdram/internal/core"
 	"clrdram/internal/workload"
 )
-
-// TestRunSingleSpecMatchesDeprecatedWrapper pins the migration contract: the
-// deprecated RunSingle and the new Run(SingleSpec) are the same computation.
-func TestRunSingleSpecMatchesDeprecatedWrapper(t *testing.T) {
-	p, clr := randomProfile(), core.CLR(0.5)
-	opts := ffDiffOpts()
-
-	old, err := RunSingle(p, clr, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Run(context.Background(), SingleSpec(p, clr), WithOptions(opts))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Single == nil {
-		t.Fatal("Run(SingleSpec) returned no Single outcome")
-	}
-	oldRep, newRep := old.Report, out.Single.Report
-	old.Report = nil
-	got := *out.Single
-	got.Report = nil
-	if !reflect.DeepEqual(old, got) {
-		t.Errorf("Run(SingleSpec) diverges from RunSingle:\n old: %+v\n new: %+v", old, got)
-	}
-	a, _ := json.Marshal(oldRep.Canonical())
-	b, _ := json.Marshal(newRep.Canonical())
-	if !bytes.Equal(a, b) {
-		t.Error("canonical reports diverge between RunSingle and Run(SingleSpec)")
-	}
-}
 
 // TestRunMixSpec checks the mix path populates Outcome.Single with four
 // cores' worth of results.
@@ -73,14 +40,52 @@ func TestRunOptionsCompose(t *testing.T) {
 	if got.Workers != 2 {
 		t.Errorf("Workers = %d, want 2 (later option wins)", got.Workers)
 	}
-	if !got.DisableFastForward {
-		t.Error("WithFastForward(false) should set DisableFastForward")
+	if got.FastForward != FFOff {
+		t.Error("WithFastForward(false) should select FFOff")
 	}
 	if got.CollectStats {
 		t.Error("WithStats(false) should clear CollectStats")
 	}
 	if got.TargetInstructions != base.TargetInstructions {
 		t.Error("WithOptions base not carried through")
+	}
+}
+
+// TestParseFFMode pins the CLI and serve spellings of the fast-forward
+// mode: every on and off spelling parses and round-trips through String,
+// and the retired "adaptive" mode and junk are errors.
+func TestParseFFMode(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want FFMode
+		ok   bool
+	}{
+		{"on", FFOn, true},
+		{"", FFOn, true},
+		{"always", FFOn, true},
+		{"true", FFOn, true},
+		{"1", FFOn, true},
+		{"off", FFOff, true},
+		{"false", FFOff, true},
+		{"0", FFOff, true},
+		{"adaptive", 0, false},
+		{"On", 0, false},
+		{"sometimes", 0, false},
+	} {
+		got, err := ParseFFMode(tc.in)
+		if !tc.ok {
+			if err == nil {
+				t.Errorf("ParseFFMode(%q) = %v, want an error", tc.in, got)
+			}
+			continue
+		}
+		if err != nil || got != tc.want {
+			t.Errorf("ParseFFMode(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+			continue
+		}
+		if back, err := ParseFFMode(got.String()); err != nil || back != got {
+			t.Errorf("%v does not round-trip through String: %v, %v", got, back, err)
+		}
 	}
 }
 

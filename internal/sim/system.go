@@ -96,13 +96,9 @@ type System struct {
 	ffJointH  int64
 	ffJointOK bool
 
-	// Adaptive-engagement governor state (ffGovern): skip-length EMA,
-	// planner-off countdown, probation countdown, and counters.
-	ffEma        float64
-	ffSleep      int64
-	ffProbe      int
-	ffAttempts   int64
-	ffDisengages int64
+	// Planner-off countdown (runLoop): real steps left before the next
+	// planning attempt after a paced or failed one.
+	ffSleep int64
 
 	// Decoupled per-core lag state (decoupled.go): when planSkip finds a
 	// mixed classification (some cores skippable, some not), each skippable
@@ -120,16 +116,11 @@ type System struct {
 	ffRetryAt      []int64
 	ffAnyLag       bool
 	ffMixed        bool
-	ffLagWorth     float64
 	ffLagFlushes   int64
 	ffLaggedCycles int64
 	// ffOnFlush, when non-nil, runs after every lag flush (test-only
 	// instrumentation for the flush-boundary twin invariant).
 	ffOnFlush func(core int, k int64)
-
-	// Closed-form accumulator-walk cache (accumulator.go): the float64
-	// trajectory's orbit table, built lazily from the current accumulator.
-	ffOrbit accOrbit
 }
 
 // FFStats reports how much of the run the fast-forward path covered: the
@@ -138,18 +129,10 @@ func (s *System) FFStats() (skips, skippedCycles int64) {
 	return s.ffSkips, s.ffSkipped
 }
 
-// FFGovernorStats reports the adaptive-engagement governor's activity: how
-// many horizon-stage planning attempts ran and how many times the planner
-// disengaged (always zero outside FFAdaptive). Benchmarks report these
-// alongside FFStats; they are diagnostics, not part of a Result.
-func (s *System) FFGovernorStats() (attempts, disengages int64) {
-	return s.ffAttempts, s.ffDisengages
-}
-
 // FFLagStats reports the decoupled-skip path's activity (DESIGN.md §15):
 // how many lag flushes ran and how many core-cycles were absorbed by lag
-// counters instead of per-cycle Ticks. Like FFGovernorStats these are
-// wall-clock diagnostics (surfaced by cmd/ffbench as `lag_flushes` and
+// counters instead of per-cycle Ticks. Like FFStats these are wall-clock
+// diagnostics (surfaced by cmd/ffbench as `lag_flushes` and
 // `lagged_core_cycles`), deliberately kept out of Result and the canonical
 // RunReport so reports stay identical across fast-forward modes.
 func (s *System) FFLagStats() (lagFlushes, laggedCoreCycles int64) {
@@ -256,12 +239,6 @@ func NewSystem(profiles []workload.Profile, clr core.Config, opts Options) (*Sys
 		if err != nil {
 			return nil, err
 		}
-		// Eager horizon republication (mem.SetEagerHorizon) is left off: it
-		// raises skip coverage ~35% on memory-intensive runs, but the
-		// O(queue) republish scan per issue event costs slightly more than
-		// the extra skipped cycles recover now that dead device ticks are
-		// O(1) in every mode. The lazy memo (republished by the scheduler's
-		// own failed scans) measures at or above it on every profile.
 		ctrls[ch] = ctrl
 		meters[ch] = meter
 	}
@@ -286,9 +263,6 @@ func NewSystem(profiles []workload.Profile, clr core.Config, opts Options) (*Sys
 		reg:        reg,
 	}
 	s.ffGens = make([]uint64, len(ctrls))
-	// The governor's EMA starts optimistic so every run opens engaged; a
-	// genuinely dense workload pulls it under breakeven within one window.
-	s.ffEma = 4 * ffBreakevenSpan
 
 	s.cores = make([]*cpu.Core, len(profiles))
 	s.ffStates = make([]cpu.FFState, len(profiles))

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"clrdram/internal/core"
@@ -38,10 +39,11 @@ func cachedProfile() workload.Profile {
 }
 
 func TestBaselineRunCompletes(t *testing.T) {
-	res, err := RunSingle(randomProfile(), core.Baseline(), fastOpts())
+	out, err := Run(context.Background(), SingleSpec(randomProfile(), core.Baseline()), WithOptions(fastOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.Single
 	if res.TimedOut {
 		t.Fatal("run timed out")
 	}
@@ -63,14 +65,16 @@ func TestBaselineRunCompletes(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	a, err := RunSingle(randomProfile(), core.CLR(0.5), fastOpts())
+	out, err := Run(context.Background(), SingleSpec(randomProfile(), core.CLR(0.5)), WithOptions(fastOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunSingle(randomProfile(), core.CLR(0.5), fastOpts())
+	a := out.Single
+	out, err = Run(context.Background(), SingleSpec(randomProfile(), core.CLR(0.5)), WithOptions(fastOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	b := out.Single
 	if a.CPUCycles != b.CPUCycles || a.Energy.Total() != b.Energy.Total() {
 		t.Fatalf("runs diverge: %d/%d cycles, %v/%v pJ",
 			a.CPUCycles, b.CPUCycles, a.Energy.Total(), b.Energy.Total())
@@ -81,14 +85,16 @@ func TestCLRFullHPBeatsBaselineOnRandom(t *testing.T) {
 	// The paper's headline: memory-intensive random-access workloads gain
 	// from high-performance rows (shorter tRCD/tRAS/tRP).
 	opts := fastOpts()
-	base, err := RunSingle(randomProfile(), core.Baseline(), opts)
+	out, err := Run(context.Background(), SingleSpec(randomProfile(), core.Baseline()), WithOptions(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
-	clr, err := RunSingle(randomProfile(), core.CLR(1.0), opts)
+	base := out.Single
+	out, err = Run(context.Background(), SingleSpec(randomProfile(), core.CLR(1.0)), WithOptions(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
+	clr := out.Single
 	bi, ci := base.PerCore[0].IPC(), clr.PerCore[0].IPC()
 	if ci <= bi {
 		t.Fatalf("CLR 100%% IPC (%v) should beat baseline (%v) on random access", ci, bi)
@@ -99,10 +105,11 @@ func TestCLRSpeedupGrowsWithHPFraction(t *testing.T) {
 	opts := fastOpts()
 	prev := 0.0
 	for _, frac := range []float64{0.25, 1.0} {
-		res, err := RunSingle(randomProfile(), core.CLR(frac), opts)
+		out, err := Run(context.Background(), SingleSpec(randomProfile(), core.CLR(frac)), WithOptions(opts))
 		if err != nil {
 			t.Fatal(err)
 		}
+		res := out.Single
 		ipc := res.PerCore[0].IPC()
 		if ipc < prev {
 			t.Fatalf("IPC decreased from %.3f to %.3f as HP fraction grew", prev, ipc)
@@ -114,14 +121,16 @@ func TestCLRSpeedupGrowsWithHPFraction(t *testing.T) {
 func TestNonIntensiveWorkloadInsensitive(t *testing.T) {
 	// A cache-resident workload barely touches DRAM: CLR gain must be small.
 	opts := fastOpts()
-	base, err := RunSingle(cachedProfile(), core.Baseline(), opts)
+	out, err := Run(context.Background(), SingleSpec(cachedProfile(), core.Baseline()), WithOptions(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
-	clr, err := RunSingle(cachedProfile(), core.CLR(1.0), opts)
+	base := out.Single
+	out, err = Run(context.Background(), SingleSpec(cachedProfile(), core.CLR(1.0)), WithOptions(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
+	clr := out.Single
 	bi, ci := base.PerCore[0].IPC(), clr.PerCore[0].IPC()
 	// With a 30-cycle LLC hit latency and 8 outstanding loads, the
 	// steady-state IPC ceiling is ≈ 8/30·(bubble+1) ≈ 1.9; anything above 1
@@ -158,10 +167,11 @@ func TestMultiCoreMixRuns(t *testing.T) {
 	mix := workload.Mix{Name: "t", Profiles: [4]workload.Profile{
 		randomProfile(), streamProfile(), cachedProfile(), randomProfile(),
 	}}
-	res, err := RunMix(mix, core.CLR(0.25), opts)
+	out, err := Run(context.Background(), MixSpec(mix, core.CLR(0.25)), WithOptions(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.Single
 	if res.TimedOut {
 		t.Fatal("mix timed out")
 	}
@@ -177,7 +187,7 @@ func TestMultiCoreMixRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := WeightedSpeedup(res, mix, alone)
+	ws := WeightedSpeedup(*res, mix, alone)
 	if ws <= 0 || ws > 4 {
 		t.Fatalf("weighted speedup = %v outside (0,4]", ws)
 	}
@@ -201,14 +211,16 @@ func TestHotPageMappingUsesProfile(t *testing.T) {
 
 func TestStreamBenefitsFromCLR(t *testing.T) {
 	opts := fastOpts()
-	base, err := RunSingle(streamProfile(), core.Baseline(), opts)
+	out, err := Run(context.Background(), SingleSpec(streamProfile(), core.Baseline()), WithOptions(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
-	clr, err := RunSingle(streamProfile(), core.CLR(1.0), opts)
+	base := out.Single
+	out, err = Run(context.Background(), SingleSpec(streamProfile(), core.CLR(1.0)), WithOptions(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
+	clr := out.Single
 	if clr.PerCore[0].IPC() < base.PerCore[0].IPC()*0.98 {
 		t.Fatalf("stream workload should not slow down under CLR: %v vs %v",
 			clr.PerCore[0].IPC(), base.PerCore[0].IPC())
@@ -217,14 +229,16 @@ func TestStreamBenefitsFromCLR(t *testing.T) {
 
 func TestRefreshEnergyDropsWithCLR(t *testing.T) {
 	opts := fastOpts()
-	base, err := RunSingle(randomProfile(), core.Baseline(), opts)
+	out, err := Run(context.Background(), SingleSpec(randomProfile(), core.Baseline()), WithOptions(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
-	clr, err := RunSingle(randomProfile(), core.CLR(1.0), opts)
+	base := out.Single
+	out, err = Run(context.Background(), SingleSpec(randomProfile(), core.CLR(1.0)), WithOptions(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
+	clr := out.Single
 	// Refresh energy per unit time must fall (reduced tRFC); compare rates
 	// because runtimes differ.
 	baseRate := base.Energy.Refresh / float64(base.DRAMCycles)

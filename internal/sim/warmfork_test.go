@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"clrdram/internal/core"
@@ -28,15 +29,17 @@ func TestWarmupForkIdentitySingle(t *testing.T) {
 				forked, cold := ffDiffOpts(), ffDiffOpts()
 				forked.Warmup = cache
 				cold.DisableWarmupFork = true
-				got, err := RunSingle(p, core.CLR(frac), forked)
+				out, err := Run(context.Background(), SingleSpec(p, core.CLR(frac)), WithOptions(forked))
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := RunSingle(p, core.CLR(frac), cold)
+				got := out.Single
+				out, err = Run(context.Background(), SingleSpec(p, core.CLR(frac)), WithOptions(cold))
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertIdenticalResults(t, got, want)
+				want := out.Single
+				assertIdenticalResults(t, *got, *want)
 			}
 		})
 	}
@@ -49,15 +52,17 @@ func TestWarmupForkRepeatable(t *testing.T) {
 	opts := ffDiffOpts()
 	opts.Warmup = NewWarmupCache()
 	p := randomProfile()
-	first, err := RunSingle(p, core.CLR(0.5), opts)
+	out, err := Run(context.Background(), SingleSpec(p, core.CLR(0.5)), WithOptions(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := RunSingle(p, core.CLR(0.5), opts)
+	first := out.Single
+	out, err = Run(context.Background(), SingleSpec(p, core.CLR(0.5)), WithOptions(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertIdenticalResults(t, first, second)
+	second := out.Single
+	assertIdenticalResults(t, *first, *second)
 }
 
 // TestWarmupForkIdentityFig12CSV checks the artifact end to end: a Figure 12

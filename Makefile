@@ -89,10 +89,13 @@ serve-smoke:
 # default registry name (standard, scheduler, row policy, mapper) spelled
 # out explicitly produce the same Result, canonical RunReport, and Fig. 12
 # CSV bytes at any worker count — and every scheduler × row-policy pair
-# must stay fast-forward/ticked bit-identical on the four-core mix. Also
-# part of `go test ./...`.
+# must stay fast-forward/ticked bit-identical on the four-core mix. The
+# second line runs the FR-FCFS(-Cap) one-walk scan in lockstep with the
+# two-pass reference it replaced (DESIGN.md §16), plus its fuzz seed corpus.
+# Also part of `go test ./...`.
 compdiff:
 	go test ./internal/sim -run 'TestDefaultComposition|TestCompositionIdentityMatrix' -count=1
+	go test ./internal/mem -run 'TestScheduleWalkMatchesTwoPass|FuzzScheduleWalkMatchesTwoPass' -count=1
 
 # ffbench-smoke is the fast-forward performance gate: a short interleaved
 # off-vs-on measurement on the memory-intensive profile asserting planner

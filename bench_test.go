@@ -282,6 +282,7 @@ func BenchmarkControllerTick(b *testing.B) {
 		b.Fatal(err)
 	}
 	addr := uint64(12345)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		addr = addr*6364136223846793005 + 1442695040888963407
@@ -293,6 +294,7 @@ func BenchmarkControllerTick(b *testing.B) {
 func BenchmarkLLCAccess(b *testing.B) {
 	c := cache.New(cache.Config{})
 	addr := uint64(98765)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		addr = addr*6364136223846793005 + 1442695040888963407

@@ -107,6 +107,7 @@ type Cache struct {
 	lineBits uint
 	tick     uint64
 	mshrs    map[uint64]*mshr
+	free     []*mshr // MSHRs released by Fill, reused by later misses
 	st       Stats
 }
 
@@ -182,7 +183,14 @@ func (c *Cache) Access(addr uint64, write bool, onFill func()) Outcome {
 		c.st.Rejected++
 		return Rejected
 	}
-	m := &mshr{lineAddr: lineAddr, dirty: write}
+	var m *mshr
+	if n := len(c.free); n > 0 {
+		m = c.free[n-1]
+		c.free = c.free[:n-1]
+		m.lineAddr, m.dirty = lineAddr, write
+	} else {
+		m = &mshr{lineAddr: lineAddr, dirty: write}
+	}
 	if onFill != nil {
 		m.waiters = append(m.waiters, onFill)
 	}
@@ -225,6 +233,9 @@ func (c *Cache) Fill(lineAddr uint64) (victim uint64, needsWriteback bool) {
 	for _, w := range m.waiters {
 		w()
 	}
+	clear(m.waiters)
+	m.waiters = m.waiters[:0]
+	c.free = append(c.free, m)
 	return victim, needsWriteback
 }
 
@@ -236,11 +247,12 @@ func (c *Cache) reconstruct(set, tag uint64) uint64 {
 
 // Clone returns an independent deep copy of the cache: same configuration,
 // line array, LRU clock, and statistics, sharing no mutable state with the
-// original. It exists for checkpoint-and-fork warmup (sim's WarmupCache),
-// which snapshots the warmed LLC once and forks it across every
-// configuration of a sweep — so the statistics travel too (warmup hits and
-// misses are part of a run's reported LLC counters). Cloning with misses in
-// flight panics: an MSHR's waiters are closures over the original system.
+// original (the clone starts with an empty MSHR free list). It exists for
+// checkpoint-and-fork warmup (sim's WarmupCache), which snapshots the
+// warmed LLC once and forks it across every configuration of a sweep — so
+// the statistics travel too (warmup hits and misses are part of a run's
+// reported LLC counters). Cloning with misses in flight panics: an MSHR's
+// waiters are closures over the original system.
 func (c *Cache) Clone() *Cache {
 	if len(c.mshrs) != 0 {
 		panic(fmt.Sprintf("cache: Clone with %d misses in flight", len(c.mshrs)))
@@ -254,6 +266,7 @@ func (c *Cache) Clone() *Cache {
 		nc.sets[i] = dst
 	}
 	nc.mshrs = make(map[uint64]*mshr)
+	nc.free = nil
 	return &nc
 }
 

@@ -174,3 +174,35 @@ func TestHitRateOnLoop(t *testing.T) {
 		}
 	}
 }
+
+// TestMissFillAllocFree is the LLC's hot-path allocation gate: once warmed,
+// a miss, a store merged into it and the Fill that retires both reuse a
+// recycled MSHR and its waiter list, allocating nothing. The addresses
+// cycle through 16 tags of one set, so every access misses and every Fill
+// evicts (a dirty victim from the merged store, once the set is full).
+func TestMissFillAllocFree(t *testing.T) {
+	c := New(Config{})
+	stride := uint64(c.Config().SizeBytes / c.Config().Ways) // same set, next tag
+	onFill := func() {}
+	next := uint64(0)
+	missThenFill := func() {
+		addr := next * stride
+		next = (next + 1) % 16
+		if out := c.Access(addr, false, onFill); out != Miss {
+			t.Fatalf("access %#x: %v, want miss", addr, out)
+		}
+		if out := c.Access(addr+8, true, onFill); out != MergedMiss {
+			t.Fatalf("store %#x: %v, want merged miss", addr+8, out)
+		}
+		c.Fill(c.LineAddr(addr))
+	}
+	for i := 0; i < 64; i++ {
+		missThenFill()
+	}
+	if allocs := testing.AllocsPerRun(1000, missThenFill); allocs != 0 {
+		t.Fatalf("a warmed miss-then-Fill cycle allocates %.0f objects, want 0", allocs)
+	}
+	if c.Stats().Writebacks == 0 {
+		t.Fatal("weak workout: no dirty victim was written back")
+	}
+}

@@ -87,6 +87,10 @@ type Core struct {
 	// are ready without scanning the window (see FFState).
 	loadSlots []int
 	loadSeqs  []uint64
+	// loadDone[slot] is the completion callback of the load occupying that
+	// window slot, bound once at construction so issuing a load allocates
+	// nothing.
+	loadDone []func()
 
 	cycle       int64
 	retired     uint64
@@ -114,7 +118,7 @@ type Core struct {
 // retiring at least target instructions (0 means run until trace EOF).
 func New(id int, cfg Config, rd trace.Reader, port MemPort, target uint64) *Core {
 	cfg = cfg.Defaults()
-	return &Core{
+	c := &Core{
 		id:        id,
 		cfg:       cfg,
 		rd:        rd,
@@ -122,8 +126,13 @@ func New(id int, cfg Config, rd trace.Reader, port MemPort, target uint64) *Core
 		window:    make([]int64, cfg.WindowSize),
 		loadSlots: make([]int, 0, cfg.MSHRs),
 		loadSeqs:  make([]uint64, 0, cfg.MSHRs),
+		loadDone:  make([]func(), cfg.WindowSize),
 		target:    target,
 	}
+	for slot := range c.loadDone {
+		c.loadDone[slot] = func() { c.completeLoad(slot) }
+	}
+	return c
 }
 
 // ID returns the core's index.
@@ -253,7 +262,7 @@ func (c *Core) issue() {
 			return // MSHR stall
 		}
 		slot := c.tail
-		if !c.port.Load(c.id, rec.Addr, c.loadDone(slot)) {
+		if !c.port.Load(c.id, rec.Addr, c.loadDone[slot]) {
 			if n == 0 {
 				c.memBlocked++
 			}
@@ -275,21 +284,18 @@ func (c *Core) insert(readyAt int64) {
 	c.count++
 }
 
-// loadDone returns the completion callback for the load occupying the given
-// window slot.
-func (c *Core) loadDone(slot int) func() {
-	return func() {
-		c.window[slot] = c.cycle
-		c.loadsInFlight--
-		for i, s := range c.loadSlots {
-			if s == slot {
-				last := len(c.loadSlots) - 1
-				c.loadSlots[i] = c.loadSlots[last]
-				c.loadSeqs[i] = c.loadSeqs[last]
-				c.loadSlots = c.loadSlots[:last]
-				c.loadSeqs = c.loadSeqs[:last]
-				break
-			}
+// completeLoad marks the load occupying the given window slot as returned.
+func (c *Core) completeLoad(slot int) {
+	c.window[slot] = c.cycle
+	c.loadsInFlight--
+	for i, s := range c.loadSlots {
+		if s == slot {
+			last := len(c.loadSlots) - 1
+			c.loadSlots[i] = c.loadSlots[last]
+			c.loadSeqs[i] = c.loadSeqs[last]
+			c.loadSlots = c.loadSlots[:last]
+			c.loadSeqs = c.loadSeqs[:last]
+			break
 		}
 	}
 }

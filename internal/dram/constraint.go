@@ -72,10 +72,11 @@ func (c Constraint) String() string {
 // that must expire last).
 //
 // This deliberately mirrors EarliestIssue rather than being folded into it:
-// EarliestIssue runs on the scheduler's hot path for every queued request
-// every cycle, while this classification is only computed on cycles the
-// controller issues nothing and stall accounting is enabled. Keeping them
-// separate keeps the argmax bookkeeping off the hot path entirely.
+// the per-kind floors behind EarliestIssue run on the scheduler's hot path
+// for every queued request every cycle, while this classification is only
+// computed on cycles the controller issues nothing and stall accounting is
+// enabled. Keeping them separate keeps the argmax bookkeeping off the hot
+// path entirely.
 func (d *Device) BlockingConstraint(cmd Command) Constraint {
 	now := d.clock
 	if d.refBusyUntil > now && cmd.Kind != KindREF {
@@ -110,7 +111,6 @@ func (d *Device) ConstraintSpan(cmd Command) (refUntil, floor int64, why Constra
 // never-expiring ConstraintState floor: with bank state frozen, that
 // classification cannot change until the controller acts.
 func (d *Device) constraintFloor(cmd Command) (int64, Constraint) {
-	const never = int64(1) << 62
 	t, why := int64(0), ConstraintNone
 	raise := func(floor int64, c Constraint) {
 		if floor > t {
@@ -125,7 +125,7 @@ func (d *Device) constraintFloor(cmd Command) (int64, Constraint) {
 		}
 		raise(b.nextACT, ConstraintBank)
 		raise(d.rankNextACT, ConstraintRankACT)
-		raise(d.groupActs[cmd.Bank/d.cfg.BanksPerGroup], ConstraintGroupACT)
+		raise(d.groupActs[b.group], ConstraintGroupACT)
 		if d.actWindowN >= 4 {
 			m := d.modeOf(cmd.Bank, cmd.Row)
 			raise(d.actWindow[d.actWindowN%4]+int64(d.timing(m).FAW), ConstraintFAW)
@@ -148,7 +148,7 @@ func (d *Device) constraintFloor(cmd Command) (int64, Constraint) {
 			return never, ConstraintState
 		}
 		raise(b.nextRD, ConstraintBank)
-		raise(d.groups[cmd.Bank/d.cfg.BanksPerGroup].nextRD, ConstraintGroupColumn)
+		raise(d.groups[b.group].nextRD, ConstraintGroupColumn)
 		raise(d.rankNextRD, ConstraintRankColumn)
 	case KindWR:
 		b := &d.banks[cmd.Bank]
@@ -156,7 +156,7 @@ func (d *Device) constraintFloor(cmd Command) (int64, Constraint) {
 			return never, ConstraintState
 		}
 		raise(b.nextWR, ConstraintBank)
-		raise(d.groups[cmd.Bank/d.cfg.BanksPerGroup].nextWR, ConstraintGroupColumn)
+		raise(d.groups[b.group].nextWR, ConstraintGroupColumn)
 		raise(d.rankNextWR, ConstraintRankColumn)
 	case KindREF:
 		raise(d.refBusyUntil, ConstraintRefresh)

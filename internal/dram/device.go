@@ -58,9 +58,10 @@ func (c Config) Validate() error {
 
 // bank holds the per-bank scheduling state.
 type bank struct {
-	open bool
-	row  int
-	mode Mode // mode of the open row; meaningful only when open
+	open  bool
+	row   int
+	mode  Mode // mode of the open row; meaningful only when open
+	group int  // bank-group index, fixed at construction
 
 	nextACT int64 // earliest cycle an ACT may issue
 	nextPRE int64 // earliest cycle a PRE may issue
@@ -94,6 +95,7 @@ type Device struct {
 	groupActs   []int64  // per-group earliest next ACT (tRRD_L)
 	actWindow   [4]int64 // issue cycles of the last four ACTs (tFAW)
 	actWindowN  int
+	maxFAW      int64 // largest tFAW over the modes: bounds when tFAW can bind
 
 	refBusyUntil int64 // end of an in-flight REF (tRFC)
 
@@ -130,13 +132,20 @@ func NewDevice(cfg Config) *Device {
 			cfg.Timings[m] = cfg.Timings[ModeDefault]
 		}
 	}
-	return &Device{
+	d := &Device{
 		cfg:       cfg,
 		banks:     make([]bank, cfg.Banks()),
 		groups:    make([]bankGroup, cfg.BankGroups),
 		groupActs: make([]int64, cfg.BankGroups),
 		bankCmds:  make([][numKinds]uint64, cfg.Banks()),
 	}
+	for i := range d.banks {
+		d.banks[i].group = i / cfg.BanksPerGroup
+	}
+	for m := range cfg.Timings {
+		d.maxFAW = max(d.maxFAW, int64(cfg.Timings[m].FAW))
+	}
+	return d
 }
 
 // Config returns the device configuration.
@@ -206,67 +215,25 @@ func (d *Device) CanIssue(cmd Command) bool {
 	return d.EarliestIssue(cmd) <= d.clock
 }
 
+// never is the floor of a command whose state prerequisite is unmet (RD on
+// a closed bank, ACT on an open one): it issues only after the controller
+// first issues the prerequisite command.
+const never = int64(1) << 62
+
 // EarliestIssue returns the earliest cycle at which cmd could issue given
 // current state. For commands whose state prerequisites are not met (e.g. RD
 // on a closed bank), it returns a very large value; the controller must
-// first transform the request into the prerequisite command.
+// first transform the request into the prerequisite command. ACT, PRE, RD
+// and WR answer through the per-kind floor accessors (ACTFloor, PREFloor,
+// ColumnFloor), which the controller's scheduler calls directly.
 func (d *Device) EarliestIssue(cmd Command) int64 {
-	const never = int64(1) << 62
-	if d.refBusyUntil > d.clock && cmd.Kind != KindREF {
-		// During tRFC nothing else may issue.
-		return d.refBusyUntil
-	}
 	switch cmd.Kind {
 	case KindACT:
-		b := &d.banks[cmd.Bank]
-		if b.open {
-			return never
-		}
-		t := max64(b.nextACT, d.rankNextACT)
-		t = max64(t, d.groupActs[cmd.Bank/d.cfg.BanksPerGroup])
-		if d.actWindowN >= 4 {
-			// tFAW: the 4th-previous ACT constrains this one.
-			m := d.modeOf(cmd.Bank, cmd.Row)
-			faw := d.actWindow[(d.actWindowN)%4]
-			t = max64(t, faw+int64(d.timing(m).FAW))
-		}
-		return t
+		return d.ACTFloor(cmd.Bank, cmd.Row)
 	case KindPRE:
-		b := &d.banks[cmd.Bank]
-		if !b.open {
-			return never
-		}
-		return b.nextPRE
-	case KindPREA:
-		// Precharge-all: legal once every open bank may precharge; a no-op
-		// for banks already closed.
-		t := int64(0)
-		any := false
-		for i := range d.banks {
-			b := &d.banks[i]
-			if b.open {
-				any = true
-				t = max64(t, b.nextPRE)
-			}
-		}
-		if !any {
-			return d.clock // idempotent on an all-closed rank
-		}
-		return t
-	case KindRD:
-		b := &d.banks[cmd.Bank]
-		if !b.open || b.row != cmd.Row {
-			return never
-		}
-		g := &d.groups[cmd.Bank/d.cfg.BanksPerGroup]
-		return max64(b.nextRD, max64(g.nextRD, d.rankNextRD))
-	case KindWR:
-		b := &d.banks[cmd.Bank]
-		if !b.open || b.row != cmd.Row {
-			return never
-		}
-		g := &d.groups[cmd.Bank/d.cfg.BanksPerGroup]
-		return max64(b.nextWR, max64(g.nextWR, d.rankNextWR))
+		return d.PREFloor(cmd.Bank)
+	case KindRD, KindWR:
+		return d.ColumnFloor(cmd.Bank, cmd.Row, cmd.Kind == KindWR)
 	case KindREF:
 		// REF requires every bank precharged and past its tRP.
 		t := d.refBusyUntil
@@ -278,9 +245,84 @@ func (d *Device) EarliestIssue(cmd Command) int64 {
 			t = max64(t, b.nextACT)
 		}
 		return t
-	default:
+	}
+	if d.refBusyUntil > d.clock {
+		// During tRFC nothing else may issue.
+		return d.refBusyUntil
+	}
+	if cmd.Kind != KindPREA {
 		return never
 	}
+	// Precharge-all: legal once every open bank may precharge; a no-op for
+	// banks already closed.
+	t := int64(0)
+	any := false
+	for i := range d.banks {
+		b := &d.banks[i]
+		if b.open {
+			any = true
+			t = max64(t, b.nextPRE)
+		}
+	}
+	if !any {
+		return d.clock // idempotent on an all-closed rank
+	}
+	return t
+}
+
+// The per-kind floor accessors below are EarliestIssue for one command
+// kind, called directly by the scheduler's queue walk: ColumnFloor and
+// PREFloor inline there. Each starts with the rank-wide tRFC rule: during a
+// refresh nothing else may issue, and the floor answers clock-relatively
+// with the end of the busy window.
+
+// ColumnFloor is EarliestIssue for a RD (write false) or WR to row of bank.
+func (d *Device) ColumnFloor(bank, row int, write bool) int64 {
+	if d.refBusyUntil > d.clock {
+		return d.refBusyUntil
+	}
+	b := &d.banks[bank]
+	if !b.open || b.row != row {
+		return never
+	}
+	g := &d.groups[b.group]
+	if write {
+		return max(b.nextWR, g.nextWR, d.rankNextWR)
+	}
+	return max(b.nextRD, g.nextRD, d.rankNextRD)
+}
+
+// PREFloor is EarliestIssue for a PRE to bank.
+func (d *Device) PREFloor(bank int) int64 {
+	if d.refBusyUntil > d.clock {
+		return d.refBusyUntil
+	}
+	b := &d.banks[bank]
+	if !b.open {
+		return never
+	}
+	return b.nextPRE
+}
+
+// ACTFloor is EarliestIssue for an ACT of row in bank. tFAW depends on the
+// row's mode, which costs a Config.ModeOf lookup; the lookup runs only when
+// the fourth-previous ACT plus the largest tFAW of any mode lies past the
+// other floors, since otherwise no mode's tFAW can bind.
+func (d *Device) ACTFloor(bank, row int) int64 {
+	if d.refBusyUntil > d.clock {
+		return d.refBusyUntil
+	}
+	b := &d.banks[bank]
+	if b.open {
+		return never
+	}
+	t := max(b.nextACT, d.rankNextACT, d.groupActs[b.group])
+	if d.actWindowN >= 4 {
+		if faw := d.actWindow[d.actWindowN%4]; faw+d.maxFAW > t {
+			t = max(t, faw+int64(d.timing(d.modeOf(bank, row)).FAW))
+		}
+	}
+	return t
 }
 
 // Issue applies cmd to the device state. It panics if the command cannot
@@ -310,7 +352,7 @@ func (d *Device) Issue(cmd Command) {
 		b.nextACT = now + int64(t.RC) // same-bank ACT→ACT
 		// ACT → ACT: tRRD_S rank-wide, tRRD_L within the bank group.
 		d.rankNextACT = max64(d.rankNextACT, now+int64(t.RRDS))
-		d.groupNextACTSet(cmd.Bank/d.cfg.BanksPerGroup, now+int64(t.RRDL))
+		d.groupNextACTSet(b.group, now+int64(t.RRDL))
 		d.actWindow[d.actWindowN%4] = now
 		d.actWindowN++
 	case KindPRE:
@@ -342,7 +384,7 @@ func (d *Device) Issue(cmd Command) {
 		// RD → PRE: tRTP.
 		b.nextPRE = max64(b.nextPRE, now+int64(t.RTP))
 		// RD → RD: tCCD_L within the group, tCCD_S across groups.
-		gi := cmd.Bank / d.cfg.BanksPerGroup
+		gi := b.group
 		d.groups[gi].nextRD = max64(d.groups[gi].nextRD, now+int64(t.CCDL))
 		d.rankNextRD = max64(d.rankNextRD, now+int64(t.CCDS))
 		// RD → WR turnaround (rank level).
@@ -357,7 +399,7 @@ func (d *Device) Issue(cmd Command) {
 		// of the data burst).
 		b.nextPRE = max64(b.nextPRE, now+int64(t.CWL+t.BL+t.WR))
 		// WR → WR: tCCD.
-		gi := cmd.Bank / d.cfg.BanksPerGroup
+		gi := b.group
 		d.groups[gi].nextWR = max64(d.groups[gi].nextWR, now+int64(t.CCDL))
 		d.rankNextWR = max64(d.rankNextWR, now+int64(t.CCDS))
 		// WR → RD: tCWL + tBL + tWTR.

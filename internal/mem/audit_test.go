@@ -158,8 +158,21 @@ func (m clrModeByRow) RowMode(bank, row int) dram.Mode {
 
 // TestControllerNeverViolatesTimingUnderRandomTraffic drives the controller
 // with randomized mixed traffic over a CLR device (mixed row modes) and
-// audits every accepted command against the timing rules.
+// audits every accepted command against the timing rules, for every
+// registered scheduler × row-policy pair.
 func TestControllerNeverViolatesTimingUnderRandomTraffic(t *testing.T) {
+	for _, sched := range SchedulerNames() {
+		for _, policy := range RowPolicyNames() {
+			sched, policy := sched, policy
+			t.Run(sched+"/"+policy, func(t *testing.T) {
+				t.Parallel()
+				auditRandomCLRTraffic(t, sched, policy)
+			})
+		}
+	}
+}
+
+func auditRandomCLRTraffic(t *testing.T, sched, policy string) {
 	cfg := smallCfg()
 	cfg.Timings[dram.ModeMaxCap] = dram.MaxCapNS().ToCycles(cfg.ClockNS)
 	cfg.Timings[dram.ModeHighPerf] = dram.HighPerfNS(true).ToCycles(cfg.ClockNS)
@@ -169,7 +182,9 @@ func TestControllerNeverViolatesTimingUnderRandomTraffic(t *testing.T) {
 	cfg.Listener = aud
 	dev := dram.NewDevice(cfg)
 	c, err := NewController(dev, Config{
-		Refresh: StandardRefresh(cfg.ClockNS, dram.ModeMaxCap, 0.25, 64),
+		Scheduler: sched,
+		RowPolicy: policy,
+		Refresh:   StandardRefresh(cfg.ClockNS, dram.ModeMaxCap, 0.25, 64),
 	})
 	if err != nil {
 		t.Fatal(err)

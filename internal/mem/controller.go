@@ -16,7 +16,9 @@ type Request struct {
 
 	// OnComplete, if non-nil, is called exactly once: for reads at the
 	// device cycle the last data beat arrives, for writes at the cycle the
-	// write command issues (writes are posted).
+	// write command issues (writes are posted). The call hands the request
+	// back: the controller never touches it afterwards, so the submitter
+	// may reuse it from inside OnComplete.
 	OnComplete func(cycle int64)
 
 	decoded    Address
@@ -638,28 +640,29 @@ func (c *Controller) publishSched(h int64) {
 	c.ffSchedValid = true
 }
 
-// issueColumn issues the RD/WR for req if timing allows, scheduling its
-// completion. It returns whether the command issued and, when it did not,
-// the earliest cycle it could (the schedule-horizon byproduct).
-func (c *Controller) issueColumn(req *Request, now int64) (bool, int64) {
+// issueColumn issues the RD/WR q[i] needs (the caller has checked its floor
+// is due), removes the request from q, and settles its completion: a read's
+// is scheduled for when its data arrives, a write's runs now (writes are
+// posted). Calling OnComplete hands the request back to its submitter, so
+// it is the last thing the controller does with it.
+func (c *Controller) issueColumn(q *[]*Request, i int, now int64) {
+	req := (*q)[i]
+	bank := req.decoded.Bank
 	kind := dram.KindRD
 	if req.Write {
 		kind = dram.KindWR
 	}
-	cmd := dram.Command{Kind: kind, Bank: req.decoded.Bank, Row: req.decoded.Row, Column: req.decoded.Column}
-	if e := c.dev.EarliestIssue(cmd); e > now {
-		return false, e
-	}
 	c.classify(req, &c.st.RowBuffer.Hits)
-	c.dev.Issue(cmd)
-	c.hitStreak[req.decoded.Bank]++
-	if c.hitStreak[req.decoded.Bank] == c.cfg.RowHitCap {
+	c.dev.Issue(dram.Command{Kind: kind, Bank: bank, Row: req.decoded.Row, Column: req.decoded.Column})
+	c.hitStreak[bank]++
+	if c.hitStreak[bank] == c.cfg.RowHitCap {
 		c.atCap++
 	}
-	if c.openRowQueued[req.decoded.Bank] > 0 {
-		c.openRowQueued[req.decoded.Bank]--
+	if c.openRowQueued[bank] > 0 {
+		c.openRowQueued[bank]--
 	}
-	c.dirtyBank(req.decoded.Bank)
+	c.dirtyBank(bank)
+	c.removeAt(q, i)
 	if req.Write {
 		c.st.WritesServed++
 		if req.OnComplete != nil {
@@ -667,11 +670,10 @@ func (c *Controller) issueColumn(req *Request, now int64) (bool, int64) {
 		}
 	} else {
 		c.st.ReadsServed++
-		done := now + int64(c.dev.ReadLatency(req.decoded.Bank))
+		done := now + int64(c.dev.ReadLatency(bank))
 		c.st.ReadLatency.Add(float64(done - req.enqueuedAt))
 		c.completions.Push(completion{cycle: done, req: req})
 	}
-	return true, now
 }
 
 // classify counts the request's row-buffer outcome the first time one of its

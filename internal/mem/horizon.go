@@ -406,7 +406,7 @@ func (c *Controller) deadTripsMemo(write bool) int64 {
 // (the sim fast-forward path) guarantees the span ends at or before the
 // horizon and that no request arrives within it, so no completion fires and
 // no command issues; what remains is exactly what n calls to Tick would do:
-// settle the draining flag, accumulate pass-1 CapTrips for scanned capped
+// settle the draining flag, accumulate the walk's CapTrips for scanned capped
 // hits, record the per-cycle observability samples, and advance the clock.
 func (c *Controller) SkipTicks(n int64) {
 	if n <= 0 {

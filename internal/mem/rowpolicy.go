@@ -58,7 +58,7 @@ func (p *timeoutPolicy) TickClose(c *Controller, now int64) {
 		if c.openRowQueued[b] > 0 {
 			continue
 		}
-		if c.dev.CanIssue(dram.Command{Kind: dram.KindPRE, Bank: b}) {
+		if c.dev.PREFloor(b) <= now {
 			c.closeRow(b)
 			return // one command per cycle
 		}
@@ -77,7 +77,7 @@ func (p *timeoutPolicy) BankCloseCycle(c *Controller, b int) int64 {
 	if c.openRowQueued[b] > 0 {
 		return ffNever
 	}
-	return max(last+p.cycles, c.dev.EarliestIssue(dram.Command{Kind: dram.KindPRE, Bank: b}))
+	return max(last+p.cycles, c.dev.PREFloor(b))
 }
 
 // openPagePolicy never closes rows on its own: rows stay open until a
@@ -103,7 +103,7 @@ func (closedPagePolicy) TickClose(c *Controller, now int64) {
 		if !open || c.openRowQueued[b] > 0 {
 			continue
 		}
-		if c.dev.CanIssue(dram.Command{Kind: dram.KindPRE, Bank: b}) {
+		if c.dev.PREFloor(b) <= now {
 			c.closeRow(b)
 			return
 		}
@@ -115,7 +115,7 @@ func (closedPagePolicy) BankCloseCycle(c *Controller, b int) int64 {
 	if !open || c.openRowQueued[b] > 0 {
 		return ffNever
 	}
-	return c.dev.EarliestIssue(dram.Command{Kind: dram.KindPRE, Bank: b})
+	return c.dev.PREFloor(b)
 }
 
 // hitCountPolicy is the max_row_hits/max_row_idle idiom (cf. SNIPPETS.md
@@ -152,7 +152,7 @@ func (p *hitCountPolicy) TickClose(c *Controller, now int64) {
 				continue
 			}
 		}
-		if c.dev.CanIssue(dram.Command{Kind: dram.KindPRE, Bank: b}) {
+		if c.dev.PREFloor(b) <= now {
 			c.closeRow(b)
 			return
 		}
@@ -164,18 +164,17 @@ func (p *hitCountPolicy) BankCloseCycle(c *Controller, b int) int64 {
 	if !open {
 		return ffNever
 	}
-	pre := dram.Command{Kind: dram.KindPRE, Bank: b}
 	if c.hitStreak[b] >= p.maxHits {
-		return c.dev.EarliestIssue(pre)
+		return c.dev.PREFloor(b)
 	}
 	if c.openRowQueued[b] > 0 {
 		return ffNever
 	}
-	return max(last+p.idleCycles, c.dev.EarliestIssue(pre))
+	return max(last+p.idleCycles, c.dev.PREFloor(b))
 }
 
 // closeRow issues the policy-initiated PRE on bank b (the caller checked
-// CanIssue) and performs the shared bookkeeping: streak reset, open-row
+// its PRE floor) and performs the shared bookkeeping: streak reset, open-row
 // count, the TimeoutCloses counter, and horizon dirtying.
 func (c *Controller) closeRow(b int) {
 	c.dev.Issue(dram.Command{Kind: dram.KindPRE, Bank: b})

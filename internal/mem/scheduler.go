@@ -53,64 +53,62 @@ type frfcfsCap struct{}
 func (frfcfsCap) Name() string { return "frfcfs-cap" }
 
 func (frfcfsCap) Schedule(c *Controller, q *[]*Request, now int64) (bool, int64) {
-	// Pass 1 — row hits, oldest first, unless the bank's consecutive-hit
-	// streak has reached the cap while an older request waits on a
-	// different row of the same bank (the "Cap" in FR-FCFS-Cap, which
-	// bounds inter-thread row-hit starvation). Failed candidates here are
-	// re-examined (and re-accumulated) by pass 2, so only that pass feeds
-	// the horizon byproduct.
-	for i, req := range *q {
-		open, row := c.dev.BankState(req.decoded.Bank)
-		if !open || row != req.decoded.Row {
-			continue
-		}
-		if c.hitStreak[req.decoded.Bank] >= c.cfg.RowHitCap && c.olderConflictExists(*q, i) {
-			c.st.CapTrips++
-			continue
-		}
-		if issued, _ := c.issueColumn(req, now); issued {
-			c.removeAt(q, i)
-			return true, now
-		}
-	}
+	return c.frfcfsWalk(q, now, true)
+}
 
-	// Pass 2 — oldest first, issue whatever command the request needs next.
-	minNext := int64(ffNever)
+// frfcfsWalk is the scan behind FR-FCFS and FR-FCFS-Cap (capped selects the
+// row-hit cap): one walk over q in age order. It issues the first issuable
+// row hit the moment it reaches it; otherwise, after the walk, it issues the
+// command of the first request whose next command (a PRE for a conflict, an
+// ACT for a closed bank) can issue now. A hit is capped — withheld — while
+// its bank's consecutive-hit streak has reached the cap and an older request
+// waits on a different row of the same bank; the walk counts one CapTrips
+// per capped hit it passes and gives it no floor, since it stays withheld
+// until some other command issues. Every other candidate that cannot issue
+// folds its floor into minNext, the horizon byproduct of a failed scan.
+//
+// This is exactly the textbook two passes, row hits first and then every
+// request's next command oldest first: nothing changes state between them,
+// so an uncapped hit that the first pass cannot issue cannot issue in the
+// second either, which therefore issues the oldest issuable non-hit, and
+// both count the same CapTrips and floors. Between non-hits the oldest
+// issuable command wins, so a PRE may close a row while an uncapped hit on
+// that row waits on a column floor (tCCD, tWTR, a turnaround): the walk
+// does not hold a PRE back for timing-blocked hits.
+func (c *Controller) frfcfsWalk(q *[]*Request, now int64, capped bool) (bool, int64) {
+	minNext, first := int64(ffNever), -1
 	for i, req := range *q {
-		open, row := c.dev.BankState(req.decoded.Bank)
+		bank := req.decoded.Bank
+		open, row := c.dev.BankState(bank)
+		var e int64
 		switch {
 		case open && row == req.decoded.Row:
-			// Respect the cap here too: if the bank's hit streak is
-			// exhausted and an older conflicting request is waiting (e.g.
-			// for tRAS before its PRE), serving this hit would starve it.
-			// A withheld hit stays withheld until another command issues,
-			// so it contributes nothing to the horizon.
-			if c.hitStreak[req.decoded.Bank] >= c.cfg.RowHitCap && c.olderConflictExists(*q, i) {
+			if capped && c.hitStreak[bank] >= c.cfg.RowHitCap && c.olderConflictExists(*q, i) {
+				c.st.CapTrips++
 				continue
 			}
-			issued, e := c.issueColumn(req, now)
-			if issued {
-				c.removeAt(q, i)
+			if e = c.dev.ColumnFloor(bank, row, req.Write); e <= now {
+				c.issueColumn(q, i, now)
 				return true, now
 			}
-			minNext = min(minNext, e)
-		case open: // conflict: need PRE
-			// Do not close a row that still has queued row hits that have
-			// not exhausted the cap — pass 1 will serve them first.
-			issued, e := c.issuePRE(req, now)
-			if issued {
-				return true, now
-			}
-			minNext = min(minNext, e)
-		default: // closed: need ACT
-			issued, e := c.issueACT(req, now)
-			if issued {
-				return true, now
-			}
+		case first >= 0:
+			continue // an older non-hit issues unless a later hit does
+		case open:
+			e = c.dev.PREFloor(bank)
+		default:
+			e = c.dev.ACTFloor(bank, req.decoded.Row)
+		}
+		if e <= now {
+			first = i
+		} else {
 			minNext = min(minNext, e)
 		}
 	}
-	return false, minNext
+	if first < 0 {
+		return false, minNext
+	}
+	c.issueNext(q, first, now)
+	return true, now
 }
 
 func (frfcfsCap) CandidateIssue(c *Controller, q []*Request, i int, req *Request) int64 {
@@ -122,8 +120,9 @@ func (frfcfsCap) CandidateIssue(c *Controller, q []*Request, i int, req *Request
 	return c.commandFloorState(req, open, row)
 }
 
-// DeadCycleTrips counts the row hits in q that pass 1 skips with a CapTrips
-// increment: streak at the cap with an older conflicting request waiting.
+// DeadCycleTrips counts the row hits in q that the walk skips with a
+// CapTrips increment: streak at the cap with an older conflicting request
+// waiting.
 // The common case — no bank's streak at the cap — answers from the atCap
 // counter without touching the queue.
 func (frfcfsCap) DeadCycleTrips(c *Controller, q []*Request) int64 {
@@ -152,42 +151,7 @@ type frfcfs struct{}
 func (frfcfs) Name() string { return "frfcfs" }
 
 func (frfcfs) Schedule(c *Controller, q *[]*Request, now int64) (bool, int64) {
-	for i, req := range *q {
-		open, row := c.dev.BankState(req.decoded.Bank)
-		if !open || row != req.decoded.Row {
-			continue
-		}
-		if issued, _ := c.issueColumn(req, now); issued {
-			c.removeAt(q, i)
-			return true, now
-		}
-	}
-	minNext := int64(ffNever)
-	for i, req := range *q {
-		open, row := c.dev.BankState(req.decoded.Bank)
-		switch {
-		case open && row == req.decoded.Row:
-			issued, e := c.issueColumn(req, now)
-			if issued {
-				c.removeAt(q, i)
-				return true, now
-			}
-			minNext = min(minNext, e)
-		case open:
-			issued, e := c.issuePRE(req, now)
-			if issued {
-				return true, now
-			}
-			minNext = min(minNext, e)
-		default:
-			issued, e := c.issueACT(req, now)
-			if issued {
-				return true, now
-			}
-			minNext = min(minNext, e)
-		}
-	}
-	return false, minNext
+	return c.frfcfsWalk(q, now, false)
 }
 
 func (frfcfs) CandidateIssue(c *Controller, q []*Request, i int, req *Request) int64 {
@@ -205,23 +169,11 @@ type fcfs struct{}
 func (fcfs) Name() string { return "fcfs" }
 
 func (fcfs) Schedule(c *Controller, q *[]*Request, now int64) (bool, int64) {
-	req := (*q)[0]
-	open, row := c.dev.BankState(req.decoded.Bank)
-	switch {
-	case open && row == req.decoded.Row:
-		issued, e := c.issueColumn(req, now)
-		if issued {
-			c.removeAt(q, 0)
-			return true, now
-		}
+	if e := c.commandFloor((*q)[0]); e > now {
 		return false, e
-	case open:
-		issued, e := c.issuePRE(req, now)
-		return issued, e
-	default:
-		issued, e := c.issueACT(req, now)
-		return issued, e
 	}
+	c.issueNext(q, 0, now)
+	return true, now
 }
 
 func (fcfs) CandidateIssue(c *Controller, q []*Request, i int, req *Request) int64 {
@@ -249,46 +201,34 @@ func (c *Controller) commandFloor(req *Request) int64 {
 func (c *Controller) commandFloorState(req *Request, open bool, row int) int64 {
 	switch {
 	case open && row == req.decoded.Row:
-		kind := dram.KindRD
-		if req.Write {
-			kind = dram.KindWR
-		}
-		return c.dev.EarliestIssue(dram.Command{Kind: kind, Bank: req.decoded.Bank, Row: req.decoded.Row, Column: req.decoded.Column})
+		return c.dev.ColumnFloor(req.decoded.Bank, row, req.Write)
 	case open:
-		return c.dev.EarliestIssue(dram.Command{Kind: dram.KindPRE, Bank: req.decoded.Bank})
+		return c.dev.PREFloor(req.decoded.Bank)
 	default:
-		return c.dev.EarliestIssue(dram.Command{Kind: dram.KindACT, Bank: req.decoded.Bank, Row: req.decoded.Row})
+		return c.dev.ACTFloor(req.decoded.Bank, req.decoded.Row)
 	}
 }
 
-// issuePRE issues the precharge req is waiting on if timing allows,
-// performing the shared bookkeeping (conflict classification, streak reset,
-// open-row count, horizon dirtying). Returns whether it issued and, when it
-// did not, the earliest cycle it could.
-func (c *Controller) issuePRE(req *Request, now int64) (bool, int64) {
-	cmd := dram.Command{Kind: dram.KindPRE, Bank: req.decoded.Bank}
-	if e := c.dev.EarliestIssue(cmd); e > now {
-		return false, e
+// issueNext issues the command q[i] needs next — its column access, the PRE
+// of a conflicting open row, or the ACT of a closed bank. The caller has
+// checked that the command's floor is due.
+func (c *Controller) issueNext(q *[]*Request, i int, now int64) {
+	req := (*q)[i]
+	bank := req.decoded.Bank
+	switch open, row := c.dev.BankState(bank); {
+	case open && row == req.decoded.Row:
+		c.issueColumn(q, i, now)
+	case open:
+		c.classify(req, &c.st.RowBuffer.Conflicts)
+		c.dev.Issue(dram.Command{Kind: dram.KindPRE, Bank: bank})
+		c.resetStreak(bank)
+		c.openRowQueued[bank] = 0
+		c.dirtyBank(bank)
+	default:
+		c.classify(req, &c.st.RowBuffer.Misses)
+		c.dev.Issue(dram.Command{Kind: dram.KindACT, Bank: bank, Row: req.decoded.Row})
+		c.resetStreak(bank)
+		c.recountOpenRow(bank, req.decoded.Row)
+		c.dirtyBank(bank)
 	}
-	c.classify(req, &c.st.RowBuffer.Conflicts)
-	c.dev.Issue(cmd)
-	c.resetStreak(req.decoded.Bank)
-	c.openRowQueued[req.decoded.Bank] = 0
-	c.dirtyBank(req.decoded.Bank)
-	return true, now
-}
-
-// issueACT issues the activate req is waiting on if timing allows; the
-// counterpart of issuePRE for closed banks.
-func (c *Controller) issueACT(req *Request, now int64) (bool, int64) {
-	cmd := dram.Command{Kind: dram.KindACT, Bank: req.decoded.Bank, Row: req.decoded.Row}
-	if e := c.dev.EarliestIssue(cmd); e > now {
-		return false, e
-	}
-	c.classify(req, &c.st.RowBuffer.Misses)
-	c.dev.Issue(cmd)
-	c.resetStreak(req.decoded.Bank)
-	c.recountOpenRow(req.decoded.Bank, req.decoded.Row)
-	c.dirtyBank(req.decoded.Bank)
-	return true, now
 }

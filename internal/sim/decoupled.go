@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"context"
-
-	"clrdram/internal/mem"
-)
+import "context"
 
 const (
 	// ffJointProbeStride is how many all-lagged stretch cycles pass between
@@ -105,15 +101,7 @@ func (s *System) runDecoupled(ctx context.Context, done func() bool, ceilings []
 			ev.fn()
 		}
 		// Retry buffered writebacks (exactly step()'s phase).
-		for len(s.pendingWB) > 0 {
-			v := s.pendingWB[len(s.pendingWB)-1]
-			req := &mem.Request{Addr: v, Write: true}
-			ch, da := s.mapper.TranslateChannel(v)
-			if !s.ctrls[ch].EnqueueDecoded(req, da) {
-				break
-			}
-			s.pendingWB = s.pendingWB[:len(s.pendingWB)-1]
-		}
+		s.retryWritebacks()
 		// (Re)classify: expire caps (the boundary cycle must reclassify —
 		// possibly into a different lag class, possibly into a real tick),
 		// and retry every real core for lag eligibility.

@@ -139,15 +139,7 @@ func (s *System) Reconfigure(to core.Config) (ReconfigureResult, error) {
 // stop-the-world migration). The memory clock keeps its 10:3 relation so
 // migration cost is measured in CPU cycles.
 func (s *System) stepMemoryOnly() {
-	for len(s.pendingWB) > 0 {
-		v := s.pendingWB[len(s.pendingWB)-1]
-		req := &mem.Request{Addr: v, Write: true}
-		ch, da := s.mapper.TranslateChannel(v)
-		if !s.ctrls[ch].EnqueueDecoded(req, da) {
-			break
-		}
-		s.pendingWB = s.pendingWB[:len(s.pendingWB)-1]
-	}
+	s.retryWritebacks()
 	s.dramAcc += s.dramPerCPU
 	for s.dramAcc >= 1 {
 		for _, ctrl := range s.ctrls {

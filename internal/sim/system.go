@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 
@@ -75,6 +74,7 @@ type System struct {
 
 	hits      hitHeap
 	pendingWB []uint64
+	reqFree   []*pooledRequest // fetch and writeback requests the controllers handed back
 
 	// Scratch buffer for the fast-forward planner (see fastforward.go),
 	// plus skip accounting (FFStats).
@@ -427,24 +427,8 @@ func (p *memPort) Store(coreID int, addr uint64) bool {
 // sendFetch enqueues the memory read that backs an LLC miss.
 func (s *System) sendFetch(coreID int, global uint64) {
 	line := s.llc.LineAddr(global)
-	req := &mem.Request{
-		Addr: line,
-		Core: coreID,
-		OnComplete: func(int64) {
-			// Wake a lagged requester BEFORE the fill runs its MSHR waiters:
-			// loadDone stamps the core's local cycle into the window slot,
-			// so the lag must be applied first (per-core address spaces are
-			// private — every waiter on this line belongs to coreID).
-			if s.ffAnyLag && s.ffLagged[coreID] {
-				s.flushLag(coreID)
-			}
-			if victim, wb := s.llc.Fill(line); wb {
-				s.writeback(victim)
-			}
-		},
-	}
 	ch, da := s.mapper.TranslateChannel(line)
-	if !s.ctrls[ch].EnqueueDecoded(req, da) {
+	if !s.ctrls[ch].EnqueueDecoded(s.request(line, false, coreID), da) {
 		// CanEnqueue was checked by the caller in the same CPU cycle and no
 		// controller tick has happened since, so this cannot occur.
 		panic("sim: read enqueue failed after CanEnqueue")
@@ -454,11 +438,70 @@ func (s *System) sendFetch(coreID int, global uint64) {
 // writeback enqueues a dirty-victim write, buffering it if the write queue
 // is full (retried every CPU cycle).
 func (s *System) writeback(victim uint64) {
-	req := &mem.Request{Addr: victim, Write: true}
-	ch, da := s.mapper.TranslateChannel(victim)
-	if !s.ctrls[ch].EnqueueDecoded(req, da) {
+	if !s.enqueueWrite(victim) {
 		s.pendingWB = append(s.pendingWB, victim)
 	}
+}
+
+// retryWritebacks enqueues buffered writebacks, newest first, until a write
+// queue refuses one.
+func (s *System) retryWritebacks() {
+	for len(s.pendingWB) > 0 && s.enqueueWrite(s.pendingWB[len(s.pendingWB)-1]) {
+		s.pendingWB = s.pendingWB[:len(s.pendingWB)-1]
+	}
+}
+
+// enqueueWrite enqueues the writeback of line if its channel's write queue
+// has room.
+func (s *System) enqueueWrite(line uint64) bool {
+	ch, da := s.mapper.TranslateChannel(line)
+	if !s.ctrls[ch].CanEnqueue(true) {
+		return false
+	}
+	s.ctrls[ch].EnqueueDecoded(s.request(line, true, 0), da)
+	return true
+}
+
+// pooledRequest is a fetch or writeback request the System recycles. The
+// controller hands it back by calling OnComplete — when a fetch's data
+// arrives, when a writeback issues — and never touches it afterwards.
+type pooledRequest struct {
+	mem.Request
+	s    *System
+	done func(int64) // the complete method value, bound once
+}
+
+// request returns a pooled request, re-initialised for the given line.
+func (s *System) request(line uint64, write bool, coreID int) *mem.Request {
+	var r *pooledRequest
+	if n := len(s.reqFree); n > 0 {
+		r = s.reqFree[n-1]
+		s.reqFree = s.reqFree[:n-1]
+	} else {
+		r = &pooledRequest{s: s}
+		r.done = r.complete
+	}
+	r.Request = mem.Request{Addr: line, Write: write, Core: coreID, OnComplete: r.done}
+	return &r.Request
+}
+
+// complete fills the LLC line a fetch brought back (a writeback has nothing
+// left to do) and returns the request to the pool.
+func (r *pooledRequest) complete(int64) {
+	s := r.s
+	if !r.Write {
+		// Wake a lagged requester BEFORE the fill runs its MSHR waiters:
+		// loadDone stamps the core's local cycle into the window slot,
+		// so the lag must be applied first (per-core address spaces are
+		// private — every waiter on this line belongs to the requester).
+		if s.ffAnyLag && s.ffLagged[r.Core] {
+			s.flushLag(r.Core)
+		}
+		if victim, wb := s.llc.Fill(r.Addr); wb {
+			s.writeback(victim)
+		}
+	}
+	s.reqFree = append(s.reqFree, r)
 }
 
 // step advances the whole system by one CPU cycle.
@@ -467,16 +510,7 @@ func (s *System) step() {
 	for s.hits.Len() > 0 && s.hits.peek().due <= s.cpuCycle {
 		s.hits.pop().fn()
 	}
-	// Retry buffered writebacks.
-	for len(s.pendingWB) > 0 {
-		v := s.pendingWB[len(s.pendingWB)-1]
-		req := &mem.Request{Addr: v, Write: true}
-		ch, da := s.mapper.TranslateChannel(v)
-		if !s.ctrls[ch].EnqueueDecoded(req, da) {
-			break
-		}
-		s.pendingWB = s.pendingWB[:len(s.pendingWB)-1]
-	}
+	s.retryWritebacks()
 	for _, c := range s.cores {
 		c.Tick()
 	}
@@ -589,19 +623,44 @@ type hitEvent struct {
 	fn   func()
 }
 
-// hitHeap is a min-heap on due cycle, via container/heap.
+// hitHeap is a min-heap on due cycle. push and pop sift exactly as
+// container/heap's Push and Pop do, so hits due on the same cycle fire in
+// the same order; being typed, they box nothing per event.
 type hitHeap struct{ evs []hitEvent }
 
-func (h *hitHeap) Len() int           { return len(h.evs) }
-func (h *hitHeap) Less(i, j int) bool { return h.evs[i].due < h.evs[j].due }
-func (h *hitHeap) Swap(i, j int)      { h.evs[i], h.evs[j] = h.evs[j], h.evs[i] }
-func (h *hitHeap) Push(x any)         { h.evs = append(h.evs, x.(hitEvent)) }
-func (h *hitHeap) Pop() any {
-	last := len(h.evs) - 1
-	ev := h.evs[last]
-	h.evs = h.evs[:last]
+func (h *hitHeap) Len() int       { return len(h.evs) }
+func (h *hitHeap) peek() hitEvent { return h.evs[0] }
+
+func (h *hitHeap) push(ev hitEvent) {
+	h.evs = append(h.evs, ev)
+	for j := len(h.evs) - 1; j > 0; {
+		i := (j - 1) / 2
+		if h.evs[j].due >= h.evs[i].due {
+			break
+		}
+		h.evs[i], h.evs[j] = h.evs[j], h.evs[i]
+		j = i
+	}
+}
+
+func (h *hitHeap) pop() hitEvent {
+	n := len(h.evs) - 1
+	h.evs[0], h.evs[n] = h.evs[n], h.evs[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h.evs[j2].due < h.evs[j].due {
+			j = j2
+		}
+		if h.evs[j].due >= h.evs[i].due {
+			break
+		}
+		h.evs[i], h.evs[j] = h.evs[j], h.evs[i]
+		i = j
+	}
+	ev := h.evs[n]
+	h.evs = h.evs[:n]
 	return ev
 }
-func (h *hitHeap) push(ev hitEvent) { heap.Push(h, ev) }
-func (h *hitHeap) pop() hitEvent    { return heap.Pop(h).(hitEvent) }
-func (h *hitHeap) peek() hitEvent   { return h.evs[0] }

@@ -7,9 +7,10 @@
 # (clrserve daemon report vs direct sim.Run, byte-identical), compdiff
 # (registry-composed default memory system vs the seed, bit-identical),
 # and ffbench-smoke (fast-forward must not lose to planner-off on the
-# memory-intensive profile).
+# memory-intensive profile) — plus bench-check, which builds and tests the
+# standing benchmark's own module.
 
-.PHONY: all tier1 race check fmt docs-check ffdiff ckdiff serve-smoke compdiff ffbench-smoke bench bench-ff bench-circuit report
+.PHONY: all tier1 race check fmt docs-check ffdiff ckdiff serve-smoke compdiff ffbench-smoke bench-check bench bench-ff bench-circuit report
 
 all: check
 
@@ -64,13 +65,16 @@ ffdiff:
 # write, nominal + Monte Carlo variation draws + the refresh-window
 # sweep), the in-place Reparam path vs rebuilding from scratch,
 # kernel-level stepwise identity under post-compile mutation, batched
-# extraction vs the single-instance path at several widths, Monte Carlo
+# extraction vs the one-lane path at several widths, Monte Carlo
 # invariance under the batch width, per-lane failure isolation, and the
 # CheckStride overshoot bound on all three paths (DESIGN.md §10, §12).
-# Ends with a K>1 smoke run of the shipped binary. Also part of
-# `go test ./...`.
+# Both sides of those pairs run the same phase sequence, so
+# TestSinglePathDigest also pins the one-lane outputs (Fig. 7 waveforms,
+# the Fig. 11 sweep, nominal extractions, the depleted-cell error) to a
+# recorded hash. Ends with a K>1 smoke run of the shipped binary. Also
+# part of `go test ./...`.
 ckdiff:
-	go test ./internal/spice -run 'TestCompiledIdentity|TestReparamMatchesRebuild|TestBatchExtract|TestMonteCarloBatchWidthIdentity|TestCheckStrideOvershootBound' -count=1
+	go test ./internal/spice -run 'TestCompiledIdentity|TestReparamMatchesRebuild|TestBatchExtract|TestMonteCarloBatchWidthIdentity|TestCheckStrideOvershootBound|TestSinglePathDigest' -count=1
 	go test ./internal/circuit -run 'TestKernelIdentity|TestRecompile|TestBatch' -count=1
 	go run ./cmd/circuitsim -ckbatch 4 -iters 64 -table1 >/dev/null
 
@@ -104,7 +108,14 @@ compdiff:
 ffbench-smoke:
 	go run ./cmd/ffbench -smoke -instructions 300000
 
-check: tier1 race fmt docs-check ffdiff ckdiff serve-smoke compdiff ffbench-smoke
+# bench-check vets and tests the standing benchmark (clrbench/, BENCHMARK.json).
+# It is a module of its own, so `go test ./...` above never builds it, yet it
+# calls into spice and circuit directly; this catches an API change that
+# breaks it (~5 s).
+bench-check:
+	cd clrbench && go vet ./... && go test ./...
+
+check: tier1 race fmt docs-check ffdiff ckdiff serve-smoke compdiff ffbench-smoke bench-check
 
 bench:
 	go test -bench=. -benchmem -run=^$$ .

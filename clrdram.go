@@ -205,9 +205,10 @@ type CircuitParams = spice.Params
 func DefaultCircuitParams() CircuitParams { return spice.Default() }
 
 // TimingTableOptions configures BuildTimingTableOpts: Monte Carlo draw
-// count, seed, sigma, worker count — and Interpreted, which pins the
-// circuit solver's interpreted stepping path instead of the compiled
-// kernel (a debugging escape hatch; the two are bit-identical, see
+// count, seed, sigma, refresh-sweep step and worker count. The solver
+// controls — CircuitParams.Interpreted, which pins the interpreted stepping
+// path instead of the compiled kernel, and CircuitParams.BatchWidth — are
+// set on the params (the paths and widths are bit-identical, see
 // `make ckdiff`).
 type TimingTableOptions = spice.TableOptions
 
@@ -219,7 +220,7 @@ func BuildTimingTable(p CircuitParams, iterations int, seed int64) (*TimingTable
 }
 
 // BuildTimingTableOpts is BuildTimingTable with the full option set
-// exposed, including the solver-path toggle.
+// exposed.
 func BuildTimingTableOpts(p CircuitParams, opts TimingTableOptions) (*TimingTable, error) {
 	return spice.BuildTimingTable(p, opts)
 }

@@ -52,12 +52,10 @@ func main() {
 		*table1 = true
 	}
 	p := spice.Default()
-	var topts spice.TableOptions
 	switch *ckMode {
 	case "on", "true", "1":
 	case "off", "false", "0":
 		p.Interpreted = true
-		topts.Interpreted = true
 	default:
 		fatal(fmt.Errorf("-ckcompile must be on or off, got %q", *ckMode))
 	}
@@ -65,7 +63,7 @@ func main() {
 		fatal(fmt.Errorf("-ckbatch must be >= 1, got %d", *ckBatch))
 	}
 	p.BatchWidth = *ckBatch
-	topts.BatchWidth = *ckBatch
+	topts := spice.TableOptions{Iterations: *iters, Seed: *seed}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -98,9 +96,7 @@ func main() {
 	}
 
 	if *table1 || *emit {
-		o := topts
-		o.Iterations, o.Seed = *iters, *seed
-		tab, err := spice.BuildTimingTable(p, o)
+		tab, err := spice.BuildTimingTable(p, topts)
 		if err != nil {
 			fatal(err)
 		}
@@ -166,9 +162,7 @@ func main() {
 
 	if *fig11 {
 		fmt.Println("Figure 11 — tRCD and tRAS vs refresh window (high-performance mode)")
-		o := topts
-		o.Iterations, o.Seed = *iters, *seed
-		tab, err := spice.BuildTimingTable(p, o)
+		tab, err := spice.BuildTimingTable(p, topts)
 		if err != nil {
 			fatal(err)
 		}

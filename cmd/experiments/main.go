@@ -72,8 +72,6 @@ func main() {
 		statsOut  = flag.String("stats-out", "", "write the sweep report as JSON to this file ('-' for stdout; implies -stats)")
 		ffMode    = flag.String("fastforward", "on", "event-driven cycle skipping, on or off (results are bit-identical either way)")
 		warmFork  = flag.Bool("warmup-fork", true, "snapshot warmed cache state once per workload set and fork it across sweep configurations (results are byte-identical either way)")
-		ckMode    = flag.String("ckcompile", "on", "compiled circuit-stepping kernel, on or off (results are bit-identical either way)")
-		ckBatch   = flag.Int("ckbatch", spice.DefaultBatchWidth, "circuit Monte Carlo batch width (1 = unbatched; results are bit-identical at every width)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file")
 		schedF    = flag.String("scheduler", "", "memory scheduler: "+strings.Join(mem.SchedulerNames(), "|")+" (default "+mem.DefaultScheduler+")")
@@ -109,18 +107,7 @@ func main() {
 	}
 	opts.FastForward = ff
 	opts.DisableWarmupFork = !*warmFork
-	var spiceOpts spice.TableOptions
-	switch *ckMode {
-	case "on", "true", "1":
-	case "off", "false", "0":
-		spiceOpts.Interpreted = true
-	default:
-		fatal(fmt.Errorf("-ckcompile must be on or off, got %q", *ckMode))
-	}
-	if *ckBatch < 1 {
-		fatal(fmt.Errorf("-ckbatch must be >= 1, got %d", *ckBatch))
-	}
-	spiceOpts.BatchWidth = *ckBatch
+	spiceOpts := spice.TableOptions{Iterations: *mcIters, Seed: *seed, Workers: *workers}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -187,9 +174,7 @@ func main() {
 		fmt.Println("Paper's published values:")
 		fmt.Print(sim.Table1(core.DefaultTable()))
 		fmt.Printf("\nRegenerated from the circuit model (%d MC iterations):\n", *mcIters)
-		o := spiceOpts
-		o.Iterations, o.Seed, o.Workers = *mcIters, *seed, *workers
-		tab, err := spice.BuildTimingTable(spice.Default(), o)
+		tab, err := spice.BuildTimingTable(spice.Default(), spiceOpts)
 		if err != nil {
 			fatal(err)
 		}
@@ -351,9 +336,7 @@ func main() {
 	if *compare {
 		fmt.Println("==================== §9 Related-design comparison ====================")
 		fmt.Println("Circuit-level timings (this repo's comparison topologies):")
-		o := spiceOpts
-		o.Iterations, o.Seed, o.Workers = *mcIters, *seed, *workers
-		alt, err := spice.BuildAlternativeTimings(spice.Default(), o)
+		alt, err := spice.BuildAlternativeTimings(spice.Default(), spiceOpts)
 		if err != nil {
 			fatal(err)
 		}

@@ -572,6 +572,14 @@ func (b *Batch) Step(dt float64) {
 	}
 }
 
+// StepN advances every live lane n steps of dt: n calls of Step, so a
+// caller stepping a whole stop-check chunk makes one call per chunk.
+func (b *Batch) StepN(dt float64, n int) {
+	for ; n > 0; n-- {
+		b.Step(dt)
+	}
+}
+
 // recordDivergence notes a clamp-window escape for the lane in physical
 // column l (first error per lane wins, like the single path's immediate
 // return). Outlined so the integration loops stay small and hot.

@@ -176,13 +176,6 @@ type Controller struct {
 	// Whole-scan fallback memo for geometries beyond 64 banks.
 	ffTimeout      int64
 	ffTimeoutValid bool
-	// Per-stream refresh-arm memos: refArmCycle is a pure function of
-	// (refNext[i], postponement-relevant pending state), so each entry is
-	// keyed by those and reused until a REF issue or retiming moves them.
-	ffRefArm     []int64
-	ffRefArmKey  []float64
-	ffRefArmPend []bool
-	ffRefArmOK   []bool
 
 	// Observability (nil handles when Config.Metrics is nil; see obsTick).
 	collect   bool
@@ -261,7 +254,6 @@ func NewController(dev *dram.Device, cfg Config) (*Controller, error) {
 		}
 		c.refNext[i] = s.Interval
 	}
-	c.initRefArmMemo()
 	if banks := dev.Config().Banks(); banks <= 64 {
 		c.ffBankTO = make([]int64, banks)
 		c.ffTOAll = ^uint64(0) >> (64 - uint(banks))
@@ -324,20 +316,9 @@ func (c *Controller) SetRefresh(streams []RefreshStream) error {
 	for i, s := range streams {
 		c.refNext[i] = now + s.Interval
 	}
-	c.initRefArmMemo()
 	c.refPending = -1
 	c.dirtyAllHorizon()
 	return nil
-}
-
-// initRefArmMemo (re)allocates the per-stream refresh-arm memo to match
-// refNext. Entries start invalid; each fills lazily on first horizon query.
-func (c *Controller) initRefArmMemo() {
-	n := len(c.refNext)
-	c.ffRefArm = make([]int64, n)
-	c.ffRefArmKey = make([]float64, n)
-	c.ffRefArmPend = make([]bool, n)
-	c.ffRefArmOK = make([]bool, n)
 }
 
 // Clock returns the current device cycle.

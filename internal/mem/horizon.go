@@ -85,7 +85,7 @@ func (c *Controller) NextEventCycle() int64 {
 	// command issues that cycle (it gates scheduling from then on).
 	pending := c.Pending() > 0
 	for i := range c.refNext {
-		h = min(h, c.refArmComponent(i, now, pending))
+		h = min(h, c.refArmCycle(i, now, pending))
 	}
 	if h <= now {
 		return now
@@ -201,26 +201,6 @@ func (c *Controller) refArmCycle(i int, now int64, pending bool) int64 {
 		t++
 	}
 	return t
-}
-
-// refArmComponent serves refArmCycle for stream i through its per-stream
-// memo. The arm predicate is a pure function of (refNext[i], effective
-// postponement), so the memo is keyed by value — a REF issue moves
-// refNext[i], SetRefresh reallocates, and no explicit invalidation sites are
-// needed. A memoised entry may embed a now-clamp from compute time; since
-// the clock is monotone, max(entry, now) reproduces refArmCycle's answer
-// (the component's only use is as a ≥-now lower bound). This removes the
-// closed-form float math from every joint-horizon recompute, which on
-// high-MPKI profiles happens once per issue event.
-func (c *Controller) refArmComponent(i int, now int64, pending bool) int64 {
-	postpone := c.cfg.MaxPostponedRefresh > 0 && pending
-	if !c.ffRefArmOK[i] || c.ffRefArmKey[i] != c.refNext[i] || c.ffRefArmPend[i] != postpone {
-		c.ffRefArm[i] = c.refArmCycle(i, now, pending)
-		c.ffRefArmKey[i] = c.refNext[i]
-		c.ffRefArmPend[i] = postpone
-		c.ffRefArmOK[i] = true
-	}
-	return max(c.ffRefArm[i], now)
 }
 
 // schedComponent serves the schedule-horizon component as a pure memo read.

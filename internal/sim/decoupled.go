@@ -258,17 +258,10 @@ func (s *System) tryLag(i int, ceilings []uint64) {
 	if !st.Skippable {
 		return
 	}
-	if st.NeedPortBlocked {
-		// Same cached translation and port verification as planSkip: lag
-		// only while the controller provably rejects the pending record.
-		if !s.ffPortOK[i] || s.ffPortAddr[i] != st.Addr {
-			global := s.bases[i] + st.Addr
-			ch, _ := s.mapper.TranslateChannel(s.llc.LineAddr(global))
-			s.ffPortAddr[i], s.ffPortCh[i], s.ffPortOK[i] = st.Addr, ch, true
-		}
-		if s.ctrls[s.ffPortCh[i]].CanEnqueue(false) {
-			return // the port would accept: the access must run for real
-		}
+	// Same port verification as planSkip: lag only while the controller
+	// provably rejects the pending record.
+	if st.NeedPortBlocked && s.portAccepts(i, st.Addr) {
+		return // the port would accept: the access must run for real
 	}
 	s.ffStates[i] = st
 	s.beginLag(i, ceilings)

@@ -125,6 +125,15 @@ func (s *System) horizonsSettled() bool {
 	return true
 }
 
+// portAccepts translates core i's retried address to its channel, records
+// the channel in ffPortCh[i] for the decoupled wake check, and reports
+// whether that channel's read queue would accept the record now.
+func (s *System) portAccepts(i int, addr uint64) bool {
+	ch, _ := s.mapper.TranslateChannel(s.llc.LineAddr(s.bases[i] + addr))
+	s.ffPortCh[i] = ch
+	return s.ctrls[ch].CanEnqueue(false)
+}
+
 // planSkip determines the longest skippable span from the current state. It
 // returns the CPU-cycle count k (0 if the next cycle must run for real), the
 // number of device ticks the span carries, the accumulator value after it,
@@ -166,14 +175,7 @@ func (s *System) planSkip(ceilings []uint64) (k, devTicks int64, accAfter float6
 			// Valid only while the memory system rejects the pending record.
 			// Both Load and Store gate on the read queue (a store miss
 			// fetches the line), and queue lengths are frozen for the span.
-			// The retried address is frozen too, and address→channel mapping
-			// is pure, so the translation is cached across attempts.
-			if !s.ffPortOK[i] || s.ffPortAddr[i] != st.Addr {
-				global := s.bases[i] + st.Addr
-				ch, _ := s.mapper.TranslateChannel(s.llc.LineAddr(global))
-				s.ffPortAddr[i], s.ffPortCh[i], s.ffPortOK[i] = st.Addr, ch, true
-			}
-			if s.ctrls[s.ffPortCh[i]].CanEnqueue(false) {
+			if s.portAccepts(i, st.Addr) {
 				st.Skippable = false // the port would accept: the access must run
 			}
 		}

@@ -82,12 +82,9 @@ type System struct {
 	ffSkips   int64
 	ffSkipped int64
 
-	// Port-blocked channel cache (planSkip): the address a stalled core is
-	// retrying is frozen until the port accepts it, and address→channel
-	// mapping is pure, so consecutive attempts reuse the translation.
-	ffPortAddr []uint64
-	ffPortCh   []int
-	ffPortOK   []bool
+	// Channel of each port-blocked core's retried address, recorded by
+	// portAccepts for the decoupled stretch's wake check.
+	ffPortCh []int
 
 	// Coalesced joint-horizon cache (jointHorizon): the minimum controller
 	// horizon, valid while every per-channel HorizonGen is unchanged and
@@ -266,9 +263,7 @@ func NewSystem(profiles []workload.Profile, clr core.Config, opts Options) (*Sys
 
 	s.cores = make([]*cpu.Core, len(profiles))
 	s.ffStates = make([]cpu.FFState, len(profiles))
-	s.ffPortAddr = make([]uint64, len(profiles))
 	s.ffPortCh = make([]int, len(profiles))
-	s.ffPortOK = make([]bool, len(profiles))
 	s.ffCanLag = make([]bool, len(profiles))
 	s.ffLagged = make([]bool, len(profiles))
 	s.ffLag = make([]int64, len(profiles))

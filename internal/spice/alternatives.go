@@ -25,12 +25,6 @@ type AlternativeTimings struct {
 // campaigns run as one flat batch on opts.Workers workers.
 func BuildAlternativeTimings(p Params, opts TableOptions) (*AlternativeTimings, error) {
 	opts = opts.withDefaults()
-	if opts.Interpreted {
-		p.Interpreted = true
-	}
-	if opts.BatchWidth != 0 {
-		p.BatchWidth = opts.BatchWidth
-	}
 	// Campaign order matters only for the seed offsets, which are kept as
 	// one per design, counted from opts.Seed.
 	modes := []Mode{ModeBaseline, ModeHighPerf, ModeTwinCell, ModeMCR, ModeTLNear}

@@ -2,42 +2,42 @@ package spice
 
 import (
 	"fmt"
-	"sync"
 
 	"clrdram/internal/circuit"
 )
 
 // BatchExtractor runs the three-phase timing extraction for K Monte Carlo
-// parameter draws simultaneously through the batched circuit kernel
-// (circuit.CompileBatch, DESIGN.md §12). It owns K reusable subarray
-// instances per operation group — re-parameterised in place between
-// batches exactly like Extractor — flattened into two draw-major batches
-// (activation+precharge, write path).
+// parameter draws at once. It owns K reusable subarray instances per
+// operation group (activation+precharge, write path), re-parameterised in
+// place between batches, and steps each group through one lane set: for
+// K>1 the batched circuit kernel (circuit.CompileBatch, DESIGN.md §12), for
+// K=1 a one-lane stepper over the compiled single-circuit kernel.
 //
-// The extraction is phase-barriered: every draw completes a phase before
-// any draw starts the next one. Because a draw that crosses its stop
-// condition is parked with its state and clock frozen, and lanes are
-// independent circuits, each draw's trajectory — voltages, phase times,
-// error strings — is bit-identical to running it alone through
-// Extractor.Extract at every batch width (TestBatchExtractMatchesSingle,
-// make ckdiff). Per-draw failures (sense inversion, timeout, divergence)
-// are isolated: the failed lane is parked and reported in its error slot
-// while the rest of the batch completes.
+// Both run the same phase sequence (ops.go), phase-barriered: every draw
+// completes a phase before any draw starts the next one. Because a draw
+// that crosses its stop condition is parked with its state and clock
+// frozen, and lanes are independent circuits, each draw's trajectory —
+// voltages, phase times, error strings — is bit-identical at every batch
+// width (TestBatchExtractMatchesSingle, make ckdiff). Per-draw failures
+// (sense inversion, timeout, divergence) are isolated: the failed lane is
+// parked and reported in its error slot while the rest of the batch
+// completes.
 type BatchExtractor struct {
 	Mode Mode
 
 	act []*Subarray // activation + precharge instances, one per draw
 	wr  []*Subarray // write-path instances, one per draw
 
-	bact *circuit.Batch // batched kernel over the act group
-	bwr  *circuit.Batch // batched kernel over the wr group
+	lanes [2]lanes   // the act and wr groups' lane sets: a *circuit.Batch for K>1
+	one   [2]oneLane // their K=1 form
 }
 
 // prepare sizes the instance groups to the batch width, points every lane
 // at its draw's parameters (Reparam, rebuilding only when it cannot
-// re-apply in place), and (re)compiles the batches. Draws must share the
-// solver controls — they are never varied by Perturb, so any set of draws
-// derived from one nominal Params qualifies.
+// re-apply in place), and sets up the two lane sets, recompiling the
+// batches after a rebuild. Draws must share the solver controls — they are
+// never varied by Perturb, so any set of draws derived from one nominal
+// Params qualifies.
 func (e *BatchExtractor) prepare(draws []Params) error {
 	k := len(draws)
 	if k == 0 {
@@ -51,146 +51,42 @@ func (e *BatchExtractor) prepare(draws []Params) error {
 	if len(e.act) != k {
 		e.act = make([]*Subarray, k)
 		e.wr = make([]*Subarray, k)
-		e.bact, e.bwr = nil, nil
+		e.lanes = [2]lanes{}
 	}
 	rebuilt := false
 	for i, q := range draws {
-		var err error
-		if e.act[i] == nil || !e.act[i].Reparam(q) {
-			if e.act[i], err = Build(q, e.Mode); err != nil {
-				return err
+		for _, subs := range [2][]*Subarray{e.act, e.wr} {
+			if subs[i] == nil || !subs[i].Reparam(q) {
+				var err error
+				if subs[i], err = Build(q, e.Mode); err != nil {
+					return err
+				}
+				rebuilt = true
 			}
-			rebuilt = true
-		}
-		if e.wr[i] == nil || !e.wr[i].Reparam(q) {
-			if e.wr[i], err = Build(q, e.Mode); err != nil {
-				return err
-			}
-			rebuilt = true
 		}
 	}
-	if e.bact == nil || rebuilt {
-		actC := make([]*circuit.Circuit, k)
-		wrC := make([]*circuit.Circuit, k)
-		for i := range draws {
-			actC[i] = e.act[i].c
-			wrC[i] = e.wr[i].c
-		}
-		var err error
-		if e.bact, err = circuit.CompileBatch(actC); err != nil {
-			return err
-		}
-		if e.bwr, err = circuit.CompileBatch(wrC); err != nil {
-			return err
-		}
-	} else {
-		e.bact.ClearErrors()
-		e.bwr.ClearErrors()
-	}
-	return nil
-}
-
-// batchRun drives one operation group's batch through a sequence of
-// phases, replicating runUntil's semantics per lane: the per-phase
-// deadline is taken at phase entry, checked before every CheckStride-step
-// chunk, and the stop condition is evaluated after each chunk — so the
-// reported crossing overshoots the true one by at most (CheckStride−1)·Dt,
-// exactly like the single path.
-type batchRun struct {
-	b        *circuit.Batch
-	draws    []Params
-	errs     []error // shared across phases; a failed lane never re-enters
-	mode     Mode
-	stride   int
-	dt       float64
-	skip     []bool // extra per-phase exclusions (nil = none)
-	done     []bool
-	deadline []float64
-}
-
-func (r *batchRun) running(i int) bool {
-	return r.errs[i] == nil && !r.done[i] && (r.skip == nil || !r.skip[i])
-}
-
-// runPhase steps the batch until every participating lane has crossed
-// cond, failed, or timed out. stopT receives each lane's crossing time;
-// errors are wrapped with wrapFmt (verbs: mode, inner error) to match the
-// single path's message nesting byte-for-byte.
-func (r *batchRun) runPhase(wrapFmt string, stopT []float64, cond func(i int) bool) {
-	k := len(r.draws)
-	n := 0
-	for i := 0; i < k; i++ {
-		r.done[i] = false
-		if !r.running(i) {
-			r.b.Park(i)
+	for gi, subs := range [2][]*Subarray{e.act, e.wr} {
+		if k == 1 {
+			e.one[gi] = oneLane{s: subs[0]}
+			e.lanes[gi] = &e.one[gi]
 			continue
 		}
-		r.b.Unpark(i)
-		r.deadline[i] = r.b.Time(i) + r.draws[i].MaxTime
-		n++
-	}
-	for n > 0 {
-		// Deadline before each chunk — runUntil's loop condition.
-		for i := 0; i < k; i++ {
-			if r.running(i) && r.b.Time(i) >= r.deadline[i] {
-				r.errs[i] = fmt.Errorf(wrapFmt, r.mode,
-					fmt.Errorf("spice: condition not reached within %v s (mode %v)", r.draws[i].MaxTime, r.mode))
-				r.b.Park(i)
-				n--
-			}
+		if b, ok := e.lanes[gi].(*circuit.Batch); ok && !rebuilt {
+			b.ClearErrors()
+			continue
 		}
-		if n == 0 {
-			return
+		e.lanes[gi] = nil // never reuse a batch over replaced lanes
+		cs := make([]*circuit.Circuit, k)
+		for i, s := range subs {
+			cs[i] = s.c
 		}
-		for s := 0; s < r.stride; s++ {
-			r.b.Step(r.dt)
+		b, err := circuit.CompileBatch(cs)
+		if err != nil {
+			return err
 		}
-		for i := 0; i < k; i++ {
-			if !r.running(i) {
-				continue
-			}
-			if err := r.b.Err(i); err != nil {
-				// Diverged mid-chunk; Step already parked the lane.
-				r.errs[i] = fmt.Errorf(wrapFmt, r.mode, err)
-				n--
-				continue
-			}
-			if cond(i) {
-				stopT[i] = r.b.Time(i)
-				r.done[i] = true
-				r.b.Park(i)
-				n--
-			}
-		}
+		e.lanes[gi] = b
 	}
-}
-
-// wrongB is Subarray.resolvedWrong over a batch lane.
-func wrongB(b *circuit.Batch, i int, s *Subarray) bool {
-	hi, lo := s.sa1.bl, s.sa1.blb
-	if !s.expectHigh {
-		hi, lo = lo, hi
-	}
-	return b.V(i, lo)-b.V(i, hi) > 0.3
-}
-
-// restoredB is Subarray.restored over a batch lane.
-func restoredB(b *circuit.Batch, i int, q Params, highCells, lowCells []circuit.Node, earlyTermination bool) bool {
-	target := q.RestoreFrac * q.VDD
-	if earlyTermination {
-		target = q.ETFrac * q.VDD
-	}
-	for _, n := range highCells {
-		if b.V(i, n) < target {
-			return false
-		}
-	}
-	for _, n := range lowCells {
-		if b.V(i, n) > q.EmptyFrac*q.VDD {
-			return false
-		}
-	}
-	return true
+	return nil
 }
 
 // ExtractBatch runs the full extraction sequence (activate, precharge,
@@ -202,261 +98,55 @@ func (e *BatchExtractor) ExtractBatch(draws []Params, initV []float64) ([]RawTim
 	k := len(draws)
 	out := make([]RawTimings, k)
 	errs := make([]error, k)
-	fail := func(err error) ([]RawTimings, []error) {
+	var err error
+	if len(initV) != k {
+		err = fmt.Errorf("spice: batch extraction: %d draws but %d initial voltages", k, len(initV))
+	} else {
+		err = e.prepare(draws)
+	}
+	if err != nil {
 		for i := range errs {
-			if errs[i] == nil {
-				errs[i] = err
-			}
+			errs[i] = err
 		}
 		return out, errs
 	}
-	if len(initV) != k {
-		return fail(fmt.Errorf("spice: batch extraction: %d draws but %d initial voltages", k, len(initV)))
-	}
-	if err := e.prepare(draws); err != nil {
-		return fail(err)
-	}
-	mode := e.Mode
 	stride := draws[0].CheckStride
-	if stride < 1 {
-		stride = 1
-	}
 
-	// ---- Activation + precharge group ----
-	actT0 := make([]float64, k)
+	// Activation + precharge on one instance.
+	act := newGroup(e.lanes[0], e.act, errs, stride)
 	for i, s := range e.act {
 		s.InitData(true, initV[i])
-		t0 := s.c.Time() + 0.5e-9
-		s.c.DriveRamp(s.wl, 0, draws[i].VPP, t0, 0.2e-9)
-		actT0[i] = t0
 	}
-	if err := e.bact.Gather(); err != nil {
-		return fail(err)
-	}
-	r := &batchRun{b: e.bact, draws: draws, errs: errs, mode: mode,
-		stride: stride, dt: draws[0].Dt,
-		done: make([]bool, k), deadline: make([]float64, k)}
-
-	// Phase 1 — charge sharing until ΔV reaches the sense threshold.
-	tSense := make([]float64, k)
-	r.runPhase("spice: %v activation: charge sharing: %w", tSense, func(i int) bool {
-		s := e.act[i]
-		d := e.bact.V(i, s.sa1.bl) - e.bact.V(i, s.sa1.blb)
-		if d < 0 {
-			d = -d
-		}
-		return d >= draws[i].SenseVth
-	})
-
-	// Enable the SAs at each lane's own crossing time. Failed lanes get the
-	// same drive shapes (at their frozen time) so the groups stay
-	// structurally identical for Gather; they never step again.
-	e.bact.Scatter()
-	for i, s := range e.act {
-		t := tSense[i]
-		if errs[i] != nil {
-			t = s.c.Time()
-		}
-		s.enableSAs(t)
-	}
-	if err := e.bact.Gather(); err != nil {
-		return fail(err)
-	}
-
-	// Phase 2 — amplification to ready-to-access (or a sense inversion).
-	tRCD := make([]float64, k)
-	r.runPhase("spice: %v activation: amplification: %w", tRCD, func(i int) bool {
-		s := e.act[i]
-		q := draws[i]
-		hi, lo := s.sa1.bl, s.sa1.blb
-		if !s.expectHigh {
-			hi, lo = lo, hi
-		}
-		vReady := q.ReadyFrac * q.VDD
-		vLow := (1 - q.ReadyFrac) * q.VDD
-		return (e.bact.V(i, hi) >= vReady && e.bact.V(i, lo) <= vLow) || wrongB(e.bact, i, s)
-	})
-	for i := range draws {
-		if errs[i] == nil && wrongB(e.bact, i, e.act[i]) {
-			errs[i] = fmt.Errorf("spice: %v activation resolved incorrectly", mode)
+	acts := make([]ActResult, k)
+	act.wrap = "spice: %v activation: %w"
+	act.activate(acts)
+	for i := range acts {
+		if errs[i] == nil && !acts[i].OK {
+			errs[i] = fmt.Errorf("spice: %v activation resolved incorrectly", e.Mode)
 		}
 	}
+	rp := make([]float64, k)
+	act.wrap = "spice: %v: %w"
+	act.precharge(rp)
 
-	// Phases 3 and 4 — restoration to the ET and full levels. No drive
-	// change since amplification, so no Scatter/Gather round trip.
-	high := make([][]circuit.Node, k)
-	low := make([][]circuit.Node, k)
-	for i, s := range e.act {
-		high[i], low[i] = s.restorationCells()
-	}
-	tET := make([]float64, k)
-	r.runPhase("spice: %v activation: restoration (ET): %w", tET, func(i int) bool {
-		return restoredB(e.bact, i, draws[i], high[i], low[i], true)
-	})
-	tFull := make([]float64, k)
-	r.runPhase("spice: %v activation: restoration (full): %w", tFull, func(i int) bool {
-		return restoredB(e.bact, i, draws[i], high[i], low[i], false)
-	})
-
-	// Precharge from each lane's activated state.
-	e.bact.Scatter()
-	preT0 := make([]float64, k)
-	var probes [][6]circuit.Node
-	for i, s := range e.act {
-		q := draws[i]
-		t0 := s.c.Time() + 0.2e-9
-		s.c.DriveRamp(s.wl, q.VPP, 0, t0, 0.5e-9)
-		s.disableSAs(t0)
-		s.c.DriveRamp(s.pre1, 0, q.VPP, t0, 0.5e-9)
-		if s.mode != ModeBaseline {
-			s.c.DriveRamp(s.pre2, 0, q.VPP, t0, 0.5e-9)
-		}
-		preT0[i] = t0
-		probes = append(probes, [6]circuit.Node{s.sa1.bl, s.sa1.blb, s.bl[0], s.blb[0],
-			s.bl[q.Segments-1], s.blb[q.Segments-1]})
-	}
-	if err := e.bact.Gather(); err != nil {
-		return fail(err)
-	}
-	tPre := make([]float64, k)
-	r.runPhase("spice: %v: precharge: %w", tPre, func(i int) bool {
-		q := draws[i]
-		vh := q.VDD / 2
-		for _, n := range probes[i] {
-			d := e.bact.V(i, n) - vh
-			if d < 0 {
-				d = -d
-			}
-			if d > q.PrechargeTol {
-				return false
-			}
-		}
-		return true
-	})
-
-	// ---- Write group: activate reading a '0', then write a '1' ----
+	// Activation (reading a '0') + write ('1') on the second instance: the
+	// worst-case write charges the cell. A sense inversion on this
+	// activation is not an error; it only skips the restoration phases.
+	wr := newGroup(e.lanes[1], e.wr, errs, stride)
 	for i, s := range e.wr {
 		s.InitData(false, initV[i])
-		t0 := s.c.Time() + 0.5e-9
-		s.c.DriveRamp(s.wl, 0, draws[i].VPP, t0, 0.2e-9)
 	}
-	if err := e.bwr.Gather(); err != nil {
-		return fail(err)
-	}
-	rw := &batchRun{b: e.bwr, draws: draws, errs: errs, mode: mode,
-		stride: stride, dt: draws[0].Dt,
-		done: make([]bool, k), deadline: make([]float64, k)}
+	wr.wrap = "spice: %v write-activation: %w"
+	wr.activate(make([]ActResult, k))
+	wrs := make([]WrResult, k)
+	wr.wrap = "spice: %v: %w"
+	wr.write(wrs)
 
-	wSense := make([]float64, k)
-	rw.runPhase("spice: %v write-activation: charge sharing: %w", wSense, func(i int) bool {
-		s := e.wr[i]
-		d := e.bwr.V(i, s.sa1.bl) - e.bwr.V(i, s.sa1.blb)
-		if d < 0 {
-			d = -d
-		}
-		return d >= draws[i].SenseVth
-	})
-	e.bwr.Scatter()
-	for i, s := range e.wr {
-		t := wSense[i]
-		if errs[i] != nil {
-			t = s.c.Time()
-		}
-		s.enableSAs(t)
-	}
-	if err := e.bwr.Gather(); err != nil {
-		return fail(err)
-	}
-	wRCD := make([]float64, k)
-	rw.runPhase("spice: %v write-activation: amplification: %w", wRCD, func(i int) bool {
-		s := e.wr[i]
-		q := draws[i]
-		hi, lo := s.sa1.bl, s.sa1.blb
-		if !s.expectHigh {
-			hi, lo = lo, hi
-		}
-		vReady := q.ReadyFrac * q.VDD
-		vLow := (1 - q.ReadyFrac) * q.VDD
-		return (e.bwr.V(i, hi) >= vReady && e.bwr.V(i, lo) <= vLow) || wrongB(e.bwr, i, s)
-	})
-	// A sense inversion on the write path is not an error — the single path
-	// discards act.OK here — but it does end that lane's activation early
-	// (Activate returns before the restoration phases), so the lane skips
-	// straight to the write.
-	wrSkip := make([]bool, k)
-	for i := range draws {
-		if errs[i] == nil && wrongB(e.bwr, i, e.wr[i]) {
-			wrSkip[i] = true
-		}
-	}
-	for i, s := range e.wr {
-		high[i], low[i] = s.restorationCells()
-	}
-	wAET := make([]float64, k)
-	rw.skip = wrSkip
-	rw.runPhase("spice: %v write-activation: restoration (ET): %w", wAET, func(i int) bool {
-		return restoredB(e.bwr, i, draws[i], high[i], low[i], true)
-	})
-	wAFull := make([]float64, k)
-	rw.runPhase("spice: %v write-activation: restoration (full): %w", wAFull, func(i int) bool {
-		return restoredB(e.bwr, i, draws[i], high[i], low[i], false)
-	})
-	rw.skip = nil
-
-	// Write: flip the driver on per lane. The driver switches read wrOn
-	// through their captured closures, so no drive change and no regather —
-	// each lane's clock continues exactly where its activation left it.
-	wrT0 := make([]float64, k)
-	for i, s := range e.wr {
-		s.wrOn = true
-		s.expectHigh = true
-		wrT0[i] = e.bwr.Time(i)
-		high[i], low[i] = s.restorationCells()
-	}
-	wET := make([]float64, k)
-	rw.runPhase("spice: %v: write (ET): %w", wET, func(i int) bool {
-		return restoredB(e.bwr, i, draws[i], high[i], low[i], true)
-	})
-	wFull := make([]float64, k)
-	rw.runPhase("spice: %v: write (full): %w", wFull, func(i int) bool {
-		return restoredB(e.bwr, i, draws[i], high[i], low[i], false)
-	})
-	for _, s := range e.wr {
-		s.wrOn = false
-	}
-
-	for i := range draws {
-		if errs[i] != nil {
-			continue
-		}
-		out[i] = RawTimings{
-			RCD:     tRCD[i] - actT0[i],
-			RASFull: tFull[i] - actT0[i],
-			RASET:   tET[i] - actT0[i],
-			RP:      tPre[i] - preT0[i],
-			WRFull:  wFull[i] - wrT0[i],
-			WRET:    wET[i] - wrT0[i],
+	for i, a := range acts {
+		if errs[i] == nil {
+			out[i] = RawTimings{RCD: a.TRCD, RASFull: a.TRASFull, RASET: a.TRASET,
+				RP: rp[i], WRFull: wrs[i].TWRFull, WRET: wrs[i].TWRET}
 		}
 	}
 	return out, errs
-}
-
-// batchExtractorPools recycles BatchExtractors per topology across Monte
-// Carlo chunks, like extractorPools for the single path. A recycled
-// extractor re-parameterises its K built netlists in place; a width change
-// (the odd tail chunk of a campaign) rebuilds them.
-var batchExtractorPools [ModeTLNear + 1]sync.Pool
-
-// pooledExtractBatch runs one K-draw chunk through a recycled (or fresh)
-// BatchExtractor.
-func pooledExtractBatch(mode Mode, draws []Params, initV []float64) ([]RawTimings, []error) {
-	e, _ := batchExtractorPools[mode].Get().(*BatchExtractor)
-	if e == nil {
-		e = &BatchExtractor{Mode: mode}
-	}
-	raws, errs := e.ExtractBatch(draws, initV)
-	// Recycle even after failed draws: prepare restores every lane's
-	// recorded initial state, so a half-run transient cannot leak.
-	batchExtractorPools[mode].Put(e)
-	return raws, errs
 }

@@ -132,7 +132,7 @@ func benchMonteCarloBatch(b *testing.B, k int) {
 // BenchmarkMonteCarloBatch* sweep the campaign over batch widths (the
 // EXPERIMENTS.md W3 table; BENCH_circuit.json's batch section measures the
 // same sweep via cmd/circuitsim -bench). Width 1 routes through the
-// single-instance extractor — the pre-batch compiled path.
+// one-lane stepper over the compiled single-circuit kernel.
 func BenchmarkMonteCarloBatch1(b *testing.B)  { benchMonteCarloBatch(b, 1) }
 func BenchmarkMonteCarloBatch4(b *testing.B)  { benchMonteCarloBatch(b, 4) }
 func BenchmarkMonteCarloBatch8(b *testing.B)  { benchMonteCarloBatch(b, 8) }

@@ -10,7 +10,7 @@ import (
 
 // The batched half of the ckdiff suite (make ckdiff): extraction through
 // the batched circuit kernel (BatchExtractor / circuit.CompileBatch) must
-// be bit-identical to the single-instance Extractor — same RawTimings,
+// be bit-identical to the one-lane Extractor — same RawTimings,
 // same error strings — for every topology, batch width and CheckStride,
 // because lanes are independent circuits and the batch replays the
 // compiled kernel's float64 operations per lane (DESIGN.md §12).
@@ -238,29 +238,12 @@ func TestCheckStrideOvershootBound(t *testing.T) {
 		if err := be.prepare(strided); err != nil {
 			t.Fatal(err)
 		}
-		actT0 := make([]float64, len(strided))
 		for i, s := range be.act {
 			s.InitData(true, initV[i])
-			t0 := s.c.Time() + 0.5e-9
-			s.c.DriveRamp(s.wl, 0, strided[i].VPP, t0, 0.2e-9)
-			actT0[i] = t0
-		}
-		if err := be.bact.Gather(); err != nil {
-			t.Fatal(err)
 		}
 		errs := make([]error, len(strided))
-		r := &batchRun{b: be.bact, draws: strided, errs: errs, mode: ModeBaseline,
-			stride: stride, dt: strided[0].Dt,
-			done: make([]bool, len(strided)), deadline: make([]float64, len(strided))}
-		tSense := make([]float64, len(strided))
-		r.runPhase("spice: %v activation: charge sharing: %w", tSense, func(i int) bool {
-			s := be.act[i]
-			d := be.bact.V(i, s.sa1.bl) - be.bact.V(i, s.sa1.blb)
-			if d < 0 {
-				d = -d
-			}
-			return d >= strided[i].SenseVth
-		})
+		acts := make([]ActResult, len(strided))
+		newGroup(be.lanes[0], be.act, errs, stride).activate(acts)
 		for i, q := range strided {
 			if errs[i] != nil {
 				t.Fatalf("batched draw %d stride %d: %v", i, stride, errs[i])
@@ -275,10 +258,10 @@ func TestCheckStrideOvershootBound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := tSense[i] - actT0[i]; got != act.TSense {
+			if got := acts[i].TSense; got != act.TSense {
 				t.Errorf("draw %d stride %d: batched tSense %v != single %v", i, stride, got, act.TSense)
 			}
-			if over := tSense[i] - actT0[i] - sense1[i]; over < 0 || over > float64(stride-1)*p.Dt+1e-18 {
+			if over := acts[i].TSense - sense1[i]; over < 0 || over > float64(stride-1)*p.Dt+1e-18 {
 				t.Errorf("draw %d stride %d: batched overshoot %v outside [0, %v]",
 					i, stride, over, float64(stride-1)*p.Dt)
 			}

@@ -1,40 +1,18 @@
 package spice
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
-// Extractor owns reusable subarray instances of one topology and runs the
-// three-phase timing extraction on them, re-parameterising the built
-// netlists in place (Subarray.Reparam) between draws instead of rebuilding
-// them. Because Reparam is bit-identical to a fresh build, extraction
-// through a recycled Extractor yields the same bits as Extract on fresh
-// netlists — which is what makes the sync.Pool reuse across Monte Carlo
-// iterations safe: any pooled instance produces the same result for the
-// same draw, so scheduling cannot perturb the outcome.
+// Extractor is the one-draw BatchExtractor: it runs the extraction on K=1
+// lanes, stepping its two subarray instances in place, and re-parameterises
+// them (Subarray.Reparam) between draws instead of rebuilding them. Because
+// Reparam is bit-identical to a fresh build, extraction through a recycled
+// Extractor yields the same bits as Extract on fresh netlists — which is
+// what makes pooled reuse across Monte Carlo iterations safe. The zero
+// value with Mode set is ready to use.
 type Extractor struct {
 	Mode Mode
 
-	act *Subarray // activation + precharge instance
-	wr  *Subarray // write-path instance (activate reading '0', then write)
-}
-
-// prepare points both instances at the draw's parameters, rebuilding only
-// when Reparam cannot re-apply them in place.
-func (e *Extractor) prepare(q Params) error {
-	var err error
-	if e.act == nil || !e.act.Reparam(q) {
-		if e.act, err = Build(q, e.Mode); err != nil {
-			return err
-		}
-	}
-	if e.wr == nil || !e.wr.Reparam(q) {
-		if e.wr, err = Build(q, e.Mode); err != nil {
-			return err
-		}
-	}
-	return nil
+	b BatchExtractor
 }
 
 // Extract runs the three operation phases for one parameter draw and
@@ -42,48 +20,9 @@ func (e *Extractor) prepare(q Params) error {
 // q.RestoreFrac·q.VDD for a freshly restored cell, lower values for
 // leakage-decayed conditions).
 func (e *Extractor) Extract(q Params, initV float64) (RawTimings, error) {
-	var out RawTimings
-	if err := e.prepare(q); err != nil {
-		return out, err
-	}
-	mode := e.Mode
-
-	// Activation + precharge on one instance.
-	s := e.act
-	s.InitData(true, initV)
-	act, err := s.Activate(nil)
-	if err != nil {
-		return out, fmt.Errorf("spice: %v activation: %w", mode, err)
-	}
-	if !act.OK {
-		return out, fmt.Errorf("spice: %v activation resolved incorrectly", mode)
-	}
-	rp, err := s.Precharge(nil)
-	if err != nil {
-		return out, fmt.Errorf("spice: %v: %w", mode, err)
-	}
-
-	// Activation (reading a '0') + write ('1') on the second instance: the
-	// worst-case write charges the cell.
-	s2 := e.wr
-	s2.InitData(false, initV)
-	if _, err := s2.Activate(nil); err != nil {
-		return out, fmt.Errorf("spice: %v write-activation: %w", mode, err)
-	}
-	wr, err := s2.Write(nil)
-	if err != nil {
-		return out, fmt.Errorf("spice: %v: %w", mode, err)
-	}
-
-	out = RawTimings{
-		RCD:     act.TRCD,
-		RASFull: act.TRASFull,
-		RASET:   act.TRASET,
-		RP:      rp,
-		WRFull:  wr.TWRFull,
-		WRET:    wr.TWRET,
-	}
-	return out, nil
+	e.b.Mode = e.Mode
+	out, errs := e.b.ExtractBatch([]Params{q}, []float64{initV})
+	return out[0], errs[0]
 }
 
 // Extract runs the three operation phases on a fresh subarray of the given
@@ -94,20 +33,27 @@ func Extract(p Params, mode Mode, initV float64) (RawTimings, error) {
 	return e.Extract(p, initV)
 }
 
-// extractorPools recycles Extractors per topology across Monte Carlo
-// iterations, so each draw pays an in-place Reparam instead of two netlist
-// builds. Indexed by Mode.
-var extractorPools [ModeTLNear + 1]sync.Pool
+// extractorPools recycle BatchExtractors per topology across Monte Carlo
+// chunks, so each draw pays an in-place Reparam instead of two netlist
+// builds. K=1 extractors have their own pools: a width change rebuilds
+// every lane, so a nominal single draw must not land on a K-wide extractor.
+var extractorPools [2][ModeTLNear + 1]sync.Pool
 
-// pooledExtract runs one draw through a recycled (or fresh) Extractor.
-func pooledExtract(mode Mode, q Params, initV float64) (RawTimings, error) {
-	e, _ := extractorPools[mode].Get().(*Extractor)
-	if e == nil {
-		e = &Extractor{Mode: mode}
+// pooledExtract runs one chunk of draws through a recycled (or fresh)
+// BatchExtractor.
+func pooledExtract(mode Mode, draws []Params, initV []float64) ([]RawTimings, []error) {
+	width := 0
+	if len(draws) > 1 {
+		width = 1
 	}
-	raw, err := e.Extract(q, initV)
-	// Recycle even after a failed draw: Reparam restores the recorded
-	// initial state, so a half-run transient cannot leak into the next use.
-	extractorPools[mode].Put(e)
-	return raw, err
+	pool := &extractorPools[width][mode]
+	e, _ := pool.Get().(*BatchExtractor)
+	if e == nil {
+		e = &BatchExtractor{Mode: mode}
+	}
+	raws, errs := e.ExtractBatch(draws, initV)
+	// Recycle even after failed draws: prepare restores every lane's
+	// recorded initial state, so a half-run transient cannot leak.
+	pool.Put(e)
+	return raws, errs
 }

@@ -78,8 +78,8 @@ type Params struct {
 	// Interpreted pins the circuit's interpreted stepping path instead of
 	// the compiled kernel — a debugging escape hatch; both paths are
 	// bit-identical (make ckdiff). CheckStride is the number of steps
-	// between stop-predicate evaluations in runUntil: every extraction
-	// predicate is a monotone threshold crossing, so a stride of N finds
+	// between stop-predicate evaluations in the extraction phases (ops.go):
+	// every predicate is a monotone threshold crossing, so a stride of N finds
 	// the same crossing quantised up by at most (N−1)·Dt (3 ps at the
 	// defaults — ~0.3% of the shortest phase). 0 means 1 (check every
 	// step); Default sets 4.

@@ -72,8 +72,8 @@ type mcSpec struct {
 // commutative max over draws regardless of grouping, and a failing run
 // still reports the lowest failing iteration (errors surface in iteration
 // order within a chunk, and engine.Map keeps the lowest-indexed task
-// failure). Width-1 chunks take the single-instance Extractor path — the
-// exact PR 4 code path, which is what `-ckbatch 1` pins.
+// failure). Width-1 chunks step one lane in place through the compiled
+// single-circuit kernel, which is what `-ckbatch 1` pins.
 func monteCarloMany(ctx context.Context, pool *engine.Pool, p Params, specs []mcSpec) ([]RawTimings, error) {
 	bw := p.BatchWidth
 	if bw < 1 || p.Interpreted {
@@ -112,14 +112,7 @@ func monteCarloMany(ctx context.Context, pool *engine.Pool, p Params, specs []mc
 				initV[j] = sp.InitVFrac * q.VDD
 			}
 		}
-		if ch.n == 1 {
-			raw, err := pooledExtract(sp.Mode, draws[0], initV[0])
-			if err != nil {
-				return raw, fmt.Errorf("spice: Monte Carlo iteration %d: %w", ch.start, err)
-			}
-			return raw, nil
-		}
-		out, errs := pooledExtractBatch(sp.Mode, draws, initV)
+		out, errs := pooledExtract(sp.Mode, draws, initV)
 		var worst RawTimings
 		for j, err := range errs {
 			if err != nil {
@@ -179,25 +172,14 @@ func CalibrateBaseline(raw RawTimings) Calibration {
 	}
 }
 
-// TableOptions configures BuildTimingTable.
+// TableOptions configures BuildTimingTable. The solver controls (stepping
+// path, batch width, check stride) travel in the Params it takes.
 type TableOptions struct {
 	Iterations int     // Monte Carlo draws per mode (paper: 10⁴); default 2000
 	Seed       int64   // default 1
 	Sigma      float64 // component variation; default 0.05 (5%)
 	SweepStep  float64 // refresh-window sweep step in ms; default 10
 	Workers    int     // parallel workers for the Monte Carlo draws; 0 = GOMAXPROCS
-
-	// Interpreted pins the circuit solver's interpreted stepping path for
-	// every draw — the debugging escape hatch (see Params.Interpreted).
-	// The compiled kernel is bit-identical (make ckdiff) and the default.
-	Interpreted bool
-
-	// BatchWidth overrides Params.BatchWidth for every draw: the number of
-	// Monte Carlo draws stepped simultaneously through the batched circuit
-	// kernel. 0 keeps the Params value (DefaultBatchWidth for Default());
-	// 1 pins the unbatched single-draw path. Every width is bit-identical
-	// (see Params.BatchWidth).
-	BatchWidth int
 }
 
 func (o TableOptions) withDefaults() TableOptions {
@@ -225,12 +207,6 @@ func (o TableOptions) withDefaults() TableOptions {
 // the refresh-window sensitivity curve for high-performance rows.
 func BuildTimingTable(p Params, opts TableOptions) (*core.TimingTable, error) {
 	opts = opts.withDefaults()
-	if opts.Interpreted {
-		p.Interpreted = true
-	}
-	if opts.BatchWidth != 0 {
-		p.BatchWidth = opts.BatchWidth
-	}
 
 	// One flat batch: the three Monte Carlo campaigns plus the two nominal
 	// single-draw extractions, all independent, sharded across the pool.

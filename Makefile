@@ -54,10 +54,14 @@ docs-check: fmt
 # (DESIGN.md §15) — the heterogeneous-mix matrix (1mcf+3gamess,
 # 2mcf+2gamess, 4×random with fast-forward on vs off, plus an
 # experiment-level sweep at workers 1 and 4), the RunFor retirement-ceiling
-# legs, and the flush-boundary twin invariant. Also part of `go test ./...`;
-# called out here so `make check` names the property it guards.
+# legs, and the flush-boundary twin invariant. The integer device clock the
+# skips rest on (DESIGN.md §9) is checked here too: the derived clocks of both
+# standards tick for tick against the float64 accumulator they replaced, the
+# closed-form span against the per-cycle walk, and an on/off identity leg at a
+# 3.3 GHz core (a 4/11 clock). Also part of `go test ./...`; called out here
+# so `make check` names the property it guards.
 ffdiff:
-	go test ./internal/sim -run 'TestFastForwardIdentity|TestDecoupled' -count=1
+	go test ./internal/sim -run 'TestFastForwardIdentity|TestDecoupled|TestDeviceClock' -count=1
 
 # ckdiff proves the compiled circuit-stepping kernel AND the batched
 # K-draw kernel bit-identical to the interpreted reference loop: exact

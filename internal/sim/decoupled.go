@@ -52,12 +52,11 @@ const (
 // Shared state needs no special handling: lagged cores execute nothing, and
 // every classification that reaches the memory system (NeedPortBlocked) is
 // lagged only while the port provably rejects it, so the LLC, queues,
-// controller horizons and the float64 clock accumulator evolve exactly as
-// in the ticked twin. Stale Retired() values cannot flip done(): lag caps
-// keep a lagged core strictly below any RunFor ceiling, and no lagged
-// classification can cross the instruction target (FFState excludes the
-// finishing tick), so a lagged core is never the reason done() would be
-// true.
+// controller horizons and the device clock evolve exactly as in the ticked
+// twin. Stale Retired() values cannot flip done(): lag caps keep a lagged
+// core strictly below any RunFor ceiling, and no lagged classification can
+// cross the instruction target (FFState excludes the finishing tick), so a
+// lagged core is never the reason done() would be true.
 
 // runDecoupled runs a decoupled stretch. It must be entered immediately
 // after a planSkip call that set ffMixed (same CPU cycle, no intervening
@@ -149,12 +148,13 @@ func (s *System) runDecoupled(ctx context.Context, done func() bool, ceilings []
 		// nothing observable can change before the next device tick (queues,
 		// horizons and completions only move inside Controller.Tick), the
 		// next due hit completion, or the earliest lag cap. Jump the CPU
-		// clock over those dead cycles in one step — the joint planner's
-		// exact accumulator walk bounds the jump to cycles carrying zero
-		// device ticks, so the next loop iteration lands exactly where the
-		// per-cycle walk would.
+		// clock over those dead cycles in one step — the device clock's
+		// closed-form span bounds the jump to cycles carrying zero device
+		// ticks, so the next loop iteration lands exactly where the
+		// per-cycle walk would. (A zero-tick span is at most den cycles, so
+		// the ffMaxSpan clamp never shortens it.)
 		if nLagged == len(s.cores) && len(s.pendingWB) == 0 {
-			bound := s.opts.MaxCPUCycles - s.cpuCycle
+			bound := min(s.opts.MaxCPUCycles-s.cpuCycle, ffMaxSpan)
 			for i := range s.cores {
 				if left := s.ffLagCap[i] - s.ffLag[i]; left < bound {
 					bound = left
@@ -165,12 +165,12 @@ func (s *System) runDecoupled(ctx context.Context, done func() bool, ceilings []
 					bound = left
 				}
 			}
-			stride, _, acc := s.walkAccumulator(bound, 0)
+			stride, _ := s.clk.span(bound, 0)
 			if stride > 0 {
 				for i := range s.ffLag {
 					s.ffLag[i] += stride
 				}
-				s.dramAcc = acc
+				s.clk.skip(stride)
 				s.cpuCycle += stride
 				if int64(*ctxCheck) <= stride {
 					*ctxCheck = 0
@@ -188,13 +188,7 @@ func (s *System) runDecoupled(ctx context.Context, done func() bool, ceilings []
 				c.Tick()
 			}
 		}
-		s.dramAcc += s.dramPerCPU
-		for s.dramAcc >= 1 {
-			for _, ctrl := range s.ctrls {
-				ctrl.Tick() // memory completions wake lagged cores via sendFetch's hook
-			}
-			s.dramAcc--
-		}
+		s.clockCycle() // memory completions wake lagged cores via sendFetch's hook
 		// Port-open wakes: a lagged port-blocked core stays valid only while
 		// its cached channel rejects reads; the queue can only have opened
 		// if its dequeue generation moved during the device phase.
@@ -234,8 +228,9 @@ func (s *System) runDecoupled(ctx context.Context, done func() bool, ceilings []
 // jointViable reports whether handing an all-lagged stretch back to the
 // joint planner could plausibly yield a span ≥ ffMinSpan: writebacks
 // drained, no hit completion due inside the span, horizons settled, and
-// enough dead device ticks ahead of the joint horizon to clock the span.
-// Each condition mirrors a bound planSkip applies; false keeps the stretch
+// enough dead device ticks ahead of the joint horizon to clock an ffMinSpan
+// span (the device clock's exact tick count for it, plus one). Each
+// condition mirrors a bound planSkip applies; false keeps the stretch
 // lagging through the busy phase instead of thrashing between planners.
 func (s *System) jointViable() bool {
 	if len(s.pendingWB) > 0 || !s.horizonsSettled() {
@@ -244,8 +239,7 @@ func (s *System) jointViable() bool {
 	if s.hits.Len() > 0 && s.hits.peek().due-s.cpuCycle < ffMinSpan {
 		return false
 	}
-	need := int64(s.dramAcc+float64(ffMinSpan)*s.dramPerCPU) + 1
-	return s.jointHorizon()-s.ctrls[0].Clock() >= need
+	return s.jointHorizon()-s.ctrls[0].Clock() >= s.clk.ticks(ffMinSpan)+1
 }
 
 // tryLag classifies core i and, if the classification is skippable under the

@@ -23,13 +23,13 @@ import (
 //     k CPU cycles stay strictly inside every controller's dead span.
 //
 // Horizons are lower bounds — an underestimate costs real ticks, never
-// correctness — and the CPU:DRAM clock ratio is walked with the exact
-// float64 accumulator operation order of step(), so the device clocks land
-// on the same cycles they would have cycle-by-cycle.
+// correctness — and the span's device ticks come from the integer clock's
+// closed form (clock.go), the same count step() would have ticked through
+// cycle by cycle.
 
 const (
-	// ffMaxSpan bounds one skip so the accumulator walk and bulk updates
-	// stay cheap relative to the span they replace.
+	// ffMaxSpan bounds one skip so the bulk updates stay cheap relative to
+	// the span they replace, and keeps the clock's num·k far from overflow.
 	ffMaxSpan = int64(1) << 20
 	// ffMinSpan is the smallest span worth applying: below it the bulk
 	// updates (SkipTicks observability, epoch-series boundaries) cost about
@@ -68,9 +68,9 @@ func (s *System) runLoop(ctx context.Context, done func() bool, ceilings []uint6
 				// settles it (a few cycles at most) — these steps are free
 				// of planning cost.
 			} else {
-				k, devTicks, accAfter, costly, paced := s.planSkip(ceilings)
+				k, devTicks, costly, paced := s.planSkip(ceilings)
 				if k >= ffMinSpan {
-					s.applySkip(k, devTicks, accAfter)
+					s.applySkip(k, devTicks)
 					if paced {
 						// The span stopped because its next CPU cycle carries
 						// the horizon device tick: the immediate re-attempt is
@@ -136,12 +136,11 @@ func (s *System) portAccepts(i int, addr uint64) bool {
 
 // planSkip determines the longest skippable span from the current state. It
 // returns the CPU-cycle count k (0 if the next cycle must run for real), the
-// number of device ticks the span carries, the accumulator value after it,
-// whether the plan got as far as the controller-horizon recomputation (the
-// expensive stage — runLoop's backoff keys off it), and whether the span was
-// bounded by the controller horizon (paced — the cycle after the span
-// carries the horizon device tick). Core states are left in s.ffStates for
-// applySkip.
+// number of device ticks the span carries, whether the plan got as far as
+// the controller-horizon recomputation (the expensive stage — runLoop's
+// backoff keys off it), and whether the span was bounded by the controller
+// horizon (paced — the cycle after the span carries the horizon device
+// tick). Core states are left in s.ffStates for applySkip.
 //
 // A failed joint plan is no longer all-or-nothing: when at least one core is
 // skippable while another is not, planSkip classifies every core anyway,
@@ -150,10 +149,10 @@ func (s *System) portAccepts(i int, addr uint64) bool {
 // (decoupled.go) instead of stepping everything. ffMixed is reset on entry so
 // the cheap pre-core bails (pending writeback, due hit) never leave a stale
 // mask behind.
-func (s *System) planSkip(ceilings []uint64) (k, devTicks int64, accAfter float64, costly, paced bool) {
+func (s *System) planSkip(ceilings []uint64) (k, devTicks int64, costly, paced bool) {
 	s.ffMixed = false
 	if len(s.pendingWB) > 0 {
-		return 0, 0, 0, false, false
+		return 0, 0, false, false
 	}
 	kCap := s.opts.MaxCPUCycles - s.cpuCycle
 	if kCap > ffMaxSpan {
@@ -162,7 +161,7 @@ func (s *System) planSkip(ceilings []uint64) (k, devTicks int64, accAfter float6
 	if s.hits.Len() > 0 {
 		d := s.hits.peek().due - s.cpuCycle
 		if d <= 0 {
-			return 0, 0, 0, false, false // a hit completion fires on the next step
+			return 0, 0, false, false // a hit completion fires on the next step
 		}
 		if d < kCap {
 			kCap = d
@@ -214,10 +213,10 @@ func (s *System) planSkip(ceilings []uint64) (k, devTicks int64, accAfter float6
 		// Decoupling needs a second core: with one core there is nothing to
 		// keep real while it lags, and the paced path is strictly cheaper.
 		s.ffMixed = lagEligible > 0 && len(s.cores) > 1
-		return 0, 0, 0, false, false
+		return 0, 0, false, false
 	}
 	if kCap < ffMinSpan {
-		return 0, 0, 0, false, false
+		return 0, 0, false, false
 	}
 
 	horizon := s.jointHorizon()
@@ -225,7 +224,7 @@ func (s *System) planSkip(ceilings []uint64) (k, devTicks int64, accAfter float6
 	if maxDev < 0 {
 		maxDev = 0
 	}
-	k, devTicks, accAfter = s.walkAccumulator(kCap, maxDev)
+	k, devTicks = s.clk.span(kCap, maxDev)
 	if k < ffMinSpan && k < kCap {
 		// Horizon-bound failure: every core is skippable but the memory
 		// system is busy. A decoupled stretch lags them all through the
@@ -235,7 +234,7 @@ func (s *System) planSkip(ceilings []uint64) (k, devTicks int64, accAfter float6
 		// core systems stay paced too (same reasoning as the mixed case).
 		s.ffMixed = lagEligible > 0 && len(s.cores) > 1
 	}
-	return k, devTicks, accAfter, true, k < kCap
+	return k, devTicks, true, k < kCap
 }
 
 // jointHorizon returns the minimum NextEventCycle over all channels, cached
@@ -270,34 +269,12 @@ func (s *System) jointHorizon() int64 {
 	return h
 }
 
-// walkAccumulator finds the largest k ≤ kMax whose span carries at most
-// maxDev device ticks, landing the post-span accumulator bit-identically to
-// k real steps: it replays step()'s exact float64 operations cycle by cycle.
-func (s *System) walkAccumulator(kMax, maxDev int64) (k, devTicks int64, accAfter float64) {
-	acc := s.dramAcc
-	per := s.dramPerCPU
-	for k < kMax {
-		a := acc + per
-		t := devTicks
-		for a >= 1 {
-			a--
-			t++
-		}
-		if t > maxDev {
-			break
-		}
-		acc, devTicks = a, t
-		k++
-	}
-	return k, devTicks, acc
-}
-
 // applySkip advances the whole system k CPU cycles at once: epoch-series
 // boundaries are observed exactly where the per-cycle loop would have
 // observed them (with the cumulative retired count that held there), cores
 // bulk-advance per their planned FFState, controllers and devices absorb the
 // span's device ticks, and the clocks move.
-func (s *System) applySkip(k, devTicks int64, accAfter float64) {
+func (s *System) applySkip(k, devTicks int64) {
 	if s.ipcSeries != nil {
 		end := s.cpuCycle + k
 		for i, c := range s.cores {
@@ -332,7 +309,7 @@ func (s *System) applySkip(k, devTicks int64, accAfter float64) {
 			ctrl.SkipTicks(devTicks)
 		}
 	}
-	s.dramAcc = accAfter
+	s.clk.skip(k)
 	s.cpuCycle += k
 	s.ffSkips++
 	s.ffSkipped += k

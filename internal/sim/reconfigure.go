@@ -136,17 +136,11 @@ func (s *System) Reconfigure(to core.Config) (ReconfigureResult, error) {
 }
 
 // stepMemoryOnly advances one CPU cycle with the cores paused (used during
-// stop-the-world migration). The memory clock keeps its 10:3 relation so
+// stop-the-world migration). The device clock advances as in step, so
 // migration cost is measured in CPU cycles.
 func (s *System) stepMemoryOnly() {
 	s.retryWritebacks()
-	s.dramAcc += s.dramPerCPU
-	for s.dramAcc >= 1 {
-		for _, ctrl := range s.ctrls {
-			ctrl.Tick()
-		}
-		s.dramAcc--
-	}
+	s.clockCycle()
 	s.cpuCycle++
 }
 

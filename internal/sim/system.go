@@ -63,9 +63,8 @@ type System struct {
 	rankings   [][]int
 	totalPages int
 
-	cpuCycle   int64
-	dramAcc    float64
-	dramPerCPU float64
+	cpuCycle int64
+	clk      devClock
 
 	// Observability (nil unless Options.CollectStats): the run's registry
 	// and the per-core cumulative-instruction series feeding epoch IPC.
@@ -256,7 +255,7 @@ func NewSystem(profiles []workload.Profile, clr core.Config, opts Options) (*Sys
 		devCfg:     devCfg,
 		rankings:   rankings,
 		totalPages: totalPages,
-		dramPerCPU: (1.0 / opts.CPUClockGHz) / devCfg.ClockNS,
+		clk:        newDevClock((1.0 / opts.CPUClockGHz) / devCfg.ClockNS),
 		reg:        reg,
 	}
 	s.ffGens = make([]uint64, len(ctrls))
@@ -509,13 +508,7 @@ func (s *System) step() {
 	for _, c := range s.cores {
 		c.Tick()
 	}
-	s.dramAcc += s.dramPerCPU
-	for s.dramAcc >= 1 {
-		for _, ctrl := range s.ctrls {
-			ctrl.Tick()
-		}
-		s.dramAcc--
-	}
+	s.clockCycle()
 	s.cpuCycle++
 	if s.ipcSeries != nil {
 		for i, c := range s.cores {

@@ -58,10 +58,16 @@ docs-check: fmt
 # skips rest on (DESIGN.md §9) is checked here too: the derived clocks of both
 # standards tick for tick against the float64 accumulator they replaced, the
 # closed-form span against the per-cycle walk, and an on/off identity leg at a
-# 3.3 GHz core (a 4/11 clock). Also part of `go test ./...`; called out here
-# so `make check` names the property it guards.
+# 3.3 GHz core (a 4/11 clock). TestFastForwardIdentityBackpressure runs a
+# four-core mix on queues small enough that cores block on the memory port,
+# which no fast-forward class covers. The second line checks the controller's
+# half: TestSkipTicksMatchesTickedTwin against a ticked twin, and
+# TestSkipTicksPanicsOutsideDrainFixpoint pins SkipTicks' precondition (a
+# span starts only at a drain fixpoint). Also part of `go test ./...`; called
+# out here so `make check` names the property it guards.
 ffdiff:
 	go test ./internal/sim -run 'TestFastForwardIdentity|TestDecoupled|TestDeviceClock' -count=1
+	go test ./internal/mem -run 'TestSkipTicks' -count=1
 
 # ckdiff proves the compiled circuit-stepping kernel AND the batched
 # K-draw kernel bit-identical to the interpreted reference loop: exact

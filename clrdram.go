@@ -150,8 +150,8 @@ var (
 // Memory-system composition (DESIGN.md §14): the controller's four roles —
 // DRAM standard, command scheduler, row-buffer policy and address mapper —
 // are independently swappable behind small interfaces, resolved by registry
-// name through MemConfig / Options.Standard (or the -scheduler, -rowpolicy,
-// -mapper and -standard CLI flags).
+// name through MemConfig / Options.Standard (or the -scheduler, -rowpolicy
+// and -standard CLI flags).
 type (
 	// MemConfig configures the memory controller, including the Scheduler,
 	// RowPolicy and Mapper registry names (empty strings mean the paper's

@@ -54,7 +54,6 @@ func main() {
 		ffMode   = flag.String("fastforward", "on", "event-driven cycle skipping, on or off (results are bit-identical either way)")
 		schedF   = flag.String("scheduler", "", "memory scheduler: "+strings.Join(mem.SchedulerNames(), "|")+" (default "+mem.DefaultScheduler+")")
 		policyF  = flag.String("rowpolicy", "", "row-buffer policy: "+strings.Join(mem.RowPolicyNames(), "|")+" (default "+mem.DefaultRowPolicy+")")
-		mapperF  = flag.String("mapper", "", "address mapper for raw-address enqueue: "+strings.Join(mem.MapperNames(), "|")+" (default "+mem.DefaultMapper+")")
 		stdF     = flag.String("standard", "", "DRAM standard: "+strings.Join(dram.StandardNames(), "|")+" (default "+dram.DefaultStandard+"; fixed-timing standards require -baseline)")
 	)
 	flag.Parse()
@@ -85,7 +84,6 @@ func main() {
 	opts.CollectStats = *statsF || *statsOut != ""
 	opts.Mem.Scheduler = *schedF
 	opts.Mem.RowPolicy = *policyF
-	opts.Mem.Mapper = *mapperF
 	if *stdF != "" {
 		opts.Standard = *stdF
 		opts.Device = dram.Config{} // let the standard prescribe the device

@@ -76,7 +76,6 @@ func main() {
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file")
 		schedF    = flag.String("scheduler", "", "memory scheduler: "+strings.Join(mem.SchedulerNames(), "|")+" (default "+mem.DefaultScheduler+")")
 		policyF   = flag.String("rowpolicy", "", "row-buffer policy: "+strings.Join(mem.RowPolicyNames(), "|")+" (default "+mem.DefaultRowPolicy+")")
-		mapperF   = flag.String("mapper", "", "address mapper for raw-address enqueue: "+strings.Join(mem.MapperNames(), "|")+" (default "+mem.DefaultMapper+")")
 		stdF      = flag.String("standard", "", "DRAM standard: "+strings.Join(dram.StandardNames(), "|")+" (default "+dram.DefaultStandard+"; fixed-timing standards cannot run CLR sweeps)")
 	)
 	flag.Parse()
@@ -96,7 +95,6 @@ func main() {
 	opts.Progress = progressLine
 	opts.Mem.Scheduler = *schedF
 	opts.Mem.RowPolicy = *policyF
-	opts.Mem.Mapper = *mapperF
 	if *stdF != "" {
 		opts.Standard = *stdF
 		opts.Device = dram.Config{} // let the standard prescribe the device

@@ -23,18 +23,23 @@ package cpu
 // not because the bulk ops become wrong (any k ≤ cap is exact), but because
 // the completion changes loadsInFlight, which the Skip ops fold in as a
 // constant over the span. The stall classes (window-full, MSHR, EOF retire
-// stall, port-blocked) are event-bounded only: they hold until a completion
-// (or, for port-blocked, a read-queue dequeue on the target channel) and
-// CapCycles is unbounded. The drained-EOF no-op holds forever. The sim
-// layer must therefore flush a lagged core BEFORE delivering any completion
-// to it, and a skipped/lagged span may never include a completion.
+// stall) are event-bounded only: they hold until a completion and CapCycles
+// is unbounded. The drained-EOF no-op holds forever. The sim layer must
+// therefore flush a lagged core BEFORE delivering any completion to it, and
+// a skipped/lagged span may never include a completion.
+//
+// No class touches the memory system: a tick that would re-attempt the
+// memory port (a pending load under the MSHR limit, or a pending store)
+// always classifies unskippable and runs for real. The port rejects only
+// when the memory system is saturated, and a stall there ticks through
+// exactly.
 
 // FFState describes whether, and how, the core can be advanced several
 // cycles at once without running Tick.
 type FFState struct {
-	// Skippable reports that — subject to NeedPortBlocked below — every one
-	// of the next cycles repeats the same state transition until an external
-	// event (load completion, span cap) intervenes.
+	// Skippable reports that every one of the next cycles repeats the same
+	// state transition until an external event (load completion, span cap)
+	// intervenes.
 	Skippable bool
 
 	// Burst: the core retires RetireWidth and issues RetireWidth non-memory
@@ -49,20 +54,11 @@ type FFState struct {
 	// bounds how long both hold (bubble run, window space).
 	Fill bool
 
-	// NeedPortBlocked: the pending memory record at Addr is re-attempted
-	// every cycle and the skip is valid only while the memory system keeps
-	// rejecting it. The sim layer verifies the target controller queue is
-	// full (a pure check); if the port would accept, the cycle must run for
-	// real because the LLC access mutates state.
-	NeedPortBlocked bool
-	Addr            uint64
-
 	// Per-skipped-cycle stall counters to bulk-apply (mirrors the n==0
 	// increments in retire/issue).
 	RetireStall bool
 	WindowFull  bool
 	MSHRStall   bool
-	MemBlocked  bool
 }
 
 // FFState classifies the core's next cycle for the fast-forward path. It is
@@ -160,21 +156,15 @@ func (c *Core) FFState() FFState {
 		}
 		return st // next tick reads a trace record or drains retirement
 	}
-	// A memory record is pending; issue re-attempts it every cycle.
-	if !headBlocked && c.count > 0 {
-		return st // retirement progresses
-	}
-	if !c.memRec.Write && c.loadsInFlight >= c.cfg.MSHRs {
-		st.Skippable = true
-		st.RetireStall = headBlocked
-		st.MSHRStall = true
+	// A memory record is pending. Only the MSHR stall repeats without
+	// touching the memory port; any other tick re-attempts the port and
+	// runs for real.
+	if (!headBlocked && c.count > 0) || c.memRec.Write || c.loadsInFlight < c.cfg.MSHRs {
 		return st
 	}
 	st.Skippable = true
 	st.RetireStall = headBlocked
-	st.NeedPortBlocked = true
-	st.Addr = c.memRec.Addr
-	st.MemBlocked = true
+	st.MSHRStall = true
 	return st
 }
 
@@ -190,7 +180,7 @@ const ffUnbounded = int64(1) << 62
 // many further ticks the declared transition repeats before the boundary
 // tick must run for real. Burst and Fill report their MaxCycles; the stall
 // and drained-EOF classes are event-bounded and report ffUnbounded (their
-// windows end only at a completion or port event — see the file comment).
+// windows end only at a completion — see the file comment).
 // Only meaningful when Skippable.
 func (st FFState) CapCycles() int64 {
 	if st.Burst || st.Fill {
@@ -256,9 +246,6 @@ func (c *Core) SkipStalled(k int64, st FFState) {
 	}
 	if st.MSHRStall {
 		c.mshrStalls += ku
-	}
-	if st.MemBlocked {
-		c.memBlocked += ku
 	}
 	c.cycle += k
 }

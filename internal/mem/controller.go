@@ -157,14 +157,8 @@ type Controller struct {
 	ffGen        uint64
 	ffSched      int64 // scheduleHorizon memo, recomputed when dirty or reached
 	ffSchedValid bool
-	// deqGen counts read-queue dequeues. The simulator's decoupled lag path
-	// uses it as the wake hook for port-blocked lagged cores: the read queue
-	// can only open when a read leaves it, so a lagged core's CanEnqueue
-	// re-check is needed only on a generation change — one integer compare
-	// per cycle instead of a queue-length probe per lagged core.
-	deqGen     uint64
-	ffCap      [2]int64 // DeadCycleTrips memo per queue: 0 = read, 1 = write
-	ffCapValid [2]bool
+	ffCap        [2]int64 // DeadCycleTrips memo per queue: 0 = read, 1 = write
+	ffCapValid   [2]bool
 	// Per-bank row-close entries (geometries ≤ 64 banks; see
 	// rowCloseComponent). ffTODirty marks entries to re-derive, ffTOAgg
 	// memoises their minimum, ffTOAll is the all-banks mask.
@@ -612,7 +606,8 @@ func (c *Controller) tickSchedule(now int64) bool {
 // cycle the scheduler can act. In the period-2 oscillating regime (read queue
 // empty, write queue in (0, WriteLow]) candidates issue only on alternating
 // cycles; the memo stays invalid and the planner treats the schedule as
-// imminent, which is safe (horizons may only be underestimates).
+// imminent, which is safe (horizons may only be underestimates). SkipTicks
+// relies on this: a valid memo means the draining flag is at its fixpoint.
 func (c *Controller) publishSched(h int64) {
 	if c.nextDraining(c.draining) != c.draining {
 		return
@@ -643,7 +638,7 @@ func (c *Controller) issueColumn(q *[]*Request, i int, now int64) {
 		c.openRowQueued[bank]--
 	}
 	c.dirtyBank(bank)
-	c.removeAt(q, i)
+	*q = append((*q)[:i], (*q)[i+1:]...) // preserves FCFS age order
 	if req.Write {
 		c.st.WritesServed++
 		if req.OnComplete != nil {
@@ -720,20 +715,6 @@ func (c *Controller) resetStreak(bank int) {
 	}
 	c.hitStreak[bank] = 0
 }
-
-// removeAt removes index i from q preserving order (FCFS age order).
-func (c *Controller) removeAt(q *[]*Request, i int) {
-	if q == &c.readQ {
-		c.deqGen++
-	}
-	*q = append((*q)[:i], (*q)[i+1:]...)
-}
-
-// DequeueGen returns the read-queue dequeue generation: it changes exactly
-// when a read leaves the queue, i.e. the only event that can turn a full
-// read port into an accepting one. A caller watching a full port can cache
-// the generation and skip CanEnqueue until it moves (see struct comment).
-func (c *Controller) DequeueGen() uint64 { return c.deqGen }
 
 // Drained reports whether all queues and in-flight completions are empty.
 func (c *Controller) Drained() bool {

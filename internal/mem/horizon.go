@@ -8,19 +8,25 @@ import (
 // fast-forward path (DESIGN.md §9, §13). NextEventCycle returns a safe lower
 // bound on the first future device cycle at which Tick would do anything
 // other than advance the clock; SkipTicks then replays a span of such dead
-// cycles in bulk, bit-identically to ticking through them — including the
-// write-drain hysteresis settling, FR-FCFS-Cap trip counting, and the
-// per-cycle observability samples.
+// cycles in bulk, bit-identically to ticking through them — FR-FCFS-Cap
+// trip counting and the per-cycle observability samples included.
 //
 // The horizon contract: during a span in which no request arrives and the
 // horizon has not been reached, every piece of state the per-cycle Tick
 // reads is frozen (queues, bank states, timing floors, refresh schedule,
-// hit streaks) except the clock and the draining flag — and the draining
-// flag's trajectory under frozen queue lengths is fully determined (it
-// settles to a fixpoint in one step, or oscillates with period 2 when the
-// read queue is empty and the write queue sits in (0, WriteLow]). Horizons
-// may only ever be UNDERESTIMATES: a too-small horizon costs real ticks, a
-// too-large one would skip an action and diverge.
+// hit streaks, the draining flag) except the clock. Horizons may only ever
+// be UNDERESTIMATES: a too-small horizon costs real ticks, a too-large one
+// would skip an action and diverge.
+//
+// The draining flag is frozen because a horizon ahead of the clock is a
+// settled one (HorizonSettled): either an armed refresh, which suppresses
+// scheduling and with it the hysteresis step, or a schedule memo, which
+// publishSched installs only at a drain fixpoint and which every queue or
+// flag change drops. Under frozen queue lengths a fixpoint stays one, so
+// every skipped cycle scans the same queue. The hysteresis has one other
+// regime — period-2 oscillation while the read queue is empty and the
+// write queue sits in (0, WriteLow] — in which the memo stays invalid and
+// no span can start; SkipTicks panics if asked to start one there.
 //
 // The horizon is maintained INCREMENTALLY: instead of one whole-horizon memo
 // dropped on any state change, each component keeps its own memo and the
@@ -383,74 +389,40 @@ func (c *Controller) deadTripsMemo(write bool) int64 {
 }
 
 // SkipTicks advances the controller and device n cycles at once. The caller
-// (the sim fast-forward path) guarantees the span ends at or before the
-// horizon and that no request arrives within it, so no completion fires and
-// no command issues; what remains is exactly what n calls to Tick would do:
-// settle the draining flag, accumulate the walk's CapTrips for scanned capped
-// hits, record the per-cycle observability samples, and advance the clock.
+// (the sim fast-forward path) guarantees the span starts from a settled
+// horizon, ends at or before it, and receives no request, so no completion
+// fires, no command issues and the draining flag holds (see the file
+// comment); what remains is exactly what n calls to Tick would do:
+// accumulate the walk's CapTrips for scanned capped hits, record the
+// per-cycle observability samples, and advance the clock. It panics if
+// scheduling runs and the drain hysteresis is not at its fixpoint, the one
+// precondition a bulk replay cannot reproduce.
 func (c *Controller) SkipTicks(n int64) {
 	if n <= 0 {
 		return
 	}
-	now := c.dev.Clock()
-	schedRuns := c.refPending == -1
-	var trueCount int64 // cycles whose post-settle draining is true
-	if schedRuns {
-		t1 := c.nextDraining(c.draining)
-		t2 := c.nextDraining(t1)
-		if t1 == t2 {
-			// Fixpoint: settle the flag first so the capped-hit memo
-			// computed below survives the dirtySched of the flip.
-			if c.draining != t1 {
-				c.draining = t1
-				c.dirtySched()
-			}
-			if t1 {
-				trueCount = n
-			}
-			if trips := c.deadTripsMemo(t1); trips > 0 {
-				c.st.CapTrips += uint64(trips) * uint64(n)
-			}
-		} else {
-			// Oscillation: t1 on the 1st, 3rd, ... skipped cycle.
-			d := t2
-			if n%2 == 1 {
-				d = t1
-			}
-			if c.draining != d {
-				c.draining = d
-				c.dirtySched()
-			}
-			if t1 {
-				trueCount = (n + 1) / 2
-			} else {
-				trueCount = n / 2
-			}
-			// The read queue is empty here; the write queue is scanned only
-			// on draining cycles.
-			if trueCount > 0 {
-				if trips := c.deadTripsMemo(true); trips > 0 {
-					c.st.CapTrips += uint64(trips) * uint64(trueCount)
-				}
-			}
+	if c.refPending == -1 {
+		if c.nextDraining(c.draining) != c.draining {
+			panic("mem: SkipTicks outside a drain fixpoint")
+		}
+		if trips := c.deadTripsMemo(c.draining); trips > 0 {
+			c.st.CapTrips += uint64(trips) * uint64(n)
 		}
 	}
 	if c.collect {
-		c.skipObs(n, now, trueCount, schedRuns)
+		c.skipObs(n)
 	}
 	c.dev.AdvanceClock(n)
 }
 
 // skipObs bulk-records what obsTick would have recorded over n skipped
-// cycles starting at device cycle now (issued == false on all of them).
-func (c *Controller) skipObs(n, now, trueCount int64, schedRuns bool) {
+// cycles starting at the current device cycle (issued == false on all of
+// them).
+func (c *Controller) skipObs(n int64) {
+	now := c.dev.Clock()
 	c.obsReadQ.ObserveN(float64(len(c.readQ)), uint64(n))
 	c.obsWriteQ.ObserveN(float64(len(c.writeQ)), uint64(n))
-	if schedRuns {
-		c.obsDrain.Add(uint64(trueCount))
-	} else if c.draining {
-		// A pending refresh skips tickSchedule, so draining stays frozen at
-		// its pre-span value on every cycle.
+	if c.draining {
 		c.obsDrain.Add(uint64(n))
 	}
 	if c.Pending() == 0 {
@@ -461,10 +433,8 @@ func (c *Controller) skipObs(n, now, trueCount int64, schedRuns bool) {
 		c.obsStalls[dram.ConstraintRefresh].Add(uint64(n))
 		return
 	}
-	// Classification queue per obsTick's fallback. In the oscillating
-	// draining regime the read queue is empty, so the fallback lands on the
-	// write queue at both parities and the choice is span-constant; in the
-	// settled regimes c.draining already holds the per-cycle value.
+	// Classification queue per obsTick's fallback; c.draining holds its
+	// per-cycle value over the span.
 	q := c.readQ
 	if c.draining || len(q) == 0 {
 		if len(c.writeQ) > 0 {

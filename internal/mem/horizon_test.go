@@ -165,6 +165,32 @@ func TestSkipTicksMatchesTickedTwin(t *testing.T) {
 	}
 }
 
+// TestSkipTicksPanicsOutsideDrainFixpoint pins SkipTicks' precondition. With
+// the read queue empty and one write queued, the drain hysteresis oscillates
+// with period 2 (draining turns on for the empty read queue and off again
+// for a write queue at or below WriteLow), so no span replay is exact; the
+// memo stays unpublished, NextEventCycle answers "imminent", and a
+// SkipTicks call there must panic rather than diverge.
+func TestSkipTicksPanicsOutsideDrainFixpoint(t *testing.T) {
+	c := newTestController(t, Config{})
+	if !c.Enqueue(&Request{Addr: 0x40, Write: true}) {
+		t.Fatal("write rejected")
+	}
+	if c.draining || len(c.readQ) != 0 || c.nextDraining(c.draining) == c.draining {
+		t.Fatalf("setup is not the period-2 regime: draining=%v readQ=%d writeQ=%d",
+			c.draining, len(c.readQ), len(c.writeQ))
+	}
+	if h := c.NextEventCycle(); h != c.Clock() {
+		t.Errorf("NextEventCycle = %d, want the clock %d (no span may start here)", h, c.Clock())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SkipTicks(1) outside a drain fixpoint did not panic")
+		}
+	}()
+	c.SkipTicks(1)
+}
+
 // TestOpenRowQueuedMatchesScan checks the O(1) timeout-exemption counter
 // against the queue scan it replaced: for every open bank, openRowQueued is
 // nonzero exactly when some queued request targets the open row.

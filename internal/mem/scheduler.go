@@ -20,9 +20,9 @@ type Scheduler interface {
 	Name() string
 
 	// Schedule performs one scheduling attempt over the active queue at the
-	// current cycle. If it issues a command it must remove the finished
-	// request (for column commands) via c.removeAt, perform the usual issue
-	// bookkeeping (the Controller issue helpers do), and return issued=true.
+	// current cycle. If it issues a command it must do so through the
+	// Controller issue helpers (issueColumn also removes the finished
+	// request from q) and return issued=true.
 	// If nothing issues it returns issued=false and the minimum earliest-
 	// issue cycle over every candidate it is willing to serve (ffNever when
 	// no candidate can ever issue under frozen state) — the failed scan's

@@ -204,3 +204,40 @@ func TestCompositionErrorsAtNewSystem(t *testing.T) {
 		t.Errorf("CLR on a fixed-timing standard = %v, want a CLR-capability rejection", err)
 	}
 }
+
+// TestNewSystemRejectsIncompleteDevice checks that a hand-built
+// Options.Device the device model cannot run is a NewSystem error, not a
+// panic: geometry without a clock period (which would also derive the CPU:
+// device clock from an infinite ratio), and a non-positive geometry.
+func TestNewSystemRejectsIncompleteDevice(t *testing.T) {
+	negative := dram.Standard16Gb()
+	negative.BanksPerGroup = -4
+	devices := []struct {
+		name string
+		dev  dram.Config
+	}{
+		{"no-clock", dram.Config{BankGroups: 4, BanksPerGroup: 4, Rows: 1 << 17, Columns: 128}},
+		{"negative-geometry", negative},
+	}
+	for _, d := range devices {
+		for _, clr := range []core.Config{core.Baseline(), core.CLR(0.5)} {
+			mode := "baseline"
+			if clr.Enabled {
+				mode = "clr"
+			}
+			t.Run(d.name+"/"+mode, func(t *testing.T) {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("NewSystem panicked: %v", r)
+					}
+				}()
+				opts := ffDiffOpts()
+				opts.Device = d.dev
+				_, err := NewSystem([]workload.Profile{randomProfile()}, clr, opts)
+				if err == nil || !strings.HasPrefix(err.Error(), "sim: dram: ") {
+					t.Fatalf("NewSystem error = %v, want a sim:-wrapped device config error", err)
+				}
+			})
+		}
+	}
+}

@@ -41,22 +41,18 @@ const (
 //     tick, so the flush lands the local clock one past it, again exactly
 //     the twin's value; the hook lives in sendFetch's OnComplete, before
 //     the LLC fill runs the MSHR waiters);
-//   - a read-queue dequeue on a port-blocked core's cached channel (checked
-//     after the device phase via mem.Controller.DequeueGen — the read queue
-//     only opens when a read leaves it, and reads only leave during device
-//     ticks, so one generation compare per cycle is exact);
 //   - the end of the stretch (every exit path flushes all lags, so the
 //     joint planner, RunFor's stop condition, Reconfigure and
 //     snapshotResult never observe stale core state).
 //
 // Shared state needs no special handling: lagged cores execute nothing, and
-// every classification that reaches the memory system (NeedPortBlocked) is
-// lagged only while the port provably rejects it, so the LLC, queues,
-// controller horizons and the device clock evolve exactly as in the ticked
-// twin. Stale Retired() values cannot flip done(): lag caps keep a lagged
-// core strictly below any RunFor ceiling, and no lagged classification can
-// cross the instruction target (FFState excludes the finishing tick), so a
-// lagged core is never the reason done() would be true.
+// no lag class touches the memory system (a core whose next tick would
+// re-attempt the memory port is unskippable, cpu.FFState), so the LLC,
+// queues, controller horizons and the device clock evolve exactly as in the
+// ticked twin. Stale Retired() values cannot flip done(): lag caps keep a
+// lagged core strictly below any RunFor ceiling, and no lagged
+// classification can cross the instruction target (FFState excludes the
+// finishing tick), so a lagged core is never the reason done() would be true.
 
 // runDecoupled runs a decoupled stretch. It must be entered immediately
 // after a planSkip call that set ffMixed (same CPU cycle, no intervening
@@ -189,22 +185,6 @@ func (s *System) runDecoupled(ctx context.Context, done func() bool, ceilings []
 			}
 		}
 		s.clockCycle() // memory completions wake lagged cores via sendFetch's hook
-		// Port-open wakes: a lagged port-blocked core stays valid only while
-		// its cached channel rejects reads; the queue can only have opened
-		// if its dequeue generation moved during the device phase.
-		for i := range s.cores {
-			if !s.ffLagged[i] || !s.ffStates[i].NeedPortBlocked {
-				continue
-			}
-			ctrl := s.ctrls[s.ffPortCh[i]]
-			if g := ctrl.DequeueGen(); g != s.ffPortGen[i] {
-				if ctrl.CanEnqueue(false) {
-					s.flushLag(i) // real from the next cycle: this cycle's rejected tick is in the lag
-				} else {
-					s.ffPortGen[i] = g
-				}
-			}
-		}
 		s.cpuCycle++
 		if s.ipcSeries != nil {
 			// Lagged cores' epoch boundaries are replayed at flush time;
@@ -243,19 +223,13 @@ func (s *System) jointViable() bool {
 }
 
 // tryLag classifies core i and, if the classification is skippable under the
-// same checks planSkip applies (port verification, cap ≥ 1, RunFor ceiling),
-// starts a lag interval at the current cycle. The captured FFState lives in
-// s.ffStates[i] for the whole interval; flushLag consumes it.
+// same checks planSkip applies (cap ≥ 1, RunFor ceiling), starts a lag
+// interval at the current cycle. The captured FFState lives in s.ffStates[i]
+// for the whole interval; flushLag consumes it.
 func (s *System) tryLag(i int, ceilings []uint64) {
-	c := s.cores[i]
-	st := c.FFState()
+	st := s.cores[i].FFState()
 	if !st.Skippable {
 		return
-	}
-	// Same port verification as planSkip: lag only while the controller
-	// provably rejects the pending record.
-	if st.NeedPortBlocked && s.portAccepts(i, st.Addr) {
-		return // the port would accept: the access must run for real
 	}
 	s.ffStates[i] = st
 	s.beginLag(i, ceilings)
@@ -266,8 +240,7 @@ func (s *System) tryLag(i int, ceilings []uint64) {
 
 // beginLag opens a lag interval for core i from its current classification
 // in s.ffStates[i]: the cap is the classification's own validity bound
-// (cpu.FFState.CapCycles) tightened by any RunFor ceiling, and port-blocked
-// cores snapshot their channel's dequeue generation for the wake check.
+// (cpu.FFState.CapCycles) tightened by any RunFor ceiling.
 func (s *System) beginLag(i int, ceilings []uint64) {
 	c := s.cores[i]
 	st := s.ffStates[i]
@@ -279,9 +252,6 @@ func (s *System) beginLag(i int, ceilings []uint64) {
 			bound = kc
 		}
 	}
-	if st.NeedPortBlocked {
-		s.ffPortGen[i] = s.ctrls[s.ffPortCh[i]].DequeueGen()
-	}
 	s.ffLagged[i] = true
 	s.ffLag[i] = 0
 	s.ffLagCap[i] = bound
@@ -292,8 +262,8 @@ func (s *System) beginLag(i int, ceilings []uint64) {
 // span (same per-boundary retired counts), then the captured classification's
 // bulk-skip operation advances the core. The core's local clock lands where
 // the ticked twin's would be at the interception point — before a hit
-// completion fires, one past the core phase for a memory completion or
-// port-open wake, and on the current cycle at a cap or stretch boundary.
+// completion fires, one past the core phase for a memory completion, and on
+// the current cycle at a cap or stretch boundary.
 func (s *System) flushLag(i int) {
 	k := s.ffLag[i]
 	s.ffLagged[i] = false

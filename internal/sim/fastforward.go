@@ -16,9 +16,8 @@ import (
 //   - no buffered writeback needs retrying (pendingWB empty),
 //   - no LLC-hit completion falls due (k ≤ first due − now),
 //   - every core repeats a classified transition (cpu.FFState): a pure
-//     no-op, a counted stall, or a full-width pure-bubble burst,
-//   - a port-blocked core's target queue stays full (queue lengths are
-//     frozen because nothing enqueues or issues during the span), and
+//     no-op, a counted stall, or a full-width pure-bubble burst — none of
+//     which touches the memory system, so nothing enqueues, and
 //   - no controller reaches its horizon: the device ticks accompanying the
 //     k CPU cycles stay strictly inside every controller's dead span.
 //
@@ -125,15 +124,6 @@ func (s *System) horizonsSettled() bool {
 	return true
 }
 
-// portAccepts translates core i's retried address to its channel, records
-// the channel in ffPortCh[i] for the decoupled wake check, and reports
-// whether that channel's read queue would accept the record now.
-func (s *System) portAccepts(i int, addr uint64) bool {
-	ch, _ := s.mapper.TranslateChannel(s.llc.LineAddr(s.bases[i] + addr))
-	s.ffPortCh[i] = ch
-	return s.ctrls[ch].CanEnqueue(false)
-}
-
 // planSkip determines the longest skippable span from the current state. It
 // returns the CPU-cycle count k (0 if the next cycle must run for real), the
 // number of device ticks the span carries, whether the plan got as far as
@@ -170,14 +160,6 @@ func (s *System) planSkip(ceilings []uint64) (k, devTicks int64, costly, paced b
 	skippable, lagEligible := 0, 0
 	for i, c := range s.cores {
 		st := c.FFState()
-		if st.Skippable && st.NeedPortBlocked {
-			// Valid only while the memory system rejects the pending record.
-			// Both Load and Store gate on the read queue (a store miss
-			// fetches the line), and queue lengths are frozen for the span.
-			if s.portAccepts(i, st.Addr) {
-				st.Skippable = false // the port would accept: the access must run
-			}
-		}
 		s.ffStates[i] = st
 		s.ffCanLag[i] = false
 		if !st.Skippable {

@@ -72,6 +72,24 @@ func runBothWays(t *testing.T, p workload.Profile, clr core.Config, opts Options
 	return *ffOut.Single, *tickedOut.Single
 }
 
+// runMixBothWays runs the same four-core mix with and without fast-forward
+// and returns both results.
+func runMixBothWays(t *testing.T, mix workload.Mix, opts Options) (ff, ticked Result) {
+	t.Helper()
+	on, off := opts, opts
+	on.FastForward = FFOn
+	off.FastForward = FFOff
+	ffOut, err := Run(context.Background(), MixSpec(mix, core.CLR(0.5)), WithOptions(on))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tickedOut, err := Run(context.Background(), MixSpec(mix, core.CLR(0.5)), WithOptions(off))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return *ffOut.Single, *tickedOut.Single
+}
+
 // TestFastForwardIdentityAllProfiles is the tentpole's acceptance test: over
 // the full 71-profile workload set, the event-driven fast-forward path must
 // produce a bit-identical Result and canonical RunReport to the one-cycle
@@ -110,19 +128,42 @@ func TestFastForwardIdentityBaseline(t *testing.T) {
 // bulk skipping, which makes mixes the strongest single differential case.
 func TestFastForwardIdentityMix(t *testing.T) {
 	mix := workload.MixGroups(1, 1)[workload.GroupM][0]
+	ff, ticked := runMixBothWays(t, mix, ffDiffOpts())
+	assertIdenticalResults(t, ff, ticked)
+}
+
+// TestFastForwardIdentityBackpressure runs the clrbench mix4 shape
+// (mcf+lbm+gamess×2) on a memory system small enough to push back: an
+// 8-entry read queue, below the LLC's 64 MSHRs, so the read port fills and
+// Load and Store are rejected; a 2-entry write queue, so dirty victims wait
+// in the writeback buffer; and a 64 KiB LLC, so the misses come. No
+// fast-forward class covers a port-blocked core, which ticks through the
+// stall, so fast-forward on and off must agree bit for bit while cores block.
+func TestFastForwardIdentityBackpressure(t *testing.T) {
+	var mix workload.Mix
+	for i, name := range []string{"429.mcf-like", "470.lbm-like", "416.gamess-like", "416.gamess-like"} {
+		p, ok := workload.ByName(name)
+		if !ok {
+			t.Fatalf("no profile %q", name)
+		}
+		mix.Profiles[i] = p
+	}
+	mix.Name = "backpressure"
 	opts := ffDiffOpts()
-	on, off := opts, opts
-	on.FastForward = FFOn
-	off.FastForward = FFOff
-	ff, err := Run(context.Background(), MixSpec(mix, core.CLR(0.5)), WithOptions(on))
-	if err != nil {
-		t.Fatal(err)
+	opts.TargetInstructions = 30_000
+	opts.Mem.ReadQueueCap = 8
+	opts.Mem.WriteQueueCap, opts.Mem.WriteHigh, opts.Mem.WriteLow = 2, 2, 1
+	opts.LLC.SizeBytes = 64 << 10
+	ff, ticked := runMixBothWays(t, mix, opts)
+	assertIdenticalResults(t, ff, ticked)
+	var blocked uint64
+	for _, c := range ticked.PerCore {
+		blocked += c.MemBlockedCycles
 	}
-	ticked, err := Run(context.Background(), MixSpec(mix, core.CLR(0.5)), WithOptions(off))
-	if err != nil {
-		t.Fatal(err)
+	if blocked == 0 {
+		t.Fatal("no core blocked on the memory port: the configuration exerts no backpressure")
 	}
-	assertIdenticalResults(t, *ff.Single, *ticked.Single)
+	t.Logf("MemBlockedCycles %d", blocked)
 }
 
 // TestFastForwardIdentityFig12CSV checks the exported artifact end to end: a

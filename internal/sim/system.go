@@ -81,10 +81,6 @@ type System struct {
 	ffSkips   int64
 	ffSkipped int64
 
-	// Channel of each port-blocked core's retried address, recorded by
-	// portAccepts for the decoupled stretch's wake check.
-	ffPortCh []int
-
 	// Coalesced joint-horizon cache (jointHorizon): the minimum controller
 	// horizon, valid while every per-channel HorizonGen is unchanged and
 	// the clock sits below it.
@@ -101,14 +97,12 @@ type System struct {
 	// core carries a lag counter instead of ticking while the rest of the
 	// system steps for real. ffStates[i] holds the captured classification
 	// for the whole lag interval; ffLagCap bounds it (CapCycles plus any
-	// RunFor ceiling); ffPortGen is the last-seen read-queue dequeue
-	// generation of a port-blocked core's cached channel. ffAnyLag is the
-	// cheap "is anything lagged" gate the completion hooks check.
+	// RunFor ceiling). ffAnyLag is the cheap "is anything lagged" gate the
+	// completion hooks check.
 	ffCanLag       []bool
 	ffLagged       []bool
 	ffLag          []int64
 	ffLagCap       []int64
-	ffPortGen      []uint64
 	ffRetryAt      []int64
 	ffAnyLag       bool
 	ffMixed        bool
@@ -162,6 +156,12 @@ func NewSystem(profiles []workload.Profile, clr core.Config, opts Options) (*Sys
 	devCfg, refresh, err := clr.Build(opts.Device)
 	if err != nil {
 		return nil, err
+	}
+	// A hand-built Options.Device may lack a clock or carry an impossible
+	// geometry: reject it here, before the clock ratio and the devices are
+	// derived from it.
+	if err := devCfg.Validate(); err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
 	}
 	// Replace the static threshold with a mutable one so the system can be
 	// reconfigured at run time (Reconfigure); the device consults it at
@@ -262,12 +262,10 @@ func NewSystem(profiles []workload.Profile, clr core.Config, opts Options) (*Sys
 
 	s.cores = make([]*cpu.Core, len(profiles))
 	s.ffStates = make([]cpu.FFState, len(profiles))
-	s.ffPortCh = make([]int, len(profiles))
 	s.ffCanLag = make([]bool, len(profiles))
 	s.ffLagged = make([]bool, len(profiles))
 	s.ffLag = make([]int64, len(profiles))
 	s.ffLagCap = make([]int64, len(profiles))
-	s.ffPortGen = make([]uint64, len(profiles))
 	s.ffRetryAt = make([]int64, len(profiles))
 	s.readers = make([]trace.Reader, len(profiles))
 	for i, p := range profiles {

@@ -60,14 +60,21 @@ docs-check: fmt
 # closed-form span against the per-cycle walk, and an on/off identity leg at a
 # 3.3 GHz core (a 4/11 clock). TestFastForwardIdentityBackpressure runs a
 # four-core mix on queues small enough that cores block on the memory port,
-# which no fast-forward class covers. The second line checks the controller's
-# half: TestSkipTicksMatchesTickedTwin against a ticked twin, and
+# which no fast-forward class covers, and TestFastForwardIdentityAcrossReconfigure
+# runs a lagging mix across a stop-the-world migration, after which every
+# core's own clock trails the system clock. The second line checks the
+# controller's half: TestSkipTicksMatchesTickedTwin against a ticked twin,
 # TestSkipTicksPanicsOutsideDrainFixpoint pins SkipTicks' precondition (a
-# span starts only at a drain fixpoint). Also part of `go test ./...`; called
+# span starts only at a drain fixpoint), and the tick oracle
+# (TestHorizonMatchesTicks on the default composition,
+# TestCompositionHorizonNeverOvershoots on every scheduler × row-policy
+# pair) checks every NextEventCycle answer against what the ticked
+# controller then does: no action before a horizon, and in refresh-free
+# runs the first action exactly on it. Also part of `go test ./...`; called
 # out here so `make check` names the property it guards.
 ffdiff:
 	go test ./internal/sim -run 'TestFastForwardIdentity|TestDecoupled|TestDeviceClock' -count=1
-	go test ./internal/mem -run 'TestSkipTicks' -count=1
+	go test ./internal/mem -run 'TestSkipTicks|TestHorizonMatchesTicks|TestCompositionHorizonNeverOvershoots' -count=1
 
 # ckdiff proves the compiled circuit-stepping kernel AND the batched
 # K-draw kernel bit-identical to the interpreted reference loop: exact
@@ -100,7 +107,7 @@ serve-smoke:
 # compdiff is the composable-API identity gate (DESIGN.md §14): the
 # registry-driven construction path must leave the paper's default
 # composition bit-identical — a zero configuration and one with every
-# default registry name (standard, scheduler, row policy, mapper) spelled
+# default registry name (standard, scheduler and row policy) spelled
 # out explicitly produce the same Result, canonical RunReport, and Fig. 12
 # CSV bytes at any worker count — and every scheduler × row-policy pair
 # must stay fast-forward/ticked bit-identical on the four-core mix. The

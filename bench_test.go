@@ -235,23 +235,6 @@ func BenchmarkAblationRowHitCap(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationMappingScheme compares the two address-interleaving
-// policies of §5.1.
-func BenchmarkAblationMappingScheme(b *testing.B) {
-	p := benchProfile("stream_00")
-	for _, scheme := range []mem.Scheme{mem.SchemeRowBankCol, mem.SchemeRowColBank} {
-		b.Run(scheme.String(), func(b *testing.B) {
-			opts := benchOpts()
-			opts.Mem.Scheme = scheme
-			for i := 0; i < b.N; i++ {
-				if _, err := sim.Run(context.Background(), sim.SingleSpec(p, core.Baseline()), sim.WithOptions(opts)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // --- Substrate microbenchmarks ---
 
 func BenchmarkDeviceACTPRECycle(b *testing.B) {
@@ -281,12 +264,17 @@ func BenchmarkControllerTick(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	m, err := mem.NewMapper(cfg, mem.SchemeRowBankCol)
+	if err != nil {
+		b.Fatal(err)
+	}
 	addr := uint64(12345)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		addr = addr*6364136223846793005 + 1442695040888963407
-		ctrl.Enqueue(&mem.Request{Addr: addr % (1 << 30), Write: i%4 == 0})
+		a := addr % (1 << 30)
+		ctrl.EnqueueDecoded(&mem.Request{Addr: a, Write: i%4 == 0}, m.Decode(a))
 		ctrl.Tick()
 	}
 }

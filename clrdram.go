@@ -147,14 +147,15 @@ var (
 	WithFastForward = sim.WithFastForward
 )
 
-// Memory-system composition (DESIGN.md §14): the controller's four roles —
-// DRAM standard, command scheduler, row-buffer policy and address mapper —
-// are independently swappable behind small interfaces, resolved by registry
+// Memory-system composition (DESIGN.md §14): the memory system's three
+// roles — DRAM standard, command scheduler and row-buffer policy — are
+// independently swappable behind small interfaces, resolved by registry
 // name through MemConfig / Options.Standard (or the -scheduler, -rowpolicy
-// and -standard CLI flags).
+// and -standard CLI flags). Pages are placed by the profiling-guided
+// hot-page mapping of §8.1, not by a swappable role.
 type (
-	// MemConfig configures the memory controller, including the Scheduler,
-	// RowPolicy and Mapper registry names (empty strings mean the paper's
+	// MemConfig configures the memory controller, including the Scheduler
+	// and RowPolicy registry names (empty strings mean the paper's
 	// defaults). Set it on Options.Mem.
 	MemConfig = mem.Config
 	// Scheduler picks the next DRAM command for a request queue
@@ -163,18 +164,15 @@ type (
 	// RowPolicy decides when to proactively close open rows
 	// (timeout, open, closed, hitcount).
 	RowPolicy = mem.RowPolicy
-	// AddressMapper translates raw physical addresses to DRAM coordinates.
-	AddressMapper = mem.AddressMapper
 	// Standard is a DRAM standard: device geometry plus its timing package
 	// (ddr4-2400, lpddr4-3200). Select one via Options.Standard.
 	Standard = dram.Standard
 )
 
-// Default registry names for the four composable roles.
+// Default registry names for the three composable roles.
 const (
 	DefaultScheduler = mem.DefaultScheduler
 	DefaultRowPolicy = mem.DefaultRowPolicy
-	DefaultMapper    = mem.DefaultMapper
 	DefaultStandard  = dram.DefaultStandard
 )
 
@@ -182,19 +180,16 @@ const (
 // memory-system roles. The Register* functions extend the registries with
 // custom implementations; the *Names functions list what is registered.
 var (
-	NewScheduler     = mem.NewScheduler
-	NewRowPolicy     = mem.NewRowPolicy
-	NewAddressMapper = mem.NewAddressMapper
-	NewStandard      = dram.NewStandard
+	NewScheduler = mem.NewScheduler
+	NewRowPolicy = mem.NewRowPolicy
+	NewStandard  = dram.NewStandard
 
 	RegisterScheduler = mem.RegisterScheduler
 	RegisterRowPolicy = mem.RegisterRowPolicy
-	RegisterMapper    = mem.RegisterMapper
 	RegisterStandard  = dram.RegisterStandard
 
 	SchedulerNames = mem.SchedulerNames
 	RowPolicyNames = mem.RowPolicyNames
-	MapperNames    = mem.MapperNames
 	StandardNames  = dram.StandardNames
 )
 

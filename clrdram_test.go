@@ -80,10 +80,9 @@ func TestFacadeEndToEnd(t *testing.T) {
 }
 
 func TestFacadeRegistries(t *testing.T) {
-	if len(SchedulerNames()) < 3 || len(RowPolicyNames()) < 4 ||
-		len(MapperNames()) < 2 || len(StandardNames()) < 2 {
-		t.Fatalf("registry catalogues too small: sched=%v policy=%v mapper=%v std=%v",
-			SchedulerNames(), RowPolicyNames(), MapperNames(), StandardNames())
+	if len(SchedulerNames()) < 3 || len(RowPolicyNames()) < 4 || len(StandardNames()) < 2 {
+		t.Fatalf("registry catalogues too small: sched=%v policy=%v std=%v",
+			SchedulerNames(), RowPolicyNames(), StandardNames())
 	}
 	s, err := NewScheduler(DefaultScheduler, MemConfig{})
 	if err != nil || s.Name() != DefaultScheduler {

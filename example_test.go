@@ -111,16 +111,14 @@ func ExampleNewRowModeMap() {
 }
 
 // ExampleSchedulerNames catalogues every selectable implementation of the
-// four composable memory-system roles (DESIGN.md §14).
+// three composable memory-system roles (DESIGN.md §14).
 func ExampleSchedulerNames() {
 	fmt.Println("schedulers: " + strings.Join(clrdram.SchedulerNames(), " "))
 	fmt.Println("row policies: " + strings.Join(clrdram.RowPolicyNames(), " "))
-	fmt.Println("mappers: " + strings.Join(clrdram.MapperNames(), " "))
 	fmt.Println("standards: " + strings.Join(clrdram.StandardNames(), " "))
 	// Output:
 	// schedulers: fcfs frfcfs frfcfs-cap
 	// row policies: closed hitcount open timeout
-	// mappers: row:bg:bank:col row:col:bg:bank
 	// standards: ddr4-2400 lpddr4-3200
 }
 

@@ -42,10 +42,23 @@ func Standard16Gb() Config {
 // Banks returns the flat number of banks in the rank.
 func (c Config) Banks() int { return c.BankGroups * c.BanksPerGroup }
 
-// Validate reports an error for impossible geometry or timing.
+// MaxBanks is the largest rank the device model supports: the open banks
+// and the controller's per-bank horizon entries are tracked as one 64-bit
+// mask. Every registered standard has at most 16 banks.
+const MaxBanks = 64
+
+// ErrTooManyBanks is wrapped by Validate for a rank of more than MaxBanks
+// banks. Match with errors.Is.
+var ErrTooManyBanks = fmt.Errorf("dram: more than %d banks in a rank", MaxBanks)
+
+// Validate reports an error for impossible geometry or timing, and for a
+// rank beyond MaxBanks banks (wrapping ErrTooManyBanks).
 func (c Config) Validate() error {
 	if c.BankGroups <= 0 || c.BanksPerGroup <= 0 || c.Rows <= 0 || c.Columns <= 0 {
 		return fmt.Errorf("dram: non-positive geometry %+v", c)
+	}
+	if n := c.Banks(); n > MaxBanks {
+		return fmt.Errorf("%w: %d (%d groups × %d)", ErrTooManyBanks, n, c.BankGroups, c.BanksPerGroup)
 	}
 	if c.ClockNS <= 0 {
 		return fmt.Errorf("dram: non-positive clock period %v", c.ClockNS)
@@ -100,10 +113,8 @@ type Device struct {
 	refBusyUntil int64 // end of an in-flight REF (tRFC)
 
 	// openMask mirrors banks[i].open as a bitmask (bit i set ⇔ bank i open),
-	// maintained on ACT/PRE/PREA. Only valid for geometries of ≤ 64 banks;
-	// callers must check OpenBankMask's second return. It lets hot read-side
-	// paths (the fast-forward horizon's per-bank scans) iterate only the open
-	// banks instead of the whole rank.
+	// maintained on ACT/PRE/PREA; a rank has at most MaxBanks banks. It
+	// answers "is any bank open" for the refresh path without a bank walk.
 	openMask uint64
 
 	clock int64
@@ -186,12 +197,8 @@ func (d *Device) BankState(bankIdx int) (open bool, row int) {
 }
 
 // OpenBankMask returns the open banks as a bitmask (bit i set ⇔ bank i has
-// an open row). The second return is false when the geometry exceeds 64 banks
-// and the mask is not maintained; callers must then fall back to per-bank
-// BankState queries.
-func (d *Device) OpenBankMask() (uint64, bool) {
-	return d.openMask, len(d.banks) <= 64
-}
+// an open row).
+func (d *Device) OpenBankMask() uint64 { return d.openMask }
 
 // OpenRowIdleSince returns the cycle of the last column access to the open
 // row of a bank (or the ACT cycle if no access has happened yet). It is used

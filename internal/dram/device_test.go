@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"errors"
 	"testing"
 )
 
@@ -285,11 +286,17 @@ func TestPREAClosesAllBanks(t *testing.T) {
 	for _, b := range []int{0, 5, 9} {
 		advanceUntil(t, d, Command{Kind: KindACT, Bank: b, Row: 1})
 	}
+	if m := d.OpenBankMask(); m != 1|1<<5|1<<9 {
+		t.Fatalf("OpenBankMask = %#x with banks 0, 5 and 9 open", m)
+	}
 	preaAt := advanceUntil(t, d, Command{Kind: KindPREA})
 	for _, b := range []int{0, 5, 9} {
 		if open, _ := d.BankState(b); open {
 			t.Fatalf("bank %d still open after PREA", b)
 		}
+	}
+	if m := d.OpenBankMask(); m != 0 {
+		t.Fatalf("OpenBankMask = %#x after PREA", m)
 	}
 	// Subsequent ACT waits tRP from the PREA.
 	actAt := advanceUntil(t, d, Command{Kind: KindACT, Bank: 5, Row: 2})
@@ -348,5 +355,25 @@ func TestEarliestIssueConsistentWithCanIssue(t *testing.T) {
 			}
 		}
 		d.Tick()
+	}
+}
+
+// TestValidateRejectsTooManyBanks pins the MaxBanks limit: Validate accepts
+// a 64-bank rank, rejects 65 banks with an error wrapping ErrTooManyBanks,
+// and DeriveConfig returns the same sentinel for a 128-bank table.
+func TestValidateRejectsTooManyBanks(t *testing.T) {
+	cfg := testConfig()
+	cfg.BankGroups, cfg.BanksPerGroup = 4, 16
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("64 banks: %v", err)
+	}
+	cfg.BankGroups, cfg.BanksPerGroup = 5, 13
+	if err := cfg.Validate(); !errors.Is(err, ErrTooManyBanks) {
+		t.Fatalf("65 banks: error = %v, want wrapping ErrTooManyBanks", err)
+	}
+	params := lpddr4Params()
+	params[paramBankGroups], params[paramBanksPerGroup] = 8, 16
+	if _, err := DeriveConfig(params); !errors.Is(err, ErrTooManyBanks) {
+		t.Fatalf("DeriveConfig with 128 banks: error = %v, want wrapping ErrTooManyBanks", err)
 	}
 }

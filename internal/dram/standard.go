@@ -9,9 +9,9 @@ import (
 
 // A Standard bundles what a DRAM timing specification prescribes for the
 // device model: the rank geometry, the clock, and (for fixed-timing
-// standards) the ModeDefault timing set. It is the first of the four
-// swappable memory-system roles (standard, scheduler, row policy, address
-// mapper); the other three live in internal/mem.
+// standards) the ModeDefault timing set. It is the first of the three
+// swappable memory-system roles (standard, scheduler, row policy); the
+// other two live in internal/mem.
 //
 // Two kinds of standard exist:
 //

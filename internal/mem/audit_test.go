@@ -201,7 +201,7 @@ func auditRandomCLRTraffic(t *testing.T, sched, policy string) {
 				Write:      rng.Intn(4) == 0,
 				OnComplete: func(int64) { completed++ },
 			}
-			if c.Enqueue(req) {
+			if enqueue(c, req) {
 				issued++
 			}
 		}
@@ -240,7 +240,7 @@ func TestAuditBaselineTraffic(t *testing.T) {
 					Write:      rng.Intn(3) == 0,
 					OnComplete: func(int64) { completed++ },
 				}
-				if c.Enqueue(req) {
+				if enqueue(c, req) {
 					issued++
 				}
 			}

@@ -29,7 +29,6 @@ func TestConfigValidationTypedErrors(t *testing.T) {
 		{"negative hit limit", Config{MaxRowHits: -3}, "MaxRowHits", ErrRowHitCapInvalid},
 		{"unknown scheduler", Config{Scheduler: "bliss"}, "Scheduler", ErrUnknownScheduler},
 		{"unknown row policy", Config{RowPolicy: "adaptive"}, "RowPolicy", ErrUnknownRowPolicy},
-		{"unknown mapper", Config{Mapper: "xor-fold"}, "Mapper", ErrUnknownMapper},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -62,26 +61,29 @@ func TestRegistryResolvesEveryName(t *testing.T) {
 			t.Errorf("NewRowPolicy(%q) = %v, %v", n, p, err)
 		}
 	}
-	for _, n := range MapperNames() {
-		m, err := NewAddressMapper(n, dev, Config{})
-		if err != nil || m.Name() != n {
-			t.Errorf("NewAddressMapper(%q) = %v, %v", n, m, err)
-		}
-	}
 }
 
 func TestDefaultCompositionResolution(t *testing.T) {
 	c := newTestController(t, Config{})
-	want := fmt.Sprintf("scheduler=%s rowpolicy=%s mapper=%s",
-		DefaultScheduler, DefaultRowPolicy, DefaultMapper)
+	want := fmt.Sprintf("scheduler=%s rowpolicy=%s", DefaultScheduler, DefaultRowPolicy)
 	if got := c.Composition(); got != want {
 		t.Fatalf("zero-config composition = %q, want %q", got, want)
 	}
-	// Scheme-based configuration keeps its mapper when Mapper is unset.
-	c2 := newTestController(t, Config{Scheme: SchemeRowColBank})
-	if got := c2.Mapper().Name(); got != SchemeRowColBank.String() {
-		t.Fatalf("Scheme back-compat mapper = %q, want %q", got, SchemeRowColBank.String())
+}
+
+// compositionConfig is the matrix configuration of one scheduler ×
+// row-policy pair: a hit limit low enough for hitcount to trip, and two
+// postponing refresh streams unless refresh is false.
+func compositionConfig(sched, policy string, refresh bool) Config {
+	cfg := Config{Scheduler: sched, RowPolicy: policy, MaxRowHits: 6}
+	if refresh {
+		cfg.MaxPostponedRefresh = 2
+		cfg.Refresh = []RefreshStream{
+			{Mode: dram.ModeDefault, Interval: 900},
+			{Mode: dram.ModeHighPerf, Interval: 1700},
+		}
 	}
+	return cfg
 }
 
 // TestCompositionSkipVsTickedTwin runs the skip-vs-ticked differential of
@@ -90,26 +92,8 @@ func TestDefaultCompositionResolution(t *testing.T) {
 // must match the per-cycle twin completion-for-completion and
 // counter-for-counter.
 func TestCompositionSkipVsTickedTwin(t *testing.T) {
-	type arrival struct {
-		cycle int64
-		req   Request
-	}
-	var schedule []arrival
-	state := uint64(0x51a7b2c90ddc0ffe)
-	cycle := int64(0)
-	for len(schedule) < 260 {
-		state = state*6364136223846793005 + 1442695040888963407
-		burst := int(state%8) + 1
-		for i := 0; i < burst && len(schedule) < 260; i++ {
-			schedule = append(schedule, arrival{cycle: cycle, req: *horizonTrafficStep(&state)})
-			if state%3 == 0 {
-				cycle++
-			}
-		}
-		state = state*6364136223846793005 + 1442695040888963407
-		cycle += int64(state % 1800)
-	}
-	end := cycle + 4_000
+	schedule, last := burstySchedule(260, 1800)
+	end := last + 4_000
 
 	type completion struct {
 		ID    int
@@ -124,7 +108,7 @@ func TestCompositionSkipVsTickedTwin(t *testing.T) {
 				req := schedule[next].req
 				id := next
 				req.OnComplete = func(at int64) { done = append(done, completion{id, at}) }
-				c.Enqueue(&req)
+				enqueue(c, &req)
 				next++
 			}
 			if skip {
@@ -150,16 +134,7 @@ func TestCompositionSkipVsTickedTwin(t *testing.T) {
 			sched, policy := sched, policy
 			t.Run(sched+"/"+policy, func(t *testing.T) {
 				t.Parallel()
-				cfg := Config{
-					Scheduler:           sched,
-					RowPolicy:           policy,
-					MaxRowHits:          6, // low enough for hitcount to trip
-					MaxPostponedRefresh: 2,
-					Refresh: []RefreshStream{
-						{Mode: dram.ModeDefault, Interval: 900},
-						{Mode: dram.ModeHighPerf, Interval: 1700},
-					},
-				}
+				cfg := compositionConfig(sched, policy, true)
 				tickedDone, tickedStats, tickedClock := run(t, cfg, false)
 				if len(tickedDone) == 0 {
 					t.Fatal("weak reference run: no completions")
@@ -179,26 +154,25 @@ func TestCompositionSkipVsTickedTwin(t *testing.T) {
 	}
 }
 
-// TestCompositionHorizonNeverOvershoots drives every pair through the
-// incremental-vs-oracle check of TestHorizonMatchesFullRescan: the memoised
-// horizon must never exceed the mutation-free full rescan.
+// TestCompositionHorizonNeverOvershoots runs the tick oracle of
+// horizon_test.go (checkHorizonTicks) over every scheduler × row-policy
+// pair: refresh-free, where every horizon must also be tight, and with the
+// matrix's two postponing refresh streams, where it must never overshoot
+// what the ticks do.
 func TestCompositionHorizonNeverOvershoots(t *testing.T) {
+	schedule, last := burstySchedule(600, 2600)
 	for _, sched := range SchedulerNames() {
 		for _, policy := range RowPolicyNames() {
 			sched, policy := sched, policy
 			t.Run(sched+"/"+policy, func(t *testing.T) {
 				t.Parallel()
-				c := newTestController(t, Config{Scheduler: sched, RowPolicy: policy, MaxRowHits: 6})
-				state := uint64(0x9e3779b97f4a7c15)
-				for cycle := 0; cycle < 6_000; cycle++ {
-					if cycle%3 == 0 {
-						c.Enqueue(horizonTrafficStep(&state))
+				for _, refresh := range []bool{false, true} {
+					c := newTestController(t, compositionConfig(sched, policy, refresh))
+					tally := checkHorizonTicks(t, c, schedule, last+5_000, !refresh)
+					t.Logf("refresh %v: %+v over %d cycles", refresh, tally, c.Clock())
+					if tally.dead == 0 || (!refresh && tally.met == 0) {
+						t.Fatalf("weak run (refresh %v): %+v", refresh, tally)
 					}
-					now := c.Clock()
-					if h, oracle := c.NextEventCycle(), c.fullRescanHorizon(now); h > oracle {
-						t.Fatalf("cycle %d: incremental horizon %d exceeds oracle %d", now, h, oracle)
-					}
-					c.Tick()
 				}
 			})
 		}

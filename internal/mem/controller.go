@@ -10,7 +10,7 @@ import (
 
 // Request is one cache-line memory transaction submitted to the controller.
 type Request struct {
-	Addr  uint64 // physical byte address
+	Addr  uint64 // physical byte address, for the submitter (scheduling reads the decoded one)
 	Write bool
 	Core  int // issuing core, for per-core statistics
 
@@ -29,9 +29,9 @@ type Request struct {
 // Config parameterises the controller. Zero values select the paper's
 // Table 2 configuration where a default exists; in particular the empty
 // role names resolve to the default composition (DefaultScheduler,
-// DefaultRowPolicy, the mapper named by Scheme). NewController validates
-// the resolved configuration and rejects bad values with typed errors
-// (*ConfigError wrapping the sentinel categories in errors.go).
+// DefaultRowPolicy). NewController validates the resolved configuration
+// and rejects bad values with typed errors (*ConfigError wrapping the
+// sentinel categories in errors.go).
 type Config struct {
 	ReadQueueCap  int     // default 64
 	WriteQueueCap int     // default 64
@@ -40,15 +40,12 @@ type Config struct {
 	MaxRowHits    int     // hitcount policy's forced-close hit limit, default 16
 	WriteHigh     int     // write drain start watermark, default 3/4 of cap
 	WriteLow      int     // write drain stop watermark, default 1/4 of cap
-	Scheme        Scheme
 
 	// Registry names for the controller's swappable roles (registry.go).
 	// Empty strings select the defaults; unknown names are rejected at
-	// NewController time. Mapper defaults to the name of Scheme, so
-	// Scheme-based configurations keep selecting their interleaving.
+	// NewController time.
 	Scheduler string
 	RowPolicy string
-	Mapper    string
 
 	// MaxPostponedRefresh enables DDR4 refresh postponement: a due REF may
 	// be deferred while requests are pending, up to this many intervals
@@ -111,10 +108,10 @@ type Stats struct {
 }
 
 // Controller owns a single-rank DRAM device and schedules requests onto it.
-// Its composition — which Scheduler picks commands, which RowPolicy closes
-// rows, which AddressMapper decodes raw addresses — is resolved from Config
-// through the registries at construction (see registry.go and
-// Composition()).
+// Its composition — which Scheduler picks commands and which RowPolicy
+// closes rows — is resolved from Config through the registries at
+// construction (see registry.go and Composition()). Requests arrive decoded
+// to DRAM coordinates (EnqueueDecoded).
 type Controller struct {
 	dev *Device
 	cfg Config
@@ -144,8 +141,6 @@ type Controller struct {
 
 	completions completionHeap
 
-	mapper AddressMapper
-
 	st Stats
 
 	// Incrementally maintained fast-forward horizon components (horizon.go).
@@ -155,21 +150,18 @@ type Controller struct {
 	// ffGen counts dirtying events so the simulator can cache a joint
 	// horizon across controllers (HorizonGen).
 	ffGen        uint64
-	ffSched      int64 // scheduleHorizon memo, recomputed when dirty or reached
+	ffSched      int64 // schedule-component memo: a failed scan's candidate minimum (publishSched)
 	ffSchedValid bool
 	ffCap        [2]int64 // DeadCycleTrips memo per queue: 0 = read, 1 = write
 	ffCapValid   [2]bool
-	// Per-bank row-close entries (geometries ≤ 64 banks; see
-	// rowCloseComponent). ffTODirty marks entries to re-derive, ffTOAgg
-	// memoises their minimum, ffTOAll is the all-banks mask.
+	// Per-bank row-close entries (see rowCloseComponent; a rank has at
+	// most dram.MaxBanks banks). ffTODirty marks entries to re-derive,
+	// ffTOAgg memoises their minimum, ffTOAll is the all-banks mask.
 	ffBankTO  []int64
 	ffTODirty uint64
 	ffTOAll   uint64
 	ffTOAgg   int64
 	ffTOAggOK bool
-	// Whole-scan fallback memo for geometries beyond 64 banks.
-	ffTimeout      int64
-	ffTimeoutValid bool
 
 	// Observability (nil handles when Config.Metrics is nil; see obsTick).
 	collect   bool
@@ -187,8 +179,8 @@ type Device = dram.Device
 
 // NewController builds a controller over dev: it fills Config defaults,
 // validates the result (typed *ConfigError rejections instead of silent
-// clamping), and resolves the scheduler, row policy and address mapper
-// through the registries.
+// clamping), and resolves the scheduler and row policy through the
+// registries.
 func NewController(dev *dram.Device, cfg Config) (*Controller, error) {
 	if cfg.ReadQueueCap == 0 {
 		cfg.ReadQueueCap = 64
@@ -248,16 +240,10 @@ func NewController(dev *dram.Device, cfg Config) (*Controller, error) {
 		}
 		c.refNext[i] = s.Interval
 	}
-	if banks := dev.Config().Banks(); banks <= 64 {
-		c.ffBankTO = make([]int64, banks)
-		c.ffTOAll = ^uint64(0) >> (64 - uint(banks))
-		c.ffTODirty = c.ffTOAll
-	}
-	m, err := NewAddressMapper(cfg.Mapper, dev.Config(), cfg)
-	if err != nil {
-		return nil, err
-	}
-	c.mapper = m
+	banks := dev.NumBanks()
+	c.ffBankTO = make([]int64, banks)
+	c.ffTOAll = ^uint64(0) >> (64 - uint(banks))
+	c.ffTODirty = c.ffTOAll
 	if cfg.Metrics != nil {
 		c.collect = true
 		reg := cfg.Metrics
@@ -276,15 +262,11 @@ func NewController(dev *dram.Device, cfg Config) (*Controller, error) {
 	return c, nil
 }
 
-// Mapper returns the controller's address mapper.
-func (c *Controller) Mapper() AddressMapper { return c.mapper }
-
 // Composition returns the canonical description of the controller's
 // resolved composition — the byte-for-byte string the default-composition
 // golden test pins.
 func (c *Controller) Composition() string {
-	return fmt.Sprintf("scheduler=%s rowpolicy=%s mapper=%s",
-		c.sched.Name(), c.policy.Name(), c.mapper.Name())
+	return fmt.Sprintf("scheduler=%s rowpolicy=%s", c.sched.Name(), c.policy.Name())
 }
 
 // Device returns the controller's DRAM device. Callers must treat it as
@@ -332,18 +314,6 @@ func (c *Controller) CanEnqueue(write bool) bool {
 	return len(c.readQ) < c.cfg.ReadQueueCap
 }
 
-// Enqueue submits a request; it returns false if the target queue is full
-// (the caller must retry later — this is the backpressure the core model
-// sees as MSHR stalls).
-func (c *Controller) Enqueue(req *Request) bool {
-	if !c.CanEnqueue(req.Write) {
-		return false
-	}
-	req.decoded = c.mapper.Decode(req.Addr)
-	c.admit(req)
-	return true
-}
-
 // noteEnqueued maintains the open-row request count for a newly queued
 // request.
 func (c *Controller) noteEnqueued(req *Request) {
@@ -369,20 +339,16 @@ func (c *Controller) recountOpenRow(bank, row int) {
 	c.openRowQueued[bank] = n
 }
 
-// EnqueueDecoded is Enqueue for callers that already hold a decoded address
-// (the system simulator decodes once through its page mapping layer).
+// EnqueueDecoded submits a request whose address the caller has already
+// decoded to DRAM coordinates (the system simulator decodes once through
+// its page mapping layer). It returns false if the target queue is full
+// (the caller must retry later — this is the backpressure the core model
+// sees as MSHR stalls).
 func (c *Controller) EnqueueDecoded(req *Request, da Address) bool {
 	if !c.CanEnqueue(req.Write) {
 		return false
 	}
 	req.decoded = da
-	c.admit(req)
-	return true
-}
-
-// admit appends a decoded request to its queue and maintains the horizon
-// bookkeeping.
-func (c *Controller) admit(req *Request) {
 	req.enqueuedAt = c.dev.Clock()
 	if req.Write {
 		c.writeQ = append(c.writeQ, req)
@@ -391,6 +357,7 @@ func (c *Controller) admit(req *Request) {
 	}
 	c.noteEnqueued(req)
 	c.dirtyBank(req.decoded.Bank)
+	return true
 }
 
 // Tick advances the controller and device by one device cycle: it fires due
@@ -508,19 +475,11 @@ func (c *Controller) tickRefresh(now int64) bool {
 		return false
 	}
 	// Precharge the whole rank in one command if any bank is open.
-	anyOpen := false
-	banks := c.dev.NumBanks()
-	for b := 0; b < banks; b++ {
-		if open, _ := c.dev.BankState(b); open {
-			anyOpen = true
-			break
-		}
-	}
-	if anyOpen {
+	if c.dev.OpenBankMask() != 0 {
 		prea := dram.Command{Kind: dram.KindPREA}
 		if c.dev.CanIssue(prea) {
 			c.dev.Issue(prea)
-			for b := 0; b < banks; b++ {
+			for b := range c.dev.NumBanks() {
 				c.resetStreak(b)
 				c.openRowQueued[b] = 0
 			}
@@ -542,8 +501,8 @@ func (c *Controller) tickRefresh(now int64) bool {
 }
 
 // activeQueue selects read or write queue per the drain policy. A flip
-// dirties the schedule memo: scheduleHorizon's scanned-queue choice and
-// oscillation parity both hang off the draining flag.
+// dirties the schedule memo: the published floors belong to the queue the
+// failed scan walked.
 func (c *Controller) activeQueue() *[]*Request {
 	was := c.draining
 	if c.draining {

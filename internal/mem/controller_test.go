@@ -16,6 +16,21 @@ func newTestController(t *testing.T, cfg Config) *Controller {
 	return c
 }
 
+// testMapper decodes the raw addresses of unit traffic: the default
+// interleaving over smallCfg's geometry, which every test device shares.
+var testMapper = func() *Mapper {
+	m, err := NewMapper(smallCfg(), SchemeRowBankCol)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}()
+
+// enqueue submits req decoded through testMapper.
+func enqueue(c *Controller, req *Request) bool {
+	return c.EnqueueDecoded(req, testMapper.Decode(req.Addr))
+}
+
 // runUntil ticks the controller until pred is true or the cycle budget is
 // exhausted.
 func runUntil(t *testing.T, c *Controller, budget int, pred func() bool) {
@@ -33,7 +48,7 @@ func TestReadCompletes(t *testing.T) {
 	c := newTestController(t, Config{})
 	var doneAt int64 = -1
 	req := &Request{Addr: 0x1000, OnComplete: func(cy int64) { doneAt = cy }}
-	if !c.Enqueue(req) {
+	if !enqueue(c, req) {
 		t.Fatal("enqueue failed on empty controller")
 	}
 	runUntil(t, c, 10000, func() bool { return doneAt >= 0 })
@@ -52,7 +67,7 @@ func TestWriteCompletesAtIssue(t *testing.T) {
 	c := newTestController(t, Config{})
 	done := false
 	req := &Request{Addr: 0x2000, Write: true, OnComplete: func(int64) { done = true }}
-	c.Enqueue(req)
+	enqueue(c, req)
 	runUntil(t, c, 10000, func() bool { return done })
 	if c.Stats().WritesServed != 1 {
 		t.Fatal("write not counted")
@@ -64,12 +79,12 @@ func TestRowHitClassification(t *testing.T) {
 	done := 0
 	cb := func(int64) { done++ }
 	// Two reads to the same row: second should be a row hit.
-	c.Enqueue(&Request{Addr: 0x0, OnComplete: cb})
-	c.Enqueue(&Request{Addr: 0x40, OnComplete: cb})
+	enqueue(c, &Request{Addr: 0x0, OnComplete: cb})
+	enqueue(c, &Request{Addr: 0x40, OnComplete: cb})
 	// One read to a different row of the same bank: conflict after timeout
 	// or explicit precharge; since it queues immediately, it is a conflict.
-	other := c.Mapper().Encode(Address{Bank: 0, Row: 7, Column: 0})
-	c.Enqueue(&Request{Addr: other, OnComplete: cb})
+	other := testMapper.Encode(Address{Bank: 0, Row: 7, Column: 0})
+	enqueue(c, &Request{Addr: other, OnComplete: cb})
 	runUntil(t, c, 100000, func() bool { return done == 3 })
 	st := c.Stats().RowBuffer
 	if st.Misses != 1 || st.Hits != 1 || st.Conflicts != 1 {
@@ -83,17 +98,17 @@ func TestFRFCFSPrefersRowHits(t *testing.T) {
 	mk := func(id int, addr uint64) *Request {
 		return &Request{Addr: addr, OnComplete: func(int64) { order = append(order, id) }}
 	}
-	m := c.Mapper()
+	m := testMapper
 	rowA0 := m.Encode(Address{Bank: 0, Row: 0, Column: 0})
 	rowA1 := m.Encode(Address{Bank: 0, Row: 0, Column: 5})
 	rowB := m.Encode(Address{Bank: 0, Row: 9, Column: 0})
 
 	// Open row 0 first.
-	c.Enqueue(mk(0, rowA0))
+	enqueue(c, mk(0, rowA0))
 	runUntil(t, c, 10000, func() bool { return len(order) == 1 })
 	// Now enqueue a conflicting request (older) and then a row hit (newer).
-	c.Enqueue(mk(1, rowB))
-	c.Enqueue(mk(2, rowA1))
+	enqueue(c, mk(1, rowB))
+	enqueue(c, mk(2, rowA1))
 	runUntil(t, c, 100000, func() bool { return len(order) == 3 })
 	if order[1] != 2 || order[2] != 1 {
 		t.Fatalf("service order = %v, want row hit (2) before conflict (1)", order)
@@ -108,16 +123,16 @@ func TestRowHitCapPreventsStarvation(t *testing.T) {
 	mk := func(id int, addr uint64) *Request {
 		return &Request{Addr: addr, OnComplete: func(int64) { order = append(order, id) }}
 	}
-	m := c.Mapper()
+	m := testMapper
 	open := m.Encode(Address{Bank: 0, Row: 0, Column: 0})
-	c.Enqueue(mk(0, open))
+	enqueue(c, mk(0, open))
 	runUntil(t, c, 10000, func() bool { return len(order) == 1 })
 
 	conflict := m.Encode(Address{Bank: 0, Row: 3, Column: 0})
-	c.Enqueue(mk(100, conflict))
+	enqueue(c, mk(100, conflict))
 	// Keep a hit stream coming; cap should let only ~2 more hits pass.
 	for i := 0; i < 6; i++ {
-		c.Enqueue(mk(i+1, m.Encode(Address{Bank: 0, Row: 0, Column: i + 1})))
+		enqueue(c, mk(i+1, m.Encode(Address{Bank: 0, Row: 0, Column: i + 1})))
 	}
 	runUntil(t, c, 200000, func() bool { return len(order) == 8 })
 	pos := -1
@@ -135,7 +150,7 @@ func TestWriteDrainWatermarks(t *testing.T) {
 	c := newTestController(t, Config{WriteQueueCap: 8, WriteHigh: 4, WriteLow: 1})
 	writesDone := 0
 	for i := 0; i < 4; i++ {
-		c.Enqueue(&Request{Addr: uint64(i) * 64, Write: true, OnComplete: func(int64) { writesDone++ }})
+		enqueue(c, &Request{Addr: uint64(i) * 64, Write: true, OnComplete: func(int64) { writesDone++ }})
 	}
 	runUntil(t, c, 100000, func() bool { return writesDone >= 3 })
 }
@@ -143,12 +158,12 @@ func TestWriteDrainWatermarks(t *testing.T) {
 func TestReadsPreferredOverWritesBelowWatermark(t *testing.T) {
 	c := newTestController(t, Config{WriteQueueCap: 64})
 	var first string
-	c.Enqueue(&Request{Addr: 0x40000, Write: true, OnComplete: func(int64) {
+	enqueue(c, &Request{Addr: 0x40000, Write: true, OnComplete: func(int64) {
 		if first == "" {
 			first = "write"
 		}
 	}})
-	c.Enqueue(&Request{Addr: 0x0, OnComplete: func(int64) {
+	enqueue(c, &Request{Addr: 0x0, OnComplete: func(int64) {
 		if first == "" {
 			first = "read"
 		}
@@ -162,7 +177,7 @@ func TestReadsPreferredOverWritesBelowWatermark(t *testing.T) {
 func TestTimeoutRowPolicy(t *testing.T) {
 	c := newTestController(t, Config{RowTimeoutNS: 120})
 	done := false
-	c.Enqueue(&Request{Addr: 0, OnComplete: func(int64) { done = true }})
+	enqueue(c, &Request{Addr: 0, OnComplete: func(int64) { done = true }})
 	runUntil(t, c, 10000, func() bool { return done })
 	// No further requests: the open row must close after ~120 ns.
 	runUntil(t, c, 10000, func() bool {
@@ -184,7 +199,7 @@ func TestRefreshIssued(t *testing.T) {
 	// Refresh must also work with an open row: enqueue a read, let the row
 	// stay open, refresh must still get through.
 	done := false
-	c.Enqueue(&Request{Addr: 0, OnComplete: func(int64) { done = true }})
+	enqueue(c, &Request{Addr: 0, OnComplete: func(int64) { done = true }})
 	runUntil(t, c, 20000, func() bool { return done })
 	before := c.Stats().Refreshes
 	runUntil(t, c, 30000, func() bool { return c.Stats().Refreshes > before })
@@ -223,10 +238,10 @@ func TestStandardRefreshStreams(t *testing.T) {
 
 func TestQueueBackpressure(t *testing.T) {
 	c := newTestController(t, Config{ReadQueueCap: 2})
-	if !c.Enqueue(&Request{Addr: 0}) || !c.Enqueue(&Request{Addr: 64}) {
+	if !enqueue(c, &Request{Addr: 0}) || !enqueue(c, &Request{Addr: 64}) {
 		t.Fatal("first two enqueues should succeed")
 	}
-	if c.Enqueue(&Request{Addr: 128}) {
+	if enqueue(c, &Request{Addr: 128}) {
 		t.Fatal("third enqueue should fail: queue full")
 	}
 	if c.CanEnqueue(false) {
@@ -243,7 +258,7 @@ func TestDrained(t *testing.T) {
 		t.Fatal("new controller should be drained")
 	}
 	done := false
-	c.Enqueue(&Request{Addr: 0, OnComplete: func(int64) { done = true }})
+	enqueue(c, &Request{Addr: 0, OnComplete: func(int64) { done = true }})
 	if c.Drained() {
 		t.Fatal("controller with queued request is not drained")
 	}
@@ -264,7 +279,7 @@ func TestManyRandomRequestsAllComplete(t *testing.T) {
 		if issued < n {
 			addr = addr*6364136223846793005 + 1442695040888963407
 			req := &Request{Addr: addr % (1 << 28), Write: issued%4 == 3, OnComplete: cb}
-			if c.Enqueue(req) {
+			if enqueue(c, req) {
 				issued++
 			}
 		}
@@ -301,7 +316,7 @@ func TestRefreshPostponementDefersDuringTraffic(t *testing.T) {
 			// Constant traffic stream.
 			if cycle%3 == 0 {
 				addr = addr*6364136223846793005 + 1442695040888963407
-				c.Enqueue(&Request{Addr: addr % (1 << 26), OnComplete: func(int64) { *served++ }})
+				enqueue(c, &Request{Addr: addr % (1 << 26), OnComplete: func(int64) { *served++ }})
 			}
 			if firstRefAt == 0 && c.Stats().Refreshes > 0 {
 				firstRefAt = c.Clock()
@@ -339,8 +354,8 @@ func TestPREAUsedForRefresh(t *testing.T) {
 	})
 	done := 0
 	for i := 0; i < 12; i++ {
-		addr := c.Mapper().Encode(Address{Bank: i % 16, Row: i, Column: 0})
-		c.Enqueue(&Request{Addr: addr, OnComplete: func(int64) { done++ }})
+		addr := testMapper.Encode(Address{Bank: i % 16, Row: i, Column: 0})
+		enqueue(c, &Request{Addr: addr, OnComplete: func(int64) { done++ }})
 	}
 	runUntil(t, c, 100000, func() bool { return done == 12 && c.Stats().Refreshes >= 2 })
 }

@@ -13,8 +13,6 @@ var (
 	ErrUnknownScheduler = errors.New("unknown scheduler")
 	// ErrUnknownRowPolicy: Config.RowPolicy names no registered row policy.
 	ErrUnknownRowPolicy = errors.New("unknown row policy")
-	// ErrUnknownMapper: Config.Mapper names no registered address mapper.
-	ErrUnknownMapper = errors.New("unknown address mapper")
 	// ErrWatermarksInverted: WriteLow >= WriteHigh after defaulting — the
 	// drain hysteresis would never disengage.
 	ErrWatermarksInverted = errors.New("write watermarks inverted")

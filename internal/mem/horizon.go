@@ -50,8 +50,9 @@ const ffNever = int64(1) << 62
 
 // NextEventCycle assembles the horizon from its per-component memos,
 // recomputing only components that were dirtied or reached. The returned
-// cycle may be at or before the device clock only when an event is due
-// immediately (the caller then takes a real tick).
+// cycle is never before the device clock; it equals the clock when an
+// action may be imminent — an event is due, or the schedule memo is
+// unsettled — and the caller then takes a real tick.
 func (c *Controller) NextEventCycle() int64 {
 	now := c.dev.Clock()
 	h := ffNever
@@ -66,19 +67,7 @@ func (c *Controller) NextEventCycle() int64 {
 		// the only scheduler-side action left is its PREA (if any bank is
 		// open) or the REF itself. EarliestIssue during tRFC returns a lower
 		// bound, which is fine: the recompute after the skip sees the floors.
-		anyOpen := false
-		if m, ok := c.dev.OpenBankMask(); ok {
-			anyOpen = m != 0
-		} else {
-			banks := c.dev.NumBanks()
-			for b := 0; b < banks; b++ {
-				if open, _ := c.dev.BankState(b); open {
-					anyOpen = true
-					break
-				}
-			}
-		}
-		if anyOpen {
+		if c.dev.OpenBankMask() != 0 {
 			h = min(h, c.dev.EarliestIssue(dram.Command{Kind: dram.KindPREA}))
 		} else {
 			ref := dram.Command{Kind: dram.KindREF, Mode: c.cfg.Refresh[c.refPending].Mode}
@@ -135,7 +124,7 @@ func (c *Controller) HorizonGen() uint64 { return c.ffGen }
 // lookup the horizon was computed from).
 func (c *Controller) InvalidateHorizon() { c.dirtyAllHorizon() }
 
-// dirtySched invalidates the schedule-dependent memos: the scheduleHorizon
+// dirtySched invalidates the schedule-dependent memos: the schedule
 // component and the capped-hit counts SkipTicks replays. Event sites call it
 // (via dirtyBank) on anything that moves queues, streaks, timing floors, or
 // the draining flag.
@@ -152,23 +141,16 @@ func (c *Controller) dirtySched() {
 // horizon maintenance O(1)-ish per event instead of O(banks × queue).
 func (c *Controller) dirtyBank(b int) {
 	c.dirtySched()
-	if c.ffBankTO != nil {
-		c.ffTODirty |= 1 << uint(b)
-		c.ffTOAggOK = false
-	} else {
-		c.ffTimeoutValid = false
-	}
+	c.ffTODirty |= 1 << uint(b)
+	c.ffTOAggOK = false
 }
 
 // dirtyAllHorizon invalidates every component: rank-wide events (PREA, REF,
 // refresh retiming, external reconfiguration) can move any bank's floors.
 func (c *Controller) dirtyAllHorizon() {
 	c.dirtySched()
-	if c.ffBankTO != nil {
-		c.ffTODirty = c.ffTOAll
-		c.ffTOAggOK = false
-	}
-	c.ffTimeoutValid = false
+	c.ffTODirty = c.ffTOAll
+	c.ffTOAggOK = false
 }
 
 // refArmCycle returns the first cycle ≥ now at which tickRefresh would arm
@@ -229,48 +211,6 @@ func (c *Controller) schedComponent(now int64) int64 {
 	return c.ffSched
 }
 
-// scheduleHorizon returns the first cycle at which tickSchedule could issue
-// a command, accounting for which queue the write-drain hysteresis lets it
-// scan on each cycle of the frozen span.
-func (c *Controller) scheduleHorizon(now int64) int64 {
-	t1 := c.nextDraining(c.draining)
-	t2 := c.nextDraining(t1)
-	h := ffNever
-	if t1 == t2 {
-		// Fixpoint: the same queue is scanned every cycle.
-		q := c.readQ
-		if t1 {
-			q = c.writeQ
-		}
-		for i, req := range q {
-			h = min(h, c.sched.CandidateIssue(c, q, i, req))
-			if h <= now {
-				return h // the caller clamps to now; no later candidate matters
-			}
-		}
-		return h
-	}
-	// Oscillation (read queue empty, write queue in (0, WriteLow]): the
-	// write queue is scanned only on cycles whose settled draining value is
-	// true — t1 at even offsets from now, t2 at odd — so a candidate whose
-	// floor expires on a read-scan cycle issues one cycle later.
-	for i, req := range c.writeQ {
-		e := max(c.sched.CandidateIssue(c, c.writeQ, i, req), now)
-		if e >= ffNever {
-			continue
-		}
-		scanned := t1
-		if (e-now)%2 == 1 {
-			scanned = t2
-		}
-		if !scanned {
-			e++
-		}
-		h = min(h, e)
-	}
-	return h
-}
-
 // rowCloseComponent serves the policy-initiated row-close component from
 // the per-bank entry table: entry b memoises the cycle tickRowClose could
 // close bank b's row (RowPolicy.BankCloseCycle — ffNever when the policy
@@ -279,15 +219,6 @@ func (c *Controller) scheduleHorizon(now int64) int64 {
 // underestimate (see the file comment). The common case — clean table,
 // aggregate ahead of the clock — is two compares.
 func (c *Controller) rowCloseComponent(now int64) int64 {
-	if c.ffBankTO == nil {
-		// Geometries beyond 64 banks: whole-scan memo, dropped on any
-		// bank event.
-		if !c.ffTimeoutValid {
-			c.ffTimeout = c.rowCloseHorizonSlow()
-			c.ffTimeoutValid = true
-		}
-		return c.ffTimeout
-	}
 	if c.ffTOAggOK && c.ffTOAgg > now {
 		return c.ffTOAgg
 	}
@@ -304,62 +235,6 @@ func (c *Controller) rowCloseComponent(now int64) int64 {
 	c.ffTOAgg = h
 	c.ffTOAggOK = true
 	return h
-}
-
-// rowCloseHorizonSlow is the table-free whole scan for geometries beyond 64
-// banks.
-func (c *Controller) rowCloseHorizonSlow() int64 {
-	h := ffNever
-	banks := c.dev.NumBanks()
-	for b := 0; b < banks; b++ {
-		h = min(h, c.policy.BankCloseCycle(c, b))
-	}
-	return h
-}
-
-// fullRescanHorizon recomputes the horizon from scratch, bypassing every
-// memo, and mutates nothing. It is the test oracle for the incremental path:
-// NextEventCycle must never exceed it, and must equal it whenever the
-// incremental answer is strictly ahead of the clock (see horizon tests).
-func (c *Controller) fullRescanHorizon(now int64) int64 {
-	h := ffNever
-	if c.completions.Len() > 0 {
-		h = c.completions.Peek().cycle
-		if h <= now {
-			return now
-		}
-	}
-	if c.refPending != -1 {
-		anyOpen := false
-		banks := c.dev.NumBanks()
-		for b := 0; b < banks; b++ {
-			if open, _ := c.dev.BankState(b); open {
-				anyOpen = true
-				break
-			}
-		}
-		if anyOpen {
-			h = min(h, c.dev.EarliestIssue(dram.Command{Kind: dram.KindPREA}))
-		} else {
-			ref := dram.Command{Kind: dram.KindREF, Mode: c.cfg.Refresh[c.refPending].Mode}
-			h = min(h, c.dev.EarliestIssue(ref))
-		}
-		h = min(h, c.rowCloseHorizonSlow())
-		return max(h, now)
-	}
-	pending := c.Pending() > 0
-	for i := range c.refNext {
-		h = min(h, c.refArmCycle(i, now, pending))
-	}
-	if h <= now {
-		return now
-	}
-	h = min(h, c.rowCloseHorizonSlow())
-	if h <= now {
-		return now
-	}
-	h = min(h, c.scheduleHorizon(now))
-	return max(h, now)
 }
 
 // nextDraining applies one step of activeQueue's hysteresis under the

@@ -1,9 +1,12 @@
 // Package mem implements the memory controller of the evaluated system
 // (paper Table 2): FR-FCFS-Cap scheduling, a 120 ns timeout-based open-row
-// policy, 64-entry read/write queues with write draining, configurable
-// physical-to-DRAM address interleaving (paper §5.1), and a heterogeneous
-// refresh engine that issues distinct refresh streams for max-capacity and
-// high-performance rows (paper §5.2).
+// policy, 64-entry read/write queues with write draining, and a
+// heterogeneous refresh engine that issues distinct refresh streams for
+// max-capacity and high-performance rows (paper §5.2). The controller
+// takes requests already decoded to DRAM coordinates (EnqueueDecoded): the
+// system simulator places pages with its profiling-guided mapping
+// (internal/core.PageMapper). Mapper models the two physical-address
+// interleavings of paper §5.1 and their reconfiguration granularity.
 package mem
 
 import (
@@ -51,27 +54,6 @@ type Address struct {
 	Column int
 }
 
-// An AddressMapper translates physical byte addresses into DRAM coordinates
-// on the controller's raw-address path (Enqueue). It governs exactly what
-// Scheme governed before it: library users and unit traffic that submit
-// physical addresses. The system simulator decodes through its own
-// profiling-guided page mapping (internal/core.PageMapper) and calls
-// EnqueueDecoded, bypassing this mapper by design.
-//
-// Decode must wrap out-of-capacity addresses rather than fail, and Encode
-// must invert Decode for in-capacity addresses. RowsPerPage and
-// PagesPerRowSet report the CLR-DRAM reconfiguration granularity the
-// interleaving implies (§5.1).
-type AddressMapper interface {
-	// Name returns the registry name, e.g. "row:bg:bank:col".
-	Name() string
-	Decode(addr uint64) Address
-	Encode(da Address) uint64
-	Capacity() uint64
-	RowsPerPage() int
-	PagesPerRowSet() int
-}
-
 // Mapper translates physical byte addresses into DRAM coordinates for a
 // single-channel, single-rank system.
 type Mapper struct {
@@ -106,9 +88,6 @@ func NewMapper(cfg dram.Config, scheme Scheme) (*Mapper, error) {
 		rows:     cfg.Rows,
 	}, nil
 }
-
-// Name returns the canonical scheme name (the mapper registry key).
-func (m *Mapper) Name() string { return m.scheme.String() }
 
 // lineBits is log2 of the 64-byte cache line size.
 const lineBits = 6

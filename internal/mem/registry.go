@@ -7,12 +7,11 @@ import (
 	"clrdram/internal/dram"
 )
 
-// Registry-based construction for the controller's three swappable roles
-// (the fourth, the DRAM standard, has its registry in internal/dram).
-// NewController resolves Config.Scheduler/RowPolicy/Mapper names through
-// these registries; the name constants below are what the empty string
-// resolves to, preserving the paper's Table 2 composition as the zero-value
-// default. Built-in implementations register here in init — by design the
+// Registry-based construction for the controller's two swappable roles
+// (the third, the DRAM standard, has its registry in internal/dram).
+// NewController resolves Config.Scheduler/RowPolicy names through these
+// registries; the name constants below are what the empty string resolves
+// to, preserving the paper's Table 2 composition as the zero-value default. Built-in implementations register here in init — by design the
 // only non-test construction site for the concrete types, which the
 // registry-construction lint (lint_test.go) enforces.
 
@@ -20,7 +19,6 @@ import (
 const (
 	DefaultScheduler = "frfcfs-cap"
 	DefaultRowPolicy = "timeout"
-	DefaultMapper    = "row:bg:bank:col"
 )
 
 // SchedulerFactory builds a scheduler for a controller configuration.
@@ -30,13 +28,9 @@ type SchedulerFactory func(cfg Config) (Scheduler, error)
 // configuration (policies need the clock to convert ns thresholds).
 type RowPolicyFactory func(dev dram.Config, cfg Config) (RowPolicy, error)
 
-// MapperFactory builds an address mapper for a device geometry.
-type MapperFactory func(dev dram.Config, cfg Config) (AddressMapper, error)
-
 var (
 	schedulers  = map[string]SchedulerFactory{}
 	rowPolicies = map[string]RowPolicyFactory{}
-	mappers     = map[string]MapperFactory{}
 )
 
 func register[F any](kind string, m map[string]F, name string, f F) {
@@ -57,10 +51,6 @@ func RegisterScheduler(name string, f SchedulerFactory) { register("Scheduler", 
 // RegisterRowPolicy adds a row-policy factory under name (panics like
 // RegisterScheduler).
 func RegisterRowPolicy(name string, f RowPolicyFactory) { register("RowPolicy", rowPolicies, name, f) }
-
-// RegisterMapper adds an address-mapper factory under name (panics like
-// RegisterScheduler).
-func RegisterMapper(name string, f MapperFactory) { register("Mapper", mappers, name, f) }
 
 // NewScheduler resolves a scheduler registry name ("" = DefaultScheduler).
 // Unknown names return a *ConfigError wrapping ErrUnknownScheduler.
@@ -90,21 +80,6 @@ func NewRowPolicy(name string, dev dram.Config, cfg Config) (RowPolicy, error) {
 	return f(dev, cfg)
 }
 
-// NewAddressMapper resolves a mapper registry name ("" = the name of
-// cfg.Scheme, so existing Scheme-based configurations keep working).
-// Unknown names return a *ConfigError wrapping ErrUnknownMapper.
-func NewAddressMapper(name string, dev dram.Config, cfg Config) (AddressMapper, error) {
-	if name == "" {
-		name = cfg.Scheme.String()
-	}
-	f, ok := mappers[name]
-	if !ok {
-		return nil, &ConfigError{Field: "Mapper", Err: ErrUnknownMapper,
-			Detail: fmt.Sprintf("%q, have %v", name, MapperNames())}
-	}
-	return f(dev, cfg)
-}
-
 func names[F any](m map[string]F) []string {
 	out := make([]string, 0, len(m))
 	for n := range m {
@@ -119,9 +94,6 @@ func SchedulerNames() []string { return names(schedulers) }
 
 // RowPolicyNames returns the registered row-policy names, sorted.
 func RowPolicyNames() []string { return names(rowPolicies) }
-
-// MapperNames returns the registered address-mapper names, sorted.
-func MapperNames() []string { return names(mappers) }
 
 func init() {
 	RegisterScheduler(DefaultScheduler, func(Config) (Scheduler, error) { return frfcfsCap{}, nil })
@@ -140,13 +112,4 @@ func init() {
 	RegisterRowPolicy("hitcount", func(dev dram.Config, cfg Config) (RowPolicy, error) {
 		return newHitCountPolicy(dev, cfg), nil
 	})
-
-	// The two interleavings of mapper.go, registered under their canonical
-	// scheme names.
-	for _, scheme := range []Scheme{SchemeRowBankCol, SchemeRowColBank} {
-		scheme := scheme
-		RegisterMapper(scheme.String(), func(dev dram.Config, _ Config) (AddressMapper, error) {
-			return NewMapper(dev, scheme)
-		})
-	}
 }

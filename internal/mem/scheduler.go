@@ -11,10 +11,10 @@ import (
 // which keeps a scheduler swap free of migration concerns and lets one
 // instance serve many controllers.
 //
-// The horizon hooks (CandidateIssue, DeadCycleTrips) are what lets the
-// fast-forward machinery stay exact for every registered scheduler instead
-// of being gated to the default one; see horizon.go's file comment for the
-// underestimate-only contract they must honor.
+// Schedule's failed-scan floor and DeadCycleTrips are the horizon hooks: they
+// let the fast-forward machinery stay exact for every registered scheduler
+// instead of being gated to the default one; see horizon.go's file comment
+// for the underestimate-only contract they must honor.
 type Scheduler interface {
 	// Name returns the registry name, e.g. "frfcfs-cap".
 	Name() string
@@ -26,16 +26,10 @@ type Scheduler interface {
 	// If nothing issues it returns issued=false and the minimum earliest-
 	// issue cycle over every candidate it is willing to serve (ffNever when
 	// no candidate can ever issue under frozen state) — the failed scan's
-	// byproduct that publishSched installs as the schedule horizon.
+	// byproduct that publishSched installs as the schedule horizon. With
+	// all state frozen but the clock, no scan before that cycle may issue:
+	// the floor must never exceed the first cycle Schedule would act.
 	Schedule(c *Controller, q *[]*Request, now int64) (issued bool, minNext int64)
-
-	// CandidateIssue returns the earliest cycle the scheduler could issue a
-	// command for q[i] with all controller and device state frozen, or
-	// ffNever when the scheduler withholds the request until some other
-	// event intervenes (a dirtying event that drops the memo). It must never
-	// return a cycle later than Schedule would act on the request — horizons
-	// may only be underestimates.
-	CandidateIssue(c *Controller, q []*Request, i int, req *Request) int64
 
 	// DeadCycleTrips returns the scheduler's per-cycle stat side effect on a
 	// cycle whose scan is known to fail (every candidate floor in the
@@ -111,15 +105,6 @@ func (c *Controller) frfcfsWalk(q *[]*Request, now int64, capped bool) (bool, in
 	return true, now
 }
 
-func (frfcfsCap) CandidateIssue(c *Controller, q []*Request, i int, req *Request) int64 {
-	open, row := c.dev.BankState(req.decoded.Bank)
-	if open && row == req.decoded.Row &&
-		c.hitStreak[req.decoded.Bank] >= c.cfg.RowHitCap && c.olderConflictExists(q, i) {
-		return ffNever
-	}
-	return c.commandFloorState(req, open, row)
-}
-
 // DeadCycleTrips counts the row hits in q that the walk skips with a
 // CapTrips increment: streak at the cap with an older conflicting request
 // waiting.
@@ -154,10 +139,6 @@ func (frfcfs) Schedule(c *Controller, q *[]*Request, now int64) (bool, int64) {
 	return c.frfcfsWalk(q, now, false)
 }
 
-func (frfcfs) CandidateIssue(c *Controller, q []*Request, i int, req *Request) int64 {
-	return c.commandFloor(req)
-}
-
 func (frfcfs) DeadCycleTrips(*Controller, []*Request) int64 { return 0 }
 
 // fcfs serves strictly in arrival order: only the oldest request of the
@@ -176,30 +157,13 @@ func (fcfs) Schedule(c *Controller, q *[]*Request, now int64) (bool, int64) {
 	return true, now
 }
 
-func (fcfs) CandidateIssue(c *Controller, q []*Request, i int, req *Request) int64 {
-	if i > 0 {
-		return ffNever // only the head can issue; a head change dirties the memo
-	}
-	return c.commandFloor(req)
-}
-
 func (fcfs) DeadCycleTrips(*Controller, []*Request) int64 { return 0 }
 
 // commandFloor returns the earliest cycle the command req needs next could
-// issue under frozen device state, with no scheduler-specific withholding
-// applied. Scheduler CandidateIssue implementations layer their own
-// withholding (cap, strict ordering) on top of it.
+// issue under frozen device state: its column access, the PRE of a
+// conflicting open row, or the ACT of a closed bank.
 func (c *Controller) commandFloor(req *Request) int64 {
-	open, row := c.dev.BankState(req.decoded.Bank)
-	return c.commandFloorState(req, open, row)
-}
-
-// commandFloorState is commandFloor with the bank state already looked up —
-// for CandidateIssue implementations that need the state for their own
-// withholding check and must not pay a second BankState per candidate (the
-// horizon rescan runs this once per queued request).
-func (c *Controller) commandFloorState(req *Request, open bool, row int) int64 {
-	switch {
+	switch open, row := c.dev.BankState(req.decoded.Bank); {
 	case open && row == req.decoded.Row:
 		return c.dev.ColumnFloor(req.decoded.Bank, row, req.Write)
 	case open:

@@ -67,10 +67,6 @@ func (p twoPass) Schedule(c *Controller, q *[]*Request, now int64) (bool, int64)
 	return false, minNext
 }
 
-func (p twoPass) CandidateIssue(c *Controller, q []*Request, i int, req *Request) int64 {
-	return p.prod().CandidateIssue(c, q, i, req)
-}
-
 func (p twoPass) DeadCycleTrips(c *Controller, q []*Request) int64 {
 	return p.prod().DeadCycleTrips(c, q)
 }
@@ -188,7 +184,7 @@ func runWalkLockstep(t testing.TB, wc walkCase) Stats {
 					tw := tw
 					req, n := *r, id
 					req.OnComplete = func(at int64) { tw.done = append(tw.done, loggedCompletion{n, at}) }
-					if !tw.c.Enqueue(&req) {
+					if !enqueue(tw.c, &req) {
 						t.Fatalf("cycle %d: twins disagree on admission", cycle)
 					}
 				}

@@ -30,7 +30,6 @@ func TestDefaultCompositionUnchanged(t *testing.T) {
 	explicit.Standard = dram.DefaultStandard
 	explicit.Mem.Scheduler = mem.DefaultScheduler
 	explicit.Mem.RowPolicy = mem.DefaultRowPolicy
-	explicit.Mem.Mapper = mem.DefaultMapper
 
 	out, err := Run(context.Background(), SingleSpec(p, core.CLR(0.5)), WithOptions(ffDiffOpts()))
 	if err != nil {
@@ -67,7 +66,6 @@ func TestDefaultCompositionFig12CSVIdentity(t *testing.T) {
 			o.Standard = dram.DefaultStandard
 			o.Mem.Scheduler = mem.DefaultScheduler
 			o.Mem.RowPolicy = mem.DefaultRowPolicy
-			o.Mem.Mapper = mem.DefaultMapper
 		}
 		res, err := RunFig12(profiles, o)
 		if err != nil {
@@ -192,9 +190,6 @@ func TestCompositionErrorsAtNewSystem(t *testing.T) {
 	if err := newSys(func(o *Options) { o.Mem.RowPolicy = "adaptive" }); !errors.Is(err, mem.ErrUnknownRowPolicy) {
 		t.Errorf("unknown row policy error = %v, want ErrUnknownRowPolicy", err)
 	}
-	if err := newSys(func(o *Options) { o.Mem.Mapper = "xor-fold" }); !errors.Is(err, mem.ErrUnknownMapper) {
-		t.Errorf("unknown mapper error = %v, want ErrUnknownMapper", err)
-	}
 
 	opts := ffDiffOpts()
 	opts.Standard = "lpddr4-3200"
@@ -208,16 +203,22 @@ func TestCompositionErrorsAtNewSystem(t *testing.T) {
 // TestNewSystemRejectsIncompleteDevice checks that a hand-built
 // Options.Device the device model cannot run is a NewSystem error, not a
 // panic: geometry without a clock period (which would also derive the CPU:
-// device clock from an infinite ratio), and a non-positive geometry.
+// device clock from an infinite ratio), a non-positive geometry, and a rank
+// of 8 groups × 16 banks, beyond dram.MaxBanks (wrapping
+// dram.ErrTooManyBanks).
 func TestNewSystemRejectsIncompleteDevice(t *testing.T) {
 	negative := dram.Standard16Gb()
 	negative.BanksPerGroup = -4
+	wide := dram.Standard16Gb()
+	wide.BankGroups, wide.BanksPerGroup = 8, 16
 	devices := []struct {
 		name string
 		dev  dram.Config
+		want error // a sentinel the error must wrap, if any
 	}{
-		{"no-clock", dram.Config{BankGroups: 4, BanksPerGroup: 4, Rows: 1 << 17, Columns: 128}},
-		{"negative-geometry", negative},
+		{"no-clock", dram.Config{BankGroups: 4, BanksPerGroup: 4, Rows: 1 << 17, Columns: 128}, nil},
+		{"negative-geometry", negative, nil},
+		{"too-many-banks", wide, dram.ErrTooManyBanks},
 	}
 	for _, d := range devices {
 		for _, clr := range []core.Config{core.Baseline(), core.CLR(0.5)} {
@@ -236,6 +237,9 @@ func TestNewSystemRejectsIncompleteDevice(t *testing.T) {
 				_, err := NewSystem([]workload.Profile{randomProfile()}, clr, opts)
 				if err == nil || !strings.HasPrefix(err.Error(), "sim: dram: ") {
 					t.Fatalf("NewSystem error = %v, want a sim:-wrapped device config error", err)
+				}
+				if d.want != nil && !errors.Is(err, d.want) {
+					t.Fatalf("NewSystem error = %v, want wrapping %v", err, d.want)
 				}
 			})
 		}

@@ -242,28 +242,20 @@ func (s *System) tryLag(i int, ceilings []uint64) {
 // in s.ffStates[i]: the cap is the classification's own validity bound
 // (cpu.FFState.CapCycles) tightened by any RunFor ceiling.
 func (s *System) beginLag(i int, ceilings []uint64) {
-	c := s.cores[i]
-	st := s.ffStates[i]
-	bound := st.CapCycles()
-	if st.Burst && ceilings != nil && c.Retired() < ceilings[i] {
-		// Never let a lag cross a RunFor ceiling: the per-cycle loop
-		// re-evaluates its stop condition every cycle (planSkip's bound).
-		if kc := int64((ceilings[i] - 1 - c.Retired()) / uint64(c.RetireWidth())); kc < bound {
-			bound = kc
-		}
+	bound := s.ffStates[i].CapCycles()
+	if kc, ok := s.ceilingHeadroom(i, ceilings); ok {
+		bound = min(bound, kc)
 	}
 	s.ffLagged[i] = true
 	s.ffLag[i] = 0
 	s.ffLagCap[i] = bound
 }
 
-// flushLag applies core i's accumulated lag: epoch-series boundaries inside
-// the interval are replayed exactly as applySkip replays them for a joint
-// span (same per-boundary retired counts), then the captured classification's
-// bulk-skip operation advances the core. The core's local clock lands where
-// the ticked twin's would be at the interception point — before a hit
-// completion fires, one past the core phase for a memory completion, and on
-// the current cycle at a cap or stretch boundary.
+// flushLag applies core i's accumulated lag through advanceCore, the bulk
+// advance a joint span uses (same per-boundary retired counts). The core's
+// local clock lands where the ticked twin's would be at the interception
+// point — before a hit completion fires, one past the core phase for a
+// memory completion, and on the current cycle at a cap or stretch boundary.
 func (s *System) flushLag(i int) {
 	k := s.ffLag[i]
 	s.ffLagged[i] = false
@@ -271,29 +263,7 @@ func (s *System) flushLag(i int) {
 	if k == 0 {
 		return
 	}
-	c := s.cores[i]
-	st := s.ffStates[i]
-	if s.ipcSeries != nil {
-		series := s.ipcSeries[i]
-		start := c.Cycle()
-		end := start + k
-		r0 := c.Retired()
-		for nb := series.NextBoundary(); nb <= end; nb = series.NextBoundary() {
-			r := r0
-			if st.Burst {
-				r += uint64(nb-start) * uint64(c.RetireWidth())
-			}
-			series.Observe(nb, float64(r))
-		}
-	}
-	switch {
-	case st.Burst:
-		c.SkipBurst(k)
-	case st.Fill:
-		c.SkipFill(k)
-	default:
-		c.SkipStalled(k, st)
-	}
+	s.advanceCore(i, k)
 	s.ffLagFlushes++
 	s.ffLaggedCycles += k
 	if s.ffOnFlush != nil {

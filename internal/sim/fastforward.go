@@ -172,19 +172,12 @@ func (s *System) planSkip(ceilings []uint64) (k, devTicks int64, costly, paced b
 				kCap = st.MaxCycles
 			}
 		}
-		if st.Burst {
-			if ceilings != nil && c.Retired() < ceilings[i] {
-				// Never cross a RunFor ceiling mid-skip: the per-cycle loop
-				// re-evaluates its stop condition every cycle.
-				kc := int64((ceilings[i] - 1 - c.Retired()) / uint64(c.RetireWidth()))
-				if kc < kCap {
-					kCap = kc
-				}
-				// A zero ceiling headroom means the very next tick's retire
-				// group crosses: the core is skippable by class but not
-				// lag-eligible (decoupled stretches must make progress).
-				eligible = kc >= 1
-			}
+		if kc, ok := s.ceilingHeadroom(i, ceilings); ok {
+			kCap = min(kCap, kc)
+			// A zero ceiling headroom means the very next tick's retire
+			// group crosses: the core is skippable by class but not
+			// lag-eligible (decoupled stretches must make progress).
+			eligible = kc >= 1
 		}
 		s.ffCanLag[i] = eligible
 		if eligible {
@@ -251,40 +244,25 @@ func (s *System) jointHorizon() int64 {
 	return h
 }
 
-// applySkip advances the whole system k CPU cycles at once: epoch-series
-// boundaries are observed exactly where the per-cycle loop would have
-// observed them (with the cumulative retired count that held there), cores
-// bulk-advance per their planned FFState, controllers and devices absorb the
-// span's device ticks, and the clocks move.
-func (s *System) applySkip(k, devTicks int64) {
-	if s.ipcSeries != nil {
-		end := s.cpuCycle + k
-		for i, c := range s.cores {
-			series := s.ipcSeries[i]
-			st := s.ffStates[i]
-			r0 := c.Retired()
-			for nb := series.NextBoundary(); nb <= end; nb = series.NextBoundary() {
-				r := r0
-				if st.Burst {
-					// The per-cycle loop observes after the step: at clock
-					// nb the core has retired (nb − start) further cycles'
-					// worth of instructions.
-					r += uint64(nb-s.cpuCycle) * uint64(c.RetireWidth())
-				}
-				series.Observe(nb, float64(r))
-			}
-		}
+// ceilingHeadroom returns how many CPU cycles core i may bulk-advance under
+// its classification in s.ffStates[i] without crossing its RunFor ceiling,
+// and false when no ceiling binds (no ceilings, the core is not bursting,
+// or it is already past its ceiling). The per-cycle loop re-evaluates its
+// stop condition every cycle, so neither a skip nor a lag may cross one.
+func (s *System) ceilingHeadroom(i int, ceilings []uint64) (int64, bool) {
+	c := s.cores[i]
+	if !s.ffStates[i].Burst || ceilings == nil || c.Retired() >= ceilings[i] {
+		return 0, false
 	}
-	for i, c := range s.cores {
-		st := s.ffStates[i]
-		switch {
-		case st.Burst:
-			c.SkipBurst(k)
-		case st.Fill:
-			c.SkipFill(k)
-		default:
-			c.SkipStalled(k, st)
-		}
+	return int64((ceilings[i] - 1 - c.Retired()) / uint64(c.RetireWidth())), true
+}
+
+// applySkip advances the whole system k CPU cycles at once: every core
+// bulk-advances per its planned FFState (advanceCore), controllers and
+// devices absorb the span's device ticks, and the clocks move.
+func (s *System) applySkip(k, devTicks int64) {
+	for i := range s.cores {
+		s.advanceCore(i, k)
 	}
 	if devTicks > 0 {
 		for _, ctrl := range s.ctrls {
@@ -295,4 +273,40 @@ func (s *System) applySkip(k, devTicks int64) {
 	s.cpuCycle += k
 	s.ffSkips++
 	s.ffSkipped += k
+}
+
+// advanceCore bulk-advances core i by k cycles under its classification in
+// s.ffStates[i], for a joint skip (applySkip) and a lag flush (flushLag)
+// alike. Epoch-series boundaries inside the span are observed exactly where
+// the per-cycle loop would have observed them, with the cumulative retired
+// count that held there; then the classification's bulk-skip operation
+// runs. The span starts at the core's own clock on the system clock's scale
+// (c.Cycle() + paused: cpuCycle for every core that is not lagged), which
+// is where the per-cycle loop observes the series.
+func (s *System) advanceCore(i int, k int64) {
+	c := s.cores[i]
+	st := s.ffStates[i]
+	if s.ipcSeries != nil {
+		series := s.ipcSeries[i]
+		start := c.Cycle() + s.paused
+		r0 := c.Retired()
+		for nb := series.NextBoundary(); nb <= start+k; nb = series.NextBoundary() {
+			r := r0
+			if st.Burst {
+				// The per-cycle loop observes after the step: at clock nb
+				// the core has retired (nb − start) further cycles' worth
+				// of instructions.
+				r += uint64(nb-start) * uint64(c.RetireWidth())
+			}
+			series.Observe(nb, float64(r))
+		}
+	}
+	switch {
+	case st.Burst:
+		c.SkipBurst(k)
+	case st.Fill:
+		c.SkipFill(k)
+	default:
+		c.SkipStalled(k, st)
+	}
 }

@@ -142,6 +142,7 @@ func (s *System) stepMemoryOnly() {
 	s.retryWritebacks()
 	s.clockCycle()
 	s.cpuCycle++
+	s.paused++
 }
 
 // allDrained reports whether every controller has no queued or in-flight

@@ -144,3 +144,41 @@ func TestReconfigureRefreshScheduleFollows(t *testing.T) {
 		t.Fatal("refreshes stopped after reconfiguration")
 	}
 }
+
+// TestFastForwardIdentityAcrossReconfigure runs a heterogeneous four-core
+// mix (one memory-bound core on a 64 KiB LLC, three mostly skippable
+// gamess-like cores) through RunFor, a stop-the-world Reconfigure and a
+// second RunFor, fast-forward on against off. The migration pauses the cores
+// while the system clock runs on, so afterwards every core's own clock is
+// behind it; bulk advances must still replay the epoch IPC series at
+// system-clock boundaries.
+func TestFastForwardIdentityAcrossReconfigure(t *testing.T) {
+	gam := mustProfile(t, "416.gamess-like")
+	rnd := randomProfile()
+	rnd.FootprintPages = 256
+	profiles := []workload.Profile{rnd, gam, gam, gam}
+	run := func(mode FFMode) (Result, *System) {
+		opts := ffDiffOpts()
+		opts.TargetInstructions = 1 << 62 // phase-driven via RunFor
+		opts.StatsEpochCycles = 2_000
+		opts.LLC.SizeBytes = 64 << 10
+		opts.FastForward = mode
+		s, err := NewSystem(profiles, core.CLR(0.25), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.RunFor(5_000)
+		if _, err := s.Reconfigure(core.CLR(1.0)); err != nil {
+			t.Fatal(err)
+		}
+		return s.RunFor(10_000), s
+	}
+	ff, s := run(FFOn)
+	ticked, _ := run(FFOff)
+	assertIdenticalResults(t, ff, ticked)
+	flushes, _ := s.FFLagStats()
+	if s.paused == 0 || flushes == 0 {
+		t.Fatalf("weak run: %d cycles paused, %d lag flushes", s.paused, flushes)
+	}
+	t.Logf("%d cycles paused, %d lag flushes", s.paused, flushes)
+}

@@ -111,6 +111,11 @@ type System struct {
 	// ffOnFlush, when non-nil, runs after every lag flush (test-only
 	// instrumentation for the flush-boundary twin invariant).
 	ffOnFlush func(core int, k int64)
+
+	// paused counts the CPU cycles the cores sat paused during
+	// stop-the-world migration (stepMemoryOnly): a core's own clock runs
+	// this far behind cpuCycle.
+	paused int64
 }
 
 // FFStats reports how much of the run the fast-forward path covered: the

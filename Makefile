@@ -65,16 +65,20 @@ docs-check: fmt
 # core's own clock trails the system clock. The second line checks the
 # controller's half: TestSkipTicksMatchesTickedTwin against a ticked twin,
 # TestSkipTicksPanicsOutsideDrainFixpoint pins SkipTicks' precondition (a
-# span starts only at a drain fixpoint), and the tick oracle
-# (TestHorizonMatchesTicks on the default composition,
-# TestCompositionHorizonNeverOvershoots on every scheduler × row-policy
-# pair) checks every NextEventCycle answer against what the ticked
-# controller then does: no action before a horizon, and in refresh-free
-# runs the first action exactly on it. Also part of `go test ./...`; called
-# out here so `make check` names the property it guards.
+# span starts only from a settled horizon, so never outside a drain
+# fixpoint), the tick oracle (TestHorizonMatchesTicks on the default
+# composition, TestCompositionHorizonNeverOvershoots on every scheduler ×
+# row-policy pair) checks every NextEventCycle answer against what the
+# ticked controller then does: no action before a horizon, and in
+# refresh-free runs the first action exactly on it, and the memo-free twin
+# (TestMemoFreeTwin, every pair with refresh) checks the controller's memos
+# (the schedule memo with the CapTrips it replays, the row-close entries)
+# against a twin that drops them all before every tick. Also part of
+# `go test ./...`; called out here so `make check` names the property it
+# guards.
 ffdiff:
 	go test ./internal/sim -run 'TestFastForwardIdentity|TestDecoupled|TestDeviceClock' -count=1
-	go test ./internal/mem -run 'TestSkipTicks|TestHorizonMatchesTicks|TestCompositionHorizonNeverOvershoots' -count=1
+	go test ./internal/mem -run 'TestSkipTicks|TestHorizonMatchesTicks|TestCompositionHorizonNeverOvershoots|TestMemoFreeTwin' -count=1
 
 # ckdiff proves the compiled circuit-stepping kernel AND the batched
 # K-draw kernel bit-identical to the interpreted reference loop: exact
@@ -118,10 +122,12 @@ compdiff:
 	go test ./internal/sim -run 'TestDefaultComposition|TestCompositionIdentityMatrix' -count=1
 	go test ./internal/mem -run 'TestScheduleWalkMatchesTwoPass|FuzzScheduleWalkMatchesTwoPass' -count=1
 
-# ffbench-smoke is the fast-forward performance gate: a short interleaved
-# off-vs-on measurement on the memory-intensive profile asserting planner
-# overhead does not drag throughput below the plain per-cycle loop (within
-# a 3% noise tolerance).
+# ffbench-smoke is the fast-forward performance gate: five short rounds on
+# the memory-intensive profile, each running planner-off then fast-forward
+# and printing their throughput ratio, asserting that the median ratio shows
+# planner overhead does not drag throughput below the plain per-cycle loop
+# (within a 3% noise tolerance). The median keeps one outlying run in either
+# mode from deciding the verdict.
 ffbench-smoke:
 	go run ./cmd/ffbench -smoke -instructions 300000
 

@@ -159,10 +159,14 @@ type (
 	// defaults). Set it on Options.Mem.
 	MemConfig = mem.Config
 	// Scheduler picks the next DRAM command for a request queue
-	// (frfcfs-cap, frfcfs, fcfs).
+	// (frfcfs-cap, frfcfs, fcfs). Besides its Name it has one method,
+	// Schedule; a scan that issues nothing also reports the earliest cycle
+	// any candidate could issue, which fast-forward skips to.
 	Scheduler = mem.Scheduler
 	// RowPolicy decides when to proactively close open rows
-	// (timeout, open, closed, hitcount).
+	// (timeout, open, closed, hitcount). Besides its Name it has one
+	// method, BankCloseCycle: the first cycle it closes a bank's open row,
+	// which the controller both closes at and fast-forwards to.
 	RowPolicy = mem.RowPolicy
 	// Standard is a DRAM standard: device geometry plus its timing package
 	// (ddr4-2400, lpddr4-3200). Select one via Options.Standard.

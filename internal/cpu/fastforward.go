@@ -3,10 +3,9 @@ package cpu
 // This file is the core's half of the system simulator's next-event
 // fast-forward path (see internal/sim and DESIGN.md §9, §15). The contract:
 // the core classifies its own next-cycle behaviour (FFState), and the sim
-// layer bulk-advances it with SkipBurst/SkipFill/SkipStalled. Both bulk
-// operations are bit-identical to calling Tick the same number of times
-// under the declared preconditions; any divergence is a bug the
-// differential tests catch.
+// layer bulk-advances it with Skip. The bulk advance is bit-identical to
+// calling Tick the same number of times under the declared preconditions;
+// any divergence is a bug the differential tests catch.
 //
 // The sim layer consumes a classification in two ways:
 //   - Joint skip (DESIGN.md §9): every core is skippable, the span is
@@ -14,14 +13,14 @@ package cpu
 //     system jumps at once.
 //   - Decoupled lag (DESIGN.md §15): only some cores are skippable; each
 //     accumulates a lag counter while the rest tick, and the accumulated
-//     cycles are flushed through the same Skip operations at the first
-//     event that could end the classification's validity window.
+//     cycles are flushed through the same Skip at the first event that
+//     could end the classification's validity window.
 //
 // Validity windows, per class: Burst and Fill hold for at most CapCycles
 // further ticks (the classification itself excludes the boundary tick) and
 // are additionally cut short by any load completion delivered to the core —
-// not because the bulk ops become wrong (any k ≤ cap is exact), but because
-// the completion changes loadsInFlight, which the Skip ops fold in as a
+// not because the bulk advance becomes wrong (any k ≤ cap is exact), but
+// because the completion changes loadsInFlight, which Skip folds in as a
 // constant over the span. The stall classes (window-full, MSHR, EOF retire
 // stall) are event-bounded only: they hold until a completion and CapCycles
 // is unbounded. The drained-EOF no-op holds forever. The sim layer must
@@ -189,53 +188,41 @@ func (st FFState) CapCycles() int64 {
 	return ffUnbounded
 }
 
-// SkipBurst advances the core k cycles of pure-bubble execution in O(1),
-// exactly as if Tick had run k times under FFState.Burst's preconditions.
-// The k·RetireWidth freed window slots keep their stale ready-at values;
-// that is behaviourally identical because every value ever written to a
-// slot is ≤ the cycle it was written at, hence already retirable.
-func (c *Core) SkipBurst(k int64) {
+// Skip advances the core k cycles at once under the classification st that
+// FFState returned, exactly as if Tick had run k times: the MLP fold, the
+// classification's own progress, the per-cycle stall counters st declares,
+// and the clock.
+//
+//   - Burst: k·RetireWidth bubbles retire and as many issue, in O(1). The
+//     freed window slots keep their stale ready-at values; that is
+//     behaviourally identical because every value ever written to a slot
+//     is ≤ the cycle it was written at, hence already retirable.
+//   - Fill: k·IssueWidth bubbles enter the window behind the blocked head,
+//     in O(k·IssueWidth) window writes. Inserted slots get the span's start
+//     cycle rather than their true insert cycle; that is behaviourally
+//     identical because both are ≤ every cycle at which the slot can be
+//     compared at the window head.
+//   - The stall classes and the drained-EOF no-op make no progress.
+func (c *Core) Skip(k int64, st FFState) {
 	if c.loadsInFlight > 0 {
 		c.mlpSum += uint64(c.loadsInFlight) * uint64(k)
 		c.mlpCycles += uint64(k)
 	}
-	n := k * int64(c.cfg.RetireWidth)
-	c.retired += uint64(n)
-	c.head = int((int64(c.head) + n) % int64(len(c.window)))
-	c.tail = int((int64(c.tail) + n) % int64(len(c.window)))
-	c.bubblesLeft -= int(n)
-	c.cycle += k
-}
-
-// SkipFill advances the core k cycles of blocked-head bubble filling in
-// O(k·IssueWidth) window writes, exactly as if Tick had run k times under
-// FFState.Fill's preconditions. Inserted slots get the span's start cycle
-// rather than their true insert cycle; that is behaviourally identical
-// because both are ≤ every cycle at which the slot can be compared at the
-// window head.
-func (c *Core) SkipFill(k int64) {
-	if c.loadsInFlight > 0 {
-		c.mlpSum += uint64(c.loadsInFlight) * uint64(k)
-		c.mlpCycles += uint64(k)
-	}
-	n := k * int64(c.cfg.IssueWidth)
-	for j := int64(0); j < n; j++ {
-		c.window[c.tail] = c.cycle
-		c.tail = (c.tail + 1) % len(c.window)
-	}
-	c.count += int(n)
-	c.bubblesLeft -= int(n)
-	c.retireStalls += uint64(k)
-	c.cycle += k
-}
-
-// SkipStalled advances the core k cycles in which neither retirement nor
-// issue makes progress, bulk-applying the per-cycle stall counters st
-// declared. Exactly equivalent to k Ticks under the matching FFState.
-func (c *Core) SkipStalled(k int64, st FFState) {
-	if c.loadsInFlight > 0 {
-		c.mlpSum += uint64(c.loadsInFlight) * uint64(k)
-		c.mlpCycles += uint64(k)
+	switch {
+	case st.Burst:
+		n := k * int64(c.cfg.RetireWidth)
+		c.retired += uint64(n)
+		c.head = int((int64(c.head) + n) % int64(len(c.window)))
+		c.tail = int((int64(c.tail) + n) % int64(len(c.window)))
+		c.bubblesLeft -= int(n)
+	case st.Fill:
+		n := k * int64(c.cfg.IssueWidth)
+		for j := int64(0); j < n; j++ {
+			c.window[c.tail] = c.cycle
+			c.tail = (c.tail + 1) % len(c.window)
+		}
+		c.count += int(n)
+		c.bubblesLeft -= int(n)
 	}
 	ku := uint64(k)
 	if st.RetireStall {

@@ -4,9 +4,10 @@ import "fmt"
 
 // Constraint names the timing rule (or state prerequisite) that blocks a
 // command from issuing. It exists for observability: when the controller
-// fails to issue anything in a cycle, it asks BlockingConstraint which rule
-// is binding, and accumulates a stall breakdown per constraint. The
-// classification is advisory — scheduling decisions never depend on it.
+// fails to issue anything in a cycle (or skips a span of such cycles), it
+// asks ConstraintSpan which rule is binding, and accumulates a stall
+// breakdown per constraint. The classification is advisory — scheduling
+// decisions never depend on it.
 type Constraint uint8
 
 // Blocking constraints, from "not blocked" through the specific DDR4 rule
@@ -66,10 +67,15 @@ func (c Constraint) String() string {
 	}
 }
 
-// BlockingConstraint reports which rule prevents cmd from issuing at the
-// current cycle, or ConstraintNone if it may issue. When several floors lie
-// in the future it returns the latest one (the binding constraint — the one
-// that must expire last).
+// ConstraintSpan classifies a span of no-issue cycles for cmd, assuming the
+// device state stays frozen (no command issues, only the clock advances):
+// cycles before refUntil classify ConstraintRefresh (the rank-wide tRFC
+// prefix; always 0 for REF, which folds tRFC into its floor), cycles in
+// [refUntil, floor) classify why — the latest-expiring floor, the binding
+// constraint — and cycles at or past floor classify ConstraintNone (cmd may
+// issue). With frozen state all three values are constants, so the
+// per-cycle classification over the span has at most three segments; a
+// span of one cycle is the classification of the current cycle.
 //
 // This deliberately mirrors EarliestIssue rather than being folded into it:
 // the per-kind floors behind EarliestIssue run on the scheduler's hot path
@@ -77,26 +83,6 @@ func (c Constraint) String() string {
 // computed on cycles the controller issues nothing and stall accounting is
 // enabled. Keeping them separate keeps the argmax bookkeeping off the hot
 // path entirely.
-func (d *Device) BlockingConstraint(cmd Command) Constraint {
-	now := d.clock
-	if d.refBusyUntil > now && cmd.Kind != KindREF {
-		return ConstraintRefresh
-	}
-	t, why := d.constraintFloor(cmd)
-	if t <= now {
-		return ConstraintNone
-	}
-	return why
-}
-
-// ConstraintSpan returns what the fast-forward path needs to classify a span
-// of no-issue cycles for cmd in bulk, assuming the device state stays frozen
-// (no command issues, only the clock advances): cycles before refUntil
-// classify ConstraintRefresh (the rank-wide tRFC prefix; always 0 for REF,
-// which folds tRFC into its floor), cycles in [refUntil, floor) classify
-// why, and cycles at or past floor classify ConstraintNone. With frozen
-// state all three values are constants, so the per-cycle BlockingConstraint
-// sequence over the span has at most three segments.
 func (d *Device) ConstraintSpan(cmd Command) (refUntil, floor int64, why Constraint) {
 	if cmd.Kind != KindREF {
 		refUntil = d.refBusyUntil

@@ -2,7 +2,6 @@ package mem
 
 import (
 	"errors"
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -65,9 +64,11 @@ func TestRegistryResolvesEveryName(t *testing.T) {
 
 func TestDefaultCompositionResolution(t *testing.T) {
 	c := newTestController(t, Config{})
-	want := fmt.Sprintf("scheduler=%s rowpolicy=%s", DefaultScheduler, DefaultRowPolicy)
-	if got := c.Composition(); got != want {
-		t.Fatalf("zero-config composition = %q, want %q", got, want)
+	if got := c.sched.Name(); got != DefaultScheduler {
+		t.Errorf("zero-config scheduler = %q, want %q", got, DefaultScheduler)
+	}
+	if got := c.policy.Name(); got != DefaultRowPolicy {
+		t.Errorf("zero-config row policy = %q, want %q", got, DefaultRowPolicy)
 	}
 }
 
@@ -86,68 +87,134 @@ func compositionConfig(sched, policy string, refresh bool) Config {
 	return cfg
 }
 
+// twinRun is what one controller did over the composition schedule.
+type twinRun struct {
+	log      commandLog
+	done     []loggedCompletion
+	replayed uint64 // CapTrips added by ticks and skips that started on a valid schedule memo
+	st       Stats
+	clock    int64
+}
+
+// runTwin drives a controller of cfg through schedule until end. With skip
+// it jumps every dead span NextEventCycle exposes (SkipTicks); with memoFree
+// it drops every horizon memo (dirtyAllHorizon) before each Tick, so each of
+// its cycles runs a real scheduler scan and re-derives every bank's close
+// cycle.
+func runTwin(t *testing.T, cfg Config, schedule []arrival, end int64, skip, memoFree bool) *twinRun {
+	t.Helper()
+	r := &twinRun{}
+	devCfg := smallCfg()
+	devCfg.Listener = &r.log
+	c, err := NewController(dram.NewDevice(devCfg), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	for c.Clock() < end {
+		now := c.Clock()
+		for next < len(schedule) && schedule[next].cycle <= now {
+			req := schedule[next].req
+			id := next
+			req.OnComplete = func(at int64) { r.done = append(r.done, loggedCompletion{id, at}) }
+			enqueue(c, &req)
+			next++
+		}
+		if memoFree {
+			c.dirtyAllHorizon()
+		}
+		memo, trips := c.ffSchedValid && c.ffSched > now, c.st.CapTrips
+		var span int64
+		if skip {
+			limit := min(end, c.NextEventCycle())
+			if next < len(schedule) {
+				limit = min(limit, schedule[next].cycle)
+			}
+			span = limit - now
+		}
+		if span > 0 {
+			c.SkipTicks(span)
+		} else {
+			c.Tick()
+		}
+		if memo {
+			r.replayed += c.st.CapTrips - trips
+		}
+	}
+	r.st, r.clock = c.Stats(), c.Clock()
+	return r
+}
+
+// diffTwins reports every way run b diverges from the reference run a.
+func diffTwins(t *testing.T, a, b *twinRun) {
+	t.Helper()
+	if a.clock != b.clock {
+		t.Errorf("final clock %d != reference %d", b.clock, a.clock)
+	}
+	if !reflect.DeepEqual(a.log.cmds, b.log.cmds) {
+		t.Errorf("command logs diverge (%d vs reference %d commands)", len(b.log.cmds), len(a.log.cmds))
+	}
+	if !reflect.DeepEqual(a.done, b.done) {
+		t.Errorf("completion logs diverge (%d vs reference %d entries)", len(b.done), len(a.done))
+	}
+	if !reflect.DeepEqual(a.st, b.st) {
+		t.Errorf("stats diverge:\n got:       %+v\n reference: %+v", b.st, a.st)
+	}
+}
+
 // TestCompositionSkipVsTickedTwin runs the skip-vs-ticked differential of
 // horizon_test.go over the full scheduler × row-policy matrix: for every
 // pair, the controller that jumps dead spans via NextEventCycle/SkipTicks
-// must match the per-cycle twin completion-for-completion and
-// counter-for-counter.
+// must match the per-cycle twin command-for-command,
+// completion-for-completion and counter-for-counter.
 func TestCompositionSkipVsTickedTwin(t *testing.T) {
 	schedule, last := burstySchedule(260, 1800)
 	end := last + 4_000
-
-	type completion struct {
-		ID    int
-		Cycle int64
-	}
-	run := func(t *testing.T, cfg Config, skip bool) (done []completion, st Stats, clock int64) {
-		c := newTestController(t, cfg)
-		next := 0
-		for c.Clock() < end {
-			now := c.Clock()
-			for next < len(schedule) && schedule[next].cycle <= now {
-				req := schedule[next].req
-				id := next
-				req.OnComplete = func(at int64) { done = append(done, completion{id, at}) }
-				enqueue(c, &req)
-				next++
-			}
-			if skip {
-				limit := end
-				if next < len(schedule) && schedule[next].cycle < limit {
-					limit = schedule[next].cycle
-				}
-				if h := c.NextEventCycle(); h < limit {
-					limit = h
-				}
-				if n := limit - now; n > 0 {
-					c.SkipTicks(n)
-					continue
-				}
-			}
-			c.Tick()
-		}
-		return done, c.Stats(), c.Clock()
-	}
-
 	for _, sched := range SchedulerNames() {
 		for _, policy := range RowPolicyNames() {
 			sched, policy := sched, policy
 			t.Run(sched+"/"+policy, func(t *testing.T) {
 				t.Parallel()
 				cfg := compositionConfig(sched, policy, true)
-				tickedDone, tickedStats, tickedClock := run(t, cfg, false)
-				if len(tickedDone) == 0 {
+				ticked := runTwin(t, cfg, schedule, end, false, false)
+				if len(ticked.done) == 0 {
 					t.Fatal("weak reference run: no completions")
 				}
-				skipDone, skipStats, skipClock := run(t, cfg, true)
-				if skipClock != tickedClock {
-					t.Errorf("final clock %d != ticked %d", skipClock, tickedClock)
+				diffTwins(t, ticked, runTwin(t, cfg, schedule, end, true, false))
+			})
+		}
+	}
+}
+
+// TestMemoFreeTwin checks every memo against an oracle that uses none: for
+// every scheduler × row-policy pair, with refresh on, a twin controller
+// drops all its horizon memos before every Tick (runTwin's memoFree). The
+// memoised controller must match it on Stats, completion cycles and the
+// device command log. On the frfcfs-cap pairs the memoised controller must
+// also have replayed CapTrips from its memo (ticks that start with a valid
+// memo ahead of the clock skip the scan), or the check would not reach the
+// replay.
+func TestMemoFreeTwin(t *testing.T) {
+	schedule, last := burstySchedule(260, 1800)
+	end := last + 4_000
+	for _, sched := range SchedulerNames() {
+		for _, policy := range RowPolicyNames() {
+			sched, policy := sched, policy
+			t.Run(sched+"/"+policy, func(t *testing.T) {
+				t.Parallel()
+				cfg := compositionConfig(sched, policy, true)
+				free := runTwin(t, cfg, schedule, end, false, true)
+				if len(free.done) == 0 || free.st.Refreshes == 0 || free.replayed != 0 {
+					t.Fatalf("weak reference run: %d completions, %d CapTrips replayed, stats %+v",
+						len(free.done), free.replayed, free.st)
 				}
-				if !reflect.DeepEqual(skipDone, tickedDone) {
-					t.Errorf("completion log diverges (%d vs %d entries)", len(skipDone), len(tickedDone))
-				}
-				if !reflect.DeepEqual(skipStats, tickedStats) {
-					t.Errorf("stats diverge:\n skip:   %+v\n ticked: %+v", skipStats, tickedStats)
+				memo := runTwin(t, cfg, schedule, end, false, false)
+				t.Logf("%d commands, %d completions, %d CapTrips, %d replayed from the memo",
+					len(memo.log.cmds), len(memo.done), memo.st.CapTrips, memo.replayed)
+				diffTwins(t, free, memo)
+				if sched == DefaultScheduler && memo.replayed == 0 {
+					t.Errorf("no CapTrips replayed from the memo (%d counted): the run does not reach the replay",
+						memo.st.CapTrips)
 				}
 			})
 		}

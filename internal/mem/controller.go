@@ -110,8 +110,8 @@ type Stats struct {
 // Controller owns a single-rank DRAM device and schedules requests onto it.
 // Its composition — which Scheduler picks commands and which RowPolicy
 // closes rows — is resolved from Config through the registries at
-// construction (see registry.go and Composition()). Requests arrive decoded
-// to DRAM coordinates (EnqueueDecoded).
+// construction (see registry.go). Requests arrive decoded to DRAM
+// coordinates (EnqueueDecoded).
 type Controller struct {
 	dev *Device
 	cfg Config
@@ -129,10 +129,9 @@ type Controller struct {
 
 	// openRowQueued[b] counts queued requests (both queues) that target bank
 	// b's currently open row; meaningful only while the bank is open. It
-	// makes the row-close exemption check O(1) on the hot paths (per-bank
-	// close-entry re-derivations, TickClose scans) instead of a queue walk,
-	// at the cost of O(1) bookkeeping per enqueue/issue and one recount per
-	// ACT.
+	// makes the row-close exemption check of a close-entry re-derivation
+	// O(1) instead of a queue walk, at the cost of O(1) bookkeeping per
+	// enqueue/issue and one recount per ACT.
 	openRowQueued []int
 
 	// refresh bookkeeping
@@ -150,10 +149,9 @@ type Controller struct {
 	// ffGen counts dirtying events so the simulator can cache a joint
 	// horizon across controllers (HorizonGen).
 	ffGen        uint64
-	ffSched      int64 // schedule-component memo: a failed scan's candidate minimum (publishSched)
+	ffSched      int64  // schedule-component memo: a failed scan's candidate minimum (publishSched)
+	ffTrips      uint64 // the CapTrips that failed scan counted, replayed per dead cycle
 	ffSchedValid bool
-	ffCap        [2]int64 // DeadCycleTrips memo per queue: 0 = read, 1 = write
-	ffCapValid   [2]bool
 	// Per-bank row-close entries (see rowCloseComponent; a rank has at
 	// most dram.MaxBanks banks). ffTODirty marks entries to re-derive,
 	// ffTOAgg memoises their minimum, ffTOAll is the all-banks mask.
@@ -163,7 +161,7 @@ type Controller struct {
 	ffTOAgg   int64
 	ffTOAggOK bool
 
-	// Observability (nil handles when Config.Metrics is nil; see obsTick).
+	// Observability (nil handles when Config.Metrics is nil; see observe).
 	collect   bool
 	obsReadQ  *metrics.Histogram
 	obsWriteQ *metrics.Histogram
@@ -260,13 +258,6 @@ func NewController(dev *dram.Device, cfg Config) (*Controller, error) {
 		}
 	}
 	return c, nil
-}
-
-// Composition returns the canonical description of the controller's
-// resolved composition — the byte-for-byte string the default-composition
-// golden test pins.
-func (c *Controller) Composition() string {
-	return fmt.Sprintf("scheduler=%s rowpolicy=%s", c.sched.Name(), c.policy.Name())
 }
 
 // Device returns the controller's DRAM device. Callers must treat it as
@@ -384,67 +375,10 @@ func (c *Controller) Tick() {
 		c.tickRowClose(now)
 	}
 	if c.collect {
-		c.obsTick(issued)
+		c.observe(1, issued)
 	}
 
 	c.dev.Tick()
-}
-
-// obsTick records the per-cycle observability samples: queue occupancies,
-// and — on cycles where requests were pending but no command issued — which
-// DRAM constraint was binding for the oldest serviceable request. Only
-// called when Config.Metrics is set, so the disabled path pays one branch.
-func (c *Controller) obsTick(issued bool) {
-	c.obsReadQ.Observe(float64(len(c.readQ)))
-	c.obsWriteQ.Observe(float64(len(c.writeQ)))
-	if c.draining {
-		c.obsDrain.Inc()
-	}
-	if issued {
-		return
-	}
-	if c.Pending() == 0 {
-		c.obsIdle.Inc()
-		return
-	}
-	if c.refPending != -1 {
-		// An armed refresh suppresses request scheduling until it drains
-		// (PREA + REF); attribute the whole wait to the refresh path.
-		c.obsStalls[dram.ConstraintRefresh].Inc()
-		return
-	}
-	// Classify by the oldest request of the queue the scheduler considered
-	// this cycle (c.draining was just settled by tickSchedule), falling
-	// back to the other queue if that one is empty.
-	q := c.readQ
-	if c.draining || len(q) == 0 {
-		if len(c.writeQ) > 0 {
-			q = c.writeQ
-		}
-	}
-	req := q[0]
-	open, row := c.dev.BankState(req.decoded.Bank)
-	var cmd dram.Command
-	switch {
-	case open && row == req.decoded.Row:
-		kind := dram.KindRD
-		if req.Write {
-			kind = dram.KindWR
-		}
-		cmd = dram.Command{Kind: kind, Bank: req.decoded.Bank, Row: req.decoded.Row, Column: req.decoded.Column}
-	case open:
-		cmd = dram.Command{Kind: dram.KindPRE, Bank: req.decoded.Bank}
-	default:
-		cmd = dram.Command{Kind: dram.KindACT, Bank: req.decoded.Bank, Row: req.decoded.Row}
-	}
-	k := c.dev.BlockingConstraint(cmd)
-	if k == dram.ConstraintNone {
-		// The oldest request was serviceable but the scheduler withheld it:
-		// that is the row-hit cap protecting an older conflicting request.
-		c.obsCap.Inc()
-		return
-	}
-	c.obsStalls[k].Inc()
 }
 
 // tickRefresh arms due refresh streams and drives an armed refresh to
@@ -456,19 +390,13 @@ func (c *Controller) obsTick(issued bool) {
 // refresh mechanism) — the device then catches up during idle phases.
 func (c *Controller) tickRefresh(now int64) bool {
 	if c.refPending == -1 {
+		pending := c.Pending() > 0
 		for i := range c.refNext {
-			if float64(now) < c.refNext[i] {
-				continue
+			if c.refArmed(i, now, pending) {
+				c.refPending = i
+				c.ffGen++ // arming gates scheduling: the horizon shape changes
+				break
 			}
-			if c.cfg.MaxPostponedRefresh > 0 && c.Pending() > 0 {
-				behind := (float64(now) - c.refNext[i]) / c.cfg.Refresh[i].Interval
-				if behind < float64(c.cfg.MaxPostponedRefresh) {
-					continue // postpone: serve traffic first
-				}
-			}
-			c.refPending = i
-			c.ffGen++ // arming gates scheduling: the horizon shape changes
-			break
 		}
 	}
 	if c.refPending == -1 {
@@ -500,21 +428,40 @@ func (c *Controller) tickRefresh(now int64) bool {
 	return true
 }
 
-// activeQueue selects read or write queue per the drain policy. A flip
-// dirties the schedule memo: the published floors belong to the queue the
-// failed scan walked.
-func (c *Controller) activeQueue() *[]*Request {
-	was := c.draining
-	if c.draining {
-		if len(c.writeQ) <= c.cfg.WriteLow {
-			c.draining = false
-		}
-	} else {
-		if len(c.writeQ) >= c.cfg.WriteHigh || (len(c.readQ) == 0 && len(c.writeQ) > 0) {
-			c.draining = true
+// refArmed reports whether tickRefresh arms stream i at cycle t: the stream
+// is due (float64(t) ≥ refNext[i]) and, with postponement enabled and work
+// pending, MaxPostponedRefresh intervals behind. refArmCycle searches the
+// same predicate for the horizon.
+func (c *Controller) refArmed(i int, t int64, pending bool) bool {
+	ft := float64(t)
+	if ft < c.refNext[i] {
+		return false
+	}
+	if c.cfg.MaxPostponedRefresh > 0 && pending {
+		behind := (ft - c.refNext[i]) / c.cfg.Refresh[i].Interval
+		if behind < float64(c.cfg.MaxPostponedRefresh) {
+			return false // postpone: serve traffic first
 		}
 	}
-	if c.draining != was {
+	return true
+}
+
+// nextDraining applies one step of the write-drain hysteresis to d under the
+// current queue lengths: a drain starts at WriteHigh (or when only writes
+// are queued) and stops at WriteLow.
+func (c *Controller) nextDraining(d bool) bool {
+	if d {
+		return len(c.writeQ) > c.cfg.WriteLow
+	}
+	return len(c.writeQ) >= c.cfg.WriteHigh || (len(c.readQ) == 0 && len(c.writeQ) > 0)
+}
+
+// activeQueue steps the drain hysteresis and selects the read or write
+// queue. A flip dirties the schedule memo: the published floors belong to
+// the queue the failed scan walked.
+func (c *Controller) activeQueue() *[]*Request {
+	if d := c.nextDraining(c.draining); d != c.draining {
+		c.draining = d
 		c.dirtySched()
 	}
 	if c.draining {
@@ -528,50 +475,51 @@ func (c *Controller) activeQueue() *[]*Request {
 //
 // A scan that issues nothing has, as a byproduct, computed the earliest
 // issue cycle of every candidate it rejected — exactly the schedule-horizon
-// component the fast-forward planner needs. publishSched hands that minimum
-// to the horizon memo, so the planner never has to walk the queues itself
-// (horizon.go's schedComponent is a pure memo read).
+// component the fast-forward planner needs — and counted the CapTrips of
+// every capped hit it passed. publishSched hands both to the horizon memo,
+// so the planner never has to walk the queues itself (horizon.go's
+// schedComponent is a pure memo read).
 func (c *Controller) tickSchedule(now int64) bool {
 	q := c.activeQueue()
 	if len(*q) == 0 {
-		c.publishSched(ffNever)
+		c.publishSched(ffNever, 0)
 		return false
 	}
 	if c.ffSchedValid && c.ffSched > now {
 		// Memoised failed scan: every candidate's floor lies in the future
 		// (events that could move one dirty the memo), so this cycle's scan
-		// would reject them all again. Replay its only side effect — the
-		// scheduler's per-cycle dead-scan stat (FR-FCFS-Cap counts a CapTrip
-		// per ready-but-withheld row hit per cycle) — from the memo and skip
-		// the queue walk. This is what makes dead device ticks O(1) on
-		// memory-bound phases in every mode; the fast-forward planner then
-		// skips even that via SkipTicks.
-		if trips := c.deadTripsMemo(c.draining); trips > 0 {
-			c.st.CapTrips += uint64(trips)
-		}
+		// would reject them all again and pass the same capped hits. Replay
+		// its only side effect, the CapTrips it counted, and skip the queue
+		// walk. This is what makes dead device ticks O(1) on memory-bound
+		// phases in every mode; the fast-forward planner then skips even
+		// that via SkipTicks.
+		c.st.CapTrips += c.ffTrips
 		return false
 	}
+	trips := c.st.CapTrips
 	issued, minNext := c.sched.Schedule(c, q, now)
 	if issued {
 		return true
 	}
-	c.publishSched(minNext)
+	c.publishSched(minNext, c.st.CapTrips-trips)
 	return false
 }
 
-// publishSched installs a failed scan's candidate minimum as the schedule
-// horizon memo. Only the settled (fixpoint) drain regime publishes: there the
-// next cycles scan the same queue, so the per-candidate floors ARE the first
-// cycle the scheduler can act. In the period-2 oscillating regime (read queue
-// empty, write queue in (0, WriteLow]) candidates issue only on alternating
-// cycles; the memo stays invalid and the planner treats the schedule as
-// imminent, which is safe (horizons may only be underestimates). SkipTicks
-// relies on this: a valid memo means the draining flag is at its fixpoint.
-func (c *Controller) publishSched(h int64) {
+// publishSched installs a failed scan's candidate minimum h and the CapTrips
+// it counted as the schedule horizon memo. Only the settled (fixpoint) drain
+// regime publishes: there the next cycles scan the same queue, so the
+// per-candidate floors ARE the first cycle the scheduler can act. In the
+// period-2 oscillating regime (read queue empty, write queue in
+// (0, WriteLow]) candidates issue only on alternating cycles; the memo stays
+// invalid and the planner treats the schedule as imminent, which is safe
+// (horizons may only be underestimates). SkipTicks relies on this: a valid
+// memo means the draining flag is at its fixpoint.
+func (c *Controller) publishSched(h int64, trips uint64) {
 	if c.nextDraining(c.draining) != c.draining {
 		return
 	}
 	c.ffSched = h
+	c.ffTrips = trips
 	c.ffSchedValid = true
 }
 
@@ -633,22 +581,26 @@ func (c *Controller) olderConflictExists(q []*Request, i int) bool {
 	return false
 }
 
-// tickRowClose runs the composed RowPolicy (the paper's default is the
-// 120 ns timeout policy, Table 2 note 6).
-//
-// The policy's per-bank scan is gated by the row-close horizon component:
-// entry b of the memo table is exactly the first cycle the policy could
-// close bank b's row (RowPolicy.BankCloseCycle), so while the aggregate
-// minimum lies in the future no close is possible and the tick costs two
-// compares instead of an O(banks) device walk. The gate is exact, not
-// merely safe — rowCloseComponent re-derives dirty or reached entries
-// before answering. Policies that never close (open-page) answer ffNever
-// and pay nothing here.
+// tickRowClose closes the lowest-numbered bank the composed RowPolicy (the
+// paper's default is the 120 ns timeout policy, Table 2 note 6) would close
+// now. Entry b of the row-close table is the first cycle the policy closes
+// bank b's row (RowPolicy.BankCloseCycle), so while the aggregate minimum
+// lies in the future the tick costs two compares. Otherwise
+// rowCloseComponent has just re-derived every dirty entry and every entry
+// at or below the clock, and an entry ahead of the clock is never later
+// than the true close cycle: the entries at or below now are exactly the
+// banks the policy closes now. Policies that never close (open-page) answer
+// ffNever and pay nothing here.
 func (c *Controller) tickRowClose(now int64) {
 	if c.rowCloseComponent(now) > now {
 		return
 	}
-	c.policy.TickClose(c, now)
+	for b, e := range c.ffBankTO {
+		if e <= now {
+			c.closeRow(b)
+			return // one command per cycle
+		}
+	}
 }
 
 // rowHasQueuedRequest reports whether any queued request targets (bank,row).

@@ -9,7 +9,13 @@ import (
 // bound on the first future device cycle at which Tick would do anything
 // other than advance the clock; SkipTicks then replays a span of such dead
 // cycles in bulk, bit-identically to ticking through them — FR-FCFS-Cap
-// trip counting and the per-cycle observability samples included.
+// trip counting and the per-cycle observability samples included. Each
+// controller rule is written once and serves both: the row-close entries
+// are RowPolicy.BankCloseCycle, which tickRowClose also closes by; the
+// schedule memo is what the last failed scan returned and counted; the
+// refresh arm cycle searches tickRefresh's own predicate (refArmed); and a
+// skipped span records the samples Tick records on a cycle without an issue
+// (observe).
 //
 // The horizon contract: during a span in which no request arrives and the
 // horizon has not been reached, every piece of state the per-cycle Tick
@@ -124,14 +130,12 @@ func (c *Controller) HorizonGen() uint64 { return c.ffGen }
 // lookup the horizon was computed from).
 func (c *Controller) InvalidateHorizon() { c.dirtyAllHorizon() }
 
-// dirtySched invalidates the schedule-dependent memos: the schedule
-// component and the capped-hit counts SkipTicks replays. Event sites call it
-// (via dirtyBank) on anything that moves queues, streaks, timing floors, or
-// the draining flag.
+// dirtySched invalidates the schedule memo: the failed scan's floor and the
+// CapTrips it counted. Event sites call it (via dirtyBank) on anything that
+// moves queues, streaks, timing floors, or the draining flag.
 func (c *Controller) dirtySched() {
 	c.ffGen++
 	c.ffSchedValid = false
-	c.ffCapValid[0], c.ffCapValid[1] = false, false
 }
 
 // dirtyBank records an event scoped to one bank: a command issued on it or a
@@ -154,38 +158,22 @@ func (c *Controller) dirtyAllHorizon() {
 }
 
 // refArmCycle returns the first cycle ≥ now at which tickRefresh would arm
-// stream i, reproducing its float64 predicates exactly: due means
-// float64(t) ≥ refNext[i], and with postponement enabled and work pending
-// the stream additionally waits until it is MaxPostponedRefresh intervals
-// behind. The closed-form guess is corrected against the actual predicate
-// to absorb float rounding (the predicate is monotone in t).
+// stream i: the first t at which refArmed holds. The closed-form guess is
+// corrected against the predicate itself to absorb float rounding (the
+// predicate is monotone in t).
 func (c *Controller) refArmCycle(i int, now int64, pending bool) int64 {
-	postpone := c.cfg.MaxPostponedRefresh > 0 && pending
-	armed := func(t int64) bool {
-		ft := float64(t)
-		if ft < c.refNext[i] {
-			return false
-		}
-		if postpone {
-			behind := (ft - c.refNext[i]) / c.cfg.Refresh[i].Interval
-			if behind < float64(c.cfg.MaxPostponedRefresh) {
-				return false
-			}
-		}
-		return true
-	}
 	guess := c.refNext[i]
-	if postpone {
+	if c.cfg.MaxPostponedRefresh > 0 && pending {
 		guess += c.cfg.Refresh[i].Interval * float64(c.cfg.MaxPostponedRefresh)
 	}
 	t := int64(guess)
 	if t < now {
 		t = now
 	}
-	for t > now && armed(t-1) {
+	for t > now && c.refArmed(i, t-1, pending) {
 		t--
 	}
-	for !armed(t) {
+	for !c.refArmed(i, t, pending) {
 		t++
 	}
 	return t
@@ -237,79 +225,60 @@ func (c *Controller) rowCloseComponent(now int64) int64 {
 	return h
 }
 
-// nextDraining applies one step of activeQueue's hysteresis under the
-// current (frozen) queue lengths.
-func (c *Controller) nextDraining(d bool) bool {
-	if d {
-		return len(c.writeQ) > c.cfg.WriteLow
-	}
-	return len(c.writeQ) >= c.cfg.WriteHigh || (len(c.readQ) == 0 && len(c.writeQ) > 0)
-}
-
-// deadTripsMemo serves the scheduler's DeadCycleTrips through its per-queue
-// memo, dirtied with the schedule component (any queue, streak, or
-// bank-state change). SkipTicks replays spans back-to-back with unchanged
-// queues on memory-intensive profiles; memoising removes its per-skip
-// O(queue × conflict) scan.
-func (c *Controller) deadTripsMemo(write bool) int64 {
-	i, q := 0, c.readQ
-	if write {
-		i, q = 1, c.writeQ
-	}
-	if !c.ffCapValid[i] {
-		c.ffCap[i] = c.sched.DeadCycleTrips(c, q)
-		c.ffCapValid[i] = true
-	}
-	return c.ffCap[i]
-}
-
 // SkipTicks advances the controller and device n cycles at once. The caller
 // (the sim fast-forward path) guarantees the span starts from a settled
 // horizon, ends at or before it, and receives no request, so no completion
 // fires, no command issues and the draining flag holds (see the file
-// comment); what remains is exactly what n calls to Tick would do:
-// accumulate the walk's CapTrips for scanned capped hits, record the
-// per-cycle observability samples, and advance the clock. It panics if
-// scheduling runs and the drain hysteresis is not at its fixpoint, the one
-// precondition a bulk replay cannot reproduce.
+// comment); what remains is exactly what n calls to Tick would do: add the
+// memoised failed scan's CapTrips once per cycle, record the per-cycle
+// observability samples, and advance the clock. It panics if the horizon
+// is not settled (HorizonSettled), the one precondition a bulk replay
+// cannot reproduce.
 func (c *Controller) SkipTicks(n int64) {
 	if n <= 0 {
 		return
 	}
+	if !c.HorizonSettled() {
+		panic("mem: SkipTicks from an unsettled horizon")
+	}
 	if c.refPending == -1 {
-		if c.nextDraining(c.draining) != c.draining {
-			panic("mem: SkipTicks outside a drain fixpoint")
-		}
-		if trips := c.deadTripsMemo(c.draining); trips > 0 {
-			c.st.CapTrips += uint64(trips) * uint64(n)
-		}
+		c.st.CapTrips += c.ffTrips * uint64(n)
 	}
 	if c.collect {
-		c.skipObs(n)
+		c.observe(n, false)
 	}
 	c.dev.AdvanceClock(n)
 }
 
-// skipObs bulk-records what obsTick would have recorded over n skipped
-// cycles starting at the current device cycle (issued == false on all of
-// them).
-func (c *Controller) skipObs(n int64) {
-	now := c.dev.Clock()
+// observe records the observability samples of n cycles starting at the
+// current device cycle, on which the controller state holds: the queue
+// occupancies and, on cycles that issued nothing, why — idle, refresh, the
+// DRAM constraint binding the oldest request of the queue the scheduler
+// considered, or the row-hit cap withholding a serviceable one. Tick
+// records one cycle; SkipTicks a whole span. Only called when
+// Config.Metrics is set, so the disabled path pays one branch.
+func (c *Controller) observe(n int64, issued bool) {
 	c.obsReadQ.ObserveN(float64(len(c.readQ)), uint64(n))
 	c.obsWriteQ.ObserveN(float64(len(c.writeQ)), uint64(n))
 	if c.draining {
 		c.obsDrain.Add(uint64(n))
+	}
+	if issued {
+		return
 	}
 	if c.Pending() == 0 {
 		c.obsIdle.Add(uint64(n))
 		return
 	}
 	if c.refPending != -1 {
+		// An armed refresh suppresses request scheduling until it drains
+		// (PREA + REF); attribute the whole wait to the refresh path.
 		c.obsStalls[dram.ConstraintRefresh].Add(uint64(n))
 		return
 	}
-	// Classification queue per obsTick's fallback; c.draining holds its
-	// per-cycle value over the span.
+	// Classify by the oldest request of the queue the scheduler considered
+	// (c.draining was settled by tickSchedule and holds over a span),
+	// falling back to the other queue if that one is empty.
 	q := c.readQ
 	if c.draining || len(q) == 0 {
 		if len(c.writeQ) > 0 {
@@ -331,9 +300,11 @@ func (c *Controller) skipObs(n int64) {
 	default:
 		cmd = dram.Command{Kind: dram.KindACT, Bank: req.decoded.Bank, Row: req.decoded.Row}
 	}
-	// With frozen state the per-cycle BlockingConstraint sequence is at most
-	// three segments: tRFC prefix, binding-floor wait, then "serviceable but
-	// withheld" (the cap).
+	// With frozen state the per-cycle classification is at most three
+	// segments: tRFC prefix, binding-floor wait, then "serviceable but
+	// withheld" (the cap). ConstraintNone never reaches obsStalls: a floor
+	// past the clock always has a binding constraint.
+	now := c.dev.Clock()
 	refU, floor, why := c.dev.ConstraintSpan(cmd)
 	nRef := clamp64(refU-now, 0, n)
 	nWhy := clamp64(floor-now-nRef, 0, n-nRef)

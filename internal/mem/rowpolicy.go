@@ -8,30 +8,23 @@ import (
 
 // A RowPolicy decides when the controller closes an open row on its own
 // initiative (as opposed to the conflict-driven PREs the scheduler issues).
-// It runs only on cycles where neither refresh nor scheduler issued a
-// command, and may close at most one row per cycle.
-//
-// BankCloseCycle is the policy's horizon hook: the per-bank row-close
-// component (horizon.go's rowCloseComponent) is assembled from it, so a
-// policy swap automatically carries exact fast-forward support. The
-// contract: with all controller and device state frozen except the clock,
-// BankCloseCycle(b) must be exactly the first cycle at which TickClose
-// would close bank b's row — never later (a late answer would skip the
-// close), and an early answer only costs real ticks because the component
-// re-derives entries at or below the clock.
+// The policy states its rule once, as BankCloseCycle; the controller both
+// closes by it and assembles the row-close horizon component from it
+// (horizon.go's rowCloseComponent), so a policy swap carries exact
+// fast-forward support. On a cycle where neither refresh nor scheduler
+// issued a command, the controller closes the lowest-numbered bank whose
+// close cycle has been reached (at most one row per cycle).
 type RowPolicy interface {
 	// Name returns the registry name, e.g. "timeout".
 	Name() string
 
-	// TickClose may close (PRE) at most one open row; it runs on cycles
-	// where no other command issued. Implementations issue through
-	// Controller.closeRow, which does the shared bookkeeping.
-	TickClose(c *Controller, now int64)
-
-	// BankCloseCycle returns the first cycle at which TickClose would close
-	// bank b's open row under frozen state, or ffNever when it never would
-	// (bank closed, request queued for the open row, policy keeps rows
-	// open, ...).
+	// BankCloseCycle returns the first cycle at which the policy closes
+	// bank b's open row, with all controller and device state frozen
+	// except the clock, or ffNever when it never would (bank closed,
+	// request queued for the open row, policy keeps rows open, ...). The
+	// answer includes the bank's PRE floor (dram.Device.PREFloor): the
+	// controller issues the PRE at that cycle, and Device.Issue panics on
+	// an early one.
 	BankCloseCycle(c *Controller, b int) int64
 }
 
@@ -47,23 +40,6 @@ func newTimeoutPolicy(dev dram.Config, cfg Config) *timeoutPolicy {
 }
 
 func (p *timeoutPolicy) Name() string { return "timeout" }
-
-func (p *timeoutPolicy) TickClose(c *Controller, now int64) {
-	banks := c.dev.NumBanks()
-	for b := 0; b < banks; b++ {
-		last, open := c.dev.OpenRowIdleSince(b)
-		if !open || now-last < p.cycles {
-			continue
-		}
-		if c.openRowQueued[b] > 0 {
-			continue
-		}
-		if c.dev.PREFloor(b) <= now {
-			c.closeRow(b)
-			return // one command per cycle
-		}
-	}
-}
 
 // BankCloseCycle: the later of the open row's idle deadline and the PRE
 // timing floor, or ffNever when the bank is closed or a queued request
@@ -86,7 +62,6 @@ func (p *timeoutPolicy) BankCloseCycle(c *Controller, b int) int64 {
 type openPagePolicy struct{}
 
 func (openPagePolicy) Name() string                          { return "open" }
-func (openPagePolicy) TickClose(*Controller, int64)          {}
 func (openPagePolicy) BankCloseCycle(*Controller, int) int64 { return ffNever }
 
 // closedPagePolicy precharges an open row as soon as no queued request
@@ -95,20 +70,6 @@ func (openPagePolicy) BankCloseCycle(*Controller, int) int64 { return ffNever }
 type closedPagePolicy struct{}
 
 func (closedPagePolicy) Name() string { return "closed" }
-
-func (closedPagePolicy) TickClose(c *Controller, now int64) {
-	banks := c.dev.NumBanks()
-	for b := 0; b < banks; b++ {
-		open, _ := c.dev.BankState(b)
-		if !open || c.openRowQueued[b] > 0 {
-			continue
-		}
-		if c.dev.PREFloor(b) <= now {
-			c.closeRow(b)
-			return
-		}
-	}
-}
 
 func (closedPagePolicy) BankCloseCycle(c *Controller, b int) int64 {
 	open, _ := c.dev.BankState(b)
@@ -138,27 +99,6 @@ func newHitCountPolicy(dev dram.Config, cfg Config) *hitCountPolicy {
 
 func (p *hitCountPolicy) Name() string { return "hitcount" }
 
-func (p *hitCountPolicy) TickClose(c *Controller, now int64) {
-	banks := c.dev.NumBanks()
-	for b := 0; b < banks; b++ {
-		last, open := c.dev.OpenRowIdleSince(b)
-		if !open {
-			continue
-		}
-		if c.hitStreak[b] < p.maxHits {
-			// Below the hit limit the policy degrades to the idle timeout,
-			// with the same queued-request exemption.
-			if c.openRowQueued[b] > 0 || now-last < p.idleCycles {
-				continue
-			}
-		}
-		if c.dev.PREFloor(b) <= now {
-			c.closeRow(b)
-			return
-		}
-	}
-}
-
 func (p *hitCountPolicy) BankCloseCycle(c *Controller, b int) int64 {
 	last, open := c.dev.OpenRowIdleSince(b)
 	if !open {
@@ -173,9 +113,10 @@ func (p *hitCountPolicy) BankCloseCycle(c *Controller, b int) int64 {
 	return max(last+p.idleCycles, c.dev.PREFloor(b))
 }
 
-// closeRow issues the policy-initiated PRE on bank b (the caller checked
-// its PRE floor) and performs the shared bookkeeping: streak reset, open-row
-// count, the TimeoutCloses counter, and horizon dirtying.
+// closeRow issues the policy-initiated PRE on bank b (its close cycle, PRE
+// floor included, has been reached) and performs the shared bookkeeping:
+// streak reset, open-row count, the TimeoutCloses counter, and horizon
+// dirtying.
 func (c *Controller) closeRow(b int) {
 	c.dev.Issue(dram.Command{Kind: dram.KindPRE, Bank: b})
 	c.resetStreak(b)

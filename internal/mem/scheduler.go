@@ -11,10 +11,11 @@ import (
 // which keeps a scheduler swap free of migration concerns and lets one
 // instance serve many controllers.
 //
-// Schedule's failed-scan floor and DeadCycleTrips are the horizon hooks: they
-// let the fast-forward machinery stay exact for every registered scheduler
-// instead of being gated to the default one; see horizon.go's file comment
-// for the underestimate-only contract they must honor.
+// Schedule's failed scan is also the horizon hook: its floor and the
+// CapTrips it counted become the schedule memo, which the dead cycles up to
+// that floor replay instead of rescanning, so the fast-forward machinery
+// stays exact for every registered scheduler; see horizon.go's file comment
+// for the underestimate-only contract the floor must honor.
 type Scheduler interface {
 	// Name returns the registry name, e.g. "frfcfs-cap".
 	Name() string
@@ -28,15 +29,10 @@ type Scheduler interface {
 	// no candidate can ever issue under frozen state) — the failed scan's
 	// byproduct that publishSched installs as the schedule horizon. With
 	// all state frozen but the clock, no scan before that cycle may issue:
-	// the floor must never exceed the first cycle Schedule would act.
+	// the floor must never exceed the first cycle Schedule would act, and
+	// every such scan must repeat the failed scan's only side effect, the
+	// CapTrips it counted.
 	Schedule(c *Controller, q *[]*Request, now int64) (issued bool, minNext int64)
-
-	// DeadCycleTrips returns the scheduler's per-cycle stat side effect on a
-	// cycle whose scan is known to fail (every candidate floor in the
-	// future): the number of CapTrips counted per scanned cycle. SkipTicks
-	// replays this over dead spans so skipped and ticked runs agree counter
-	// for counter. Schedulers without such a side effect return 0.
-	DeadCycleTrips(c *Controller, q []*Request) int64
 }
 
 // frfcfsCap is FR-FCFS-Cap (the paper's Table 2 scheduler): row hits first,
@@ -105,28 +101,6 @@ func (c *Controller) frfcfsWalk(q *[]*Request, now int64, capped bool) (bool, in
 	return true, now
 }
 
-// DeadCycleTrips counts the row hits in q that the walk skips with a
-// CapTrips increment: streak at the cap with an older conflicting request
-// waiting.
-// The common case — no bank's streak at the cap — answers from the atCap
-// counter without touching the queue.
-func (frfcfsCap) DeadCycleTrips(c *Controller, q []*Request) int64 {
-	if c.atCap == 0 {
-		return 0
-	}
-	var n int64
-	for i, req := range q {
-		open, row := c.dev.BankState(req.decoded.Bank)
-		if !open || row != req.decoded.Row {
-			continue
-		}
-		if c.hitStreak[req.decoded.Bank] >= c.cfg.RowHitCap && c.olderConflictExists(q, i) {
-			n++
-		}
-	}
-	return n
-}
-
 // frfcfs is FR-FCFS without the row-hit cap: row hits always win over older
 // conflicting requests. The starvation bound the cap provides is gone —
 // exactly the behavior difference C9-style sweeps quantify against the
@@ -138,8 +112,6 @@ func (frfcfs) Name() string { return "frfcfs" }
 func (frfcfs) Schedule(c *Controller, q *[]*Request, now int64) (bool, int64) {
 	return c.frfcfsWalk(q, now, false)
 }
-
-func (frfcfs) DeadCycleTrips(*Controller, []*Request) int64 { return 0 }
 
 // fcfs serves strictly in arrival order: only the oldest request of the
 // active queue is a candidate, and the command it needs next (ACT, PRE or
@@ -156,8 +128,6 @@ func (fcfs) Schedule(c *Controller, q *[]*Request, now int64) (bool, int64) {
 	c.issueNext(q, 0, now)
 	return true, now
 }
-
-func (fcfs) DeadCycleTrips(*Controller, []*Request) int64 { return 0 }
 
 // commandFloor returns the earliest cycle the command req needs next could
 // issue under frozen device state: its column access, the PRE of a

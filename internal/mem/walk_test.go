@@ -67,10 +67,6 @@ func (p twoPass) Schedule(c *Controller, q *[]*Request, now int64) (bool, int64)
 	return false, minNext
 }
 
-func (p twoPass) DeadCycleTrips(c *Controller, q []*Request) int64 {
-	return p.prod().DeadCycleTrips(c, q)
-}
-
 // refFloor is the floor of the command req needs next, through the device's
 // generic EarliestIssue.
 func refFloor(c *Controller, req *Request) int64 {

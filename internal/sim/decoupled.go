@@ -25,8 +25,8 @@ const (
 // lag counter in place of its Ticks.
 //
 // The key invariant: a lagged core's pending cycles are flushed through the
-// same SkipBurst/SkipFill/SkipStalled operations the joint path uses —
-// exactly equivalent to having ticked it — and the flush happens at the
+// same bulk advance the joint path uses (cpu.Core.Skip) — exactly
+// equivalent to having ticked it — and the flush happens at the
 // FIRST event that could end its classification's validity window
 // (cpu.FFState's CapCycles contract):
 //

@@ -279,7 +279,7 @@ func (s *System) applySkip(k, devTicks int64) {
 // s.ffStates[i], for a joint skip (applySkip) and a lag flush (flushLag)
 // alike. Epoch-series boundaries inside the span are observed exactly where
 // the per-cycle loop would have observed them, with the cumulative retired
-// count that held there; then the classification's bulk-skip operation
+// count that held there; then the core's bulk advance (cpu.Core.Skip)
 // runs. The span starts at the core's own clock on the system clock's scale
 // (c.Cycle() + paused: cpuCycle for every core that is not lagged), which
 // is where the per-cycle loop observes the series.
@@ -301,12 +301,5 @@ func (s *System) advanceCore(i int, k int64) {
 			series.Observe(nb, float64(r))
 		}
 	}
-	switch {
-	case st.Burst:
-		c.SkipBurst(k)
-	case st.Fill:
-		c.SkipFill(k)
-	default:
-		c.SkipStalled(k, st)
-	}
+	c.Skip(k, st)
 }

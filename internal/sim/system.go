@@ -12,7 +12,6 @@ import (
 	"clrdram/internal/metrics"
 	"clrdram/internal/power"
 	"clrdram/internal/stats"
-	"clrdram/internal/trace"
 	"clrdram/internal/workload"
 )
 
@@ -47,15 +46,14 @@ func (r Result) IPC() []float64 {
 
 // System is one assembled simulation instance.
 type System struct {
-	opts    Options
-	clr     core.Config
-	cores   []*cpu.Core
-	readers []trace.Reader
-	llc     *cache.Cache
-	ctrls   []*mem.Controller // one per channel
-	meters  []*power.Meter    // one per channel
-	mapper  *core.PageMapper
-	bases   []uint64 // per-core base addresses in the global space
+	opts   Options
+	clr    core.Config
+	cores  []*cpu.Core
+	llc    *cache.Cache
+	ctrls  []*mem.Controller // one per channel
+	meters []*power.Meter    // one per channel
+	mapper *core.PageMapper
+	bases  []uint64 // per-core base addresses in the global space
 
 	// Dynamic-reconfiguration state (nil/zero for baseline systems).
 	threshold  *core.DynamicThreshold
@@ -177,42 +175,23 @@ func NewSystem(profiles []workload.Profile, clr core.Config, opts Options) (*Sys
 		devCfg.ModeOf = threshold
 	}
 
-	// Layout: each core gets a private page-aligned region of the global
-	// address space, packed contiguously.
-	bases := make([]uint64, len(profiles))
-	var totalPages int
-	for i, p := range profiles {
-		bases[i] = uint64(totalPages) * core.PageBytes
-		totalPages += p.FootprintPages
-	}
-
-	// Profile each workload (fresh readers, same seed as the run) and
-	// build the global hot-page ranking: each workload contributes its top
-	// HPFraction pages, interleaved by rank across cores (§8.1). With a
-	// WarmupCache installed, the rankings — along with the warmed LLC and
-	// positioned readers consumed below — are computed once per workload
-	// set and forked across every configuration of the sweep (§13): they
-	// depend only on (profiles, seed, record budgets, LLC geometry), never
-	// on the CLR configuration under test.
+	// Pre-measurement: layout, profiling and LLC warm-up (prewarm). With a
+	// WarmupCache installed they run once per workload set and are forked
+	// across every configuration of the sweep (§13): they depend only on
+	// (profiles, seed, record budgets, LLC geometry), never on the CLR
+	// configuration under test. The global hot-page ranking takes each
+	// workload's top HPFraction pages, interleaved by rank across cores
+	// (§8.1).
 	var ws *warmState
 	if opts.Warmup != nil {
-		ws, err = opts.Warmup.state(profiles, opts)
-		if err != nil {
+		if ws, err = opts.Warmup.fork(profiles, opts); err != nil {
 			return nil, err
 		}
-	}
-	rankings := make([][]int, len(profiles))
-	if ws != nil {
-		copy(rankings, ws.rankings)
 	} else {
-		for i, p := range profiles {
-			prof := core.NewProfiler()
-			prof.Sample(p.NewReader(opts.Seed+int64(i)), opts.ProfileRecords)
-			rankings[i] = prof.Ranking(p.FootprintPages)
-		}
+		ws = prewarm(profiles, opts)
 	}
-	ranking := combineRankings(rankings, bases, clr.HPFraction)
-	mapper, err := core.BuildMappingMulti(devCfg, clr, ranking, totalPages, opts.Channels)
+	ranking := combineRankings(ws.rankings, ws.bases, clr.HPFraction)
+	mapper, err := core.BuildMappingMulti(devCfg, clr, ranking, ws.totalPages, opts.Channels)
 	if err != nil {
 		return nil, err
 	}
@@ -244,22 +223,18 @@ func NewSystem(profiles []workload.Profile, clr core.Config, opts Options) (*Sys
 		meters[ch] = meter
 	}
 
-	llc := cache.New(opts.LLC)
-	if ws != nil {
-		llc = ws.llc.Clone()
-	}
 	s := &System{
 		opts:       opts,
 		clr:        clr,
-		llc:        llc,
+		llc:        ws.llc,
 		ctrls:      ctrls,
 		meters:     meters,
 		mapper:     mapper,
-		bases:      bases,
+		bases:      ws.bases,
 		threshold:  threshold,
 		devCfg:     devCfg,
-		rankings:   rankings,
-		totalPages: totalPages,
+		rankings:   ws.rankings,
+		totalPages: ws.totalPages,
 		clk:        newDevClock((1.0 / opts.CPUClockGHz) / devCfg.ClockNS),
 		reg:        reg,
 	}
@@ -272,15 +247,7 @@ func NewSystem(profiles []workload.Profile, clr core.Config, opts Options) (*Sys
 	s.ffLag = make([]int64, len(profiles))
 	s.ffLagCap = make([]int64, len(profiles))
 	s.ffRetryAt = make([]int64, len(profiles))
-	s.readers = make([]trace.Reader, len(profiles))
-	for i, p := range profiles {
-		var rd trace.Reader
-		if ws != nil {
-			rd = ws.readers[i].(trace.CloneableReader).CloneReader()
-		} else {
-			rd = p.NewReader(opts.Seed + int64(i))
-		}
-		s.readers[i] = rd
+	for i, rd := range ws.readers {
 		s.cores[i] = cpu.New(i, opts.CPU, rd, (*memPort)(s), opts.TargetInstructions)
 	}
 	if reg != nil {
@@ -288,10 +255,6 @@ func NewSystem(profiles []workload.Profile, clr core.Config, opts Options) (*Sys
 		for i := range s.cores {
 			s.ipcSeries[i] = reg.Series(fmt.Sprintf("cpu.core%d.instructions", i), opts.StatsEpochCycles)
 		}
-	}
-
-	if ws == nil {
-		s.warmup()
 	}
 	return s, nil
 }
@@ -352,25 +315,6 @@ func combineRankings(rankings [][]int, bases []uint64, frac float64) []int {
 		}
 	}
 	return out
-}
-
-// warmup streams WarmupRecords per core through the LLC with no timing, so
-// the measured phase starts with realistic cache state (§8.1 fast-forward).
-func (s *System) warmup() {
-	for i := range s.cores {
-		for n := 0; n < s.opts.WarmupRecords; n++ {
-			rec, err := s.readers[i].Next()
-			if err != nil {
-				break
-			}
-			addr := s.bases[i] + rec.Addr
-			if s.llc.Access(addr, rec.Write, nil) == cache.Miss {
-				if victim, wb := s.llc.Fill(s.llc.LineAddr(addr)); wb {
-					_ = victim // warmup writebacks carry no timing cost
-				}
-			}
-		}
-	}
 }
 
 // memPort adapts System to cpu.MemPort.

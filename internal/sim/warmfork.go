@@ -39,34 +39,81 @@ type WarmupCache struct {
 // NewWarmupCache returns an empty cache.
 func NewWarmupCache() *WarmupCache { return &WarmupCache{} }
 
-// warmState is one master snapshot: everything NewSystem computes before
-// the measured phase that does not depend on the CLR configuration.
+// warmState is the outcome of the pre-measurement sequence (prewarm):
+// everything NewSystem computes before the measured phase that does not
+// depend on the CLR configuration.
 type warmState struct {
-	rankings [][]int        // per-core hot-page rankings (shared read-only)
-	llc      *cache.Cache   // warmed LLC master (Clone per fork)
-	readers  []trace.Reader // positioned just past warmup (CloneReader per fork)
+	bases      []uint64       // per-core base addresses in the global space
+	totalPages int            // pages of all cores' regions together
+	rankings   [][]int        // per-core hot-page rankings
+	llc        *cache.Cache   // the warmed LLC
+	readers    []trace.Reader // positioned just past warmup
 }
 
-// state returns the snapshot for the given workload set, building it on
-// first use. A nil snapshot with nil error means the profiles' readers are
-// not cloneable and the caller must warm up cold.
-func (w *WarmupCache) state(profiles []workload.Profile, opts Options) (*warmState, error) {
+// prewarm runs a system's pre-measurement sequence. Each core gets a
+// private page-aligned region of the global address space, packed
+// contiguously. Each workload is profiled with a fresh reader (same seed as
+// the run) for its hot-page ranking (§8.1). Then WarmupRecords per core
+// stream through a fresh LLC with no timing, core-major — the LLC's state,
+// LRU clock included, depends on the interleaving — so the measured phase
+// starts with realistic cache state; the run's readers continue from there.
+func prewarm(profiles []workload.Profile, opts Options) *warmState {
+	ws := &warmState{
+		bases:    make([]uint64, len(profiles)),
+		rankings: make([][]int, len(profiles)),
+		llc:      cache.New(opts.LLC),
+		readers:  make([]trace.Reader, len(profiles)),
+	}
+	for i, p := range profiles {
+		ws.bases[i] = uint64(ws.totalPages) * core.PageBytes
+		ws.totalPages += p.FootprintPages
+	}
+	for i, p := range profiles {
+		prof := core.NewProfiler()
+		prof.Sample(p.NewReader(opts.Seed+int64(i)), opts.ProfileRecords)
+		ws.rankings[i] = prof.Ranking(p.FootprintPages)
+	}
+	for i, p := range profiles {
+		rd := p.NewReader(opts.Seed + int64(i))
+		for n := 0; n < opts.WarmupRecords; n++ {
+			rec, err := rd.Next()
+			if err != nil {
+				break
+			}
+			addr := ws.bases[i] + rec.Addr
+			if ws.llc.Access(addr, rec.Write, nil) == cache.Miss {
+				ws.llc.Fill(ws.llc.LineAddr(addr)) // warmup writebacks carry no timing cost
+			}
+		}
+		ws.readers[i] = rd
+	}
+	return ws
+}
+
+// fork returns one run's copy of the snapshot for the given workload set,
+// building the snapshot on first use: the layout and rankings are shared
+// read-only, the LLC is deep-copied, and the readers are cloned at their
+// post-warmup positions (every reader Profile.NewReader returns is a
+// trace.CloneableReader).
+func (w *WarmupCache) fork(profiles []workload.Profile, opts Options) (*warmState, error) {
 	key, err := warmKey(profiles, opts)
 	if err != nil {
 		return nil, err
 	}
-	ws, err := w.once.Do(key, func() (*warmState, error) {
-		return buildWarmState(profiles, opts)
+	master, err := w.once.Do(key, func() (*warmState, error) {
+		return prewarm(profiles, opts), nil
 	})
-	if err == errWarmupNotCloneable {
-		return nil, nil
+	if err != nil {
+		return nil, err
 	}
-	return ws, err
+	ws := *master
+	ws.llc = master.llc.Clone()
+	ws.readers = make([]trace.Reader, len(master.readers))
+	for i, rd := range master.readers {
+		ws.readers[i] = rd.(trace.CloneableReader).CloneReader()
+	}
+	return &ws, nil
 }
-
-// errWarmupNotCloneable marks a workload set whose readers cannot be
-// snapshotted; NewSystem falls back to cold warmup for it.
-var errWarmupNotCloneable = fmt.Errorf("sim: warmup fork: reader is not cloneable")
 
 // warmKey fingerprints everything a warmState depends on. Profiles are
 // hashed in full (order matters: each index is a core), so two sweeps with
@@ -85,52 +132,6 @@ func warmKey(profiles []workload.Profile, opts Options) (string, error) {
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:]), nil
-}
-
-// buildWarmState replicates NewSystem's cold pre-measurement sequence
-// exactly — profiling with fresh readers, then core-major warmup through a
-// fresh LLC — against standalone state that the forks then copy.
-func buildWarmState(profiles []workload.Profile, opts Options) (*warmState, error) {
-	ws := &warmState{
-		rankings: make([][]int, len(profiles)),
-		llc:      cache.New(opts.LLC),
-		readers:  make([]trace.Reader, len(profiles)),
-	}
-	bases := make([]uint64, len(profiles))
-	var totalPages int
-	for i, p := range profiles {
-		bases[i] = uint64(totalPages) * core.PageBytes
-		totalPages += p.FootprintPages
-	}
-	for i, p := range profiles {
-		prof := core.NewProfiler()
-		prof.Sample(p.NewReader(opts.Seed+int64(i)), opts.ProfileRecords)
-		ws.rankings[i] = prof.Ranking(p.FootprintPages)
-	}
-	for i, p := range profiles {
-		rd := p.NewReader(opts.Seed + int64(i))
-		if _, ok := rd.(trace.CloneableReader); !ok {
-			return nil, errWarmupNotCloneable
-		}
-		ws.readers[i] = rd
-	}
-	// Warmup in System.warmup's exact core-major order: the LLC's state
-	// (LRU clock included) depends on the interleaving.
-	for i := range ws.readers {
-		for n := 0; n < opts.WarmupRecords; n++ {
-			rec, err := ws.readers[i].Next()
-			if err != nil {
-				break
-			}
-			addr := bases[i] + rec.Addr
-			if ws.llc.Access(addr, rec.Write, nil) == cache.Miss {
-				if victim, wb := ws.llc.Fill(ws.llc.LineAddr(addr)); wb {
-					_ = victim // warmup writebacks carry no timing cost
-				}
-			}
-		}
-	}
-	return ws, nil
 }
 
 // ensureWarmup installs a fresh WarmupCache for a sweep driver's scope when

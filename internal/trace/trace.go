@@ -64,10 +64,9 @@ func (s *SliceReader) Reset() { s.pos = 0 }
 // CloneableReader is a Reader whose position can be snapshotted: CloneReader
 // returns an independent reader that continues the identical record stream
 // from the current position, leaving the original untouched. The
-// checkpoint-and-fork warmup path (internal/sim) requires it of every
-// per-core reader it snapshots; readers that cannot offer it (e.g. ones
-// draining an io.Reader) simply don't implement it and fall back to cold
-// warmup.
+// checkpoint-and-fork warmup path (internal/sim) clones every per-core
+// reader it snapshots; every reader a workload profile builds
+// (workload.Profile.NewReader) implements it.
 type CloneableReader interface {
 	Reader
 	CloneReader() Reader

@@ -63,7 +63,8 @@ docs-check: fmt
 # which no fast-forward class covers, and TestFastForwardIdentityAcrossReconfigure
 # runs a lagging mix across a stop-the-world migration, after which every
 # core's own clock trails the system clock. The second line checks the
-# controller's half: TestSkipTicksMatchesTickedTwin against a ticked twin,
+# controller's half: TestSkipTicksMatchesTickedTwin against a ticked twin
+# (its cap-trips leg trips the row-hit cap, so SkipTicks replays CapTrips),
 # TestSkipTicksPanicsOutsideDrainFixpoint pins SkipTicks' precondition (a
 # span starts only from a settled horizon, so never outside a drain
 # fixpoint), the tick oracle (TestHorizonMatchesTicks on the default
@@ -115,12 +116,17 @@ serve-smoke:
 # out explicitly produce the same Result, canonical RunReport, and Fig. 12
 # CSV bytes at any worker count — and every scheduler × row-policy pair
 # must stay fast-forward/ticked bit-identical on the four-core mix. The
-# second line runs the FR-FCFS(-Cap) one-walk scan in lockstep with the
-# two-pass reference it replaced (DESIGN.md §16), plus its fuzz seed corpus.
-# Also part of `go test ./...`.
+# second line runs the FR-FCFS(-Cap) scan over the per-bank candidate index
+# in lockstep with the two-pass age-order reference (DESIGN.md §16), plus
+# its fuzz seed corpus, and TestQueueIndexInvariant, which recounts the
+# whole index on every tick for all three schedulers (each bank's
+# oldest hit, oldest conflict and capped-hit count, the bank masks, whose
+# hit bits answer the row policies' open-row exemption, and the at-cap
+# mask) and requires the bank lists merged by sequence number to equal the
+# queues' arrival order. Also part of `go test ./...`.
 compdiff:
 	go test ./internal/sim -run 'TestDefaultComposition|TestCompositionIdentityMatrix' -count=1
-	go test ./internal/mem -run 'TestScheduleWalkMatchesTwoPass|FuzzScheduleWalkMatchesTwoPass' -count=1
+	go test ./internal/mem -run 'TestScheduleWalkMatchesTwoPass|FuzzScheduleWalkMatchesTwoPass|TestQueueIndexInvariant' -count=1
 
 # ffbench-smoke is the fast-forward performance gate: five short rounds on
 # the memory-intensive profile, each running planner-off then fast-forward

@@ -203,7 +203,9 @@ func (c *Core) retire() {
 			}
 			return // head not ready: in-order retirement stalls
 		}
-		c.head = (c.head + 1) % len(c.window)
+		if c.head++; c.head == len(c.window) {
+			c.head = 0
+		}
 		c.count--
 		c.retired++
 	}
@@ -280,7 +282,9 @@ func (c *Core) issue() {
 // insert appends one window entry with the given ready cycle.
 func (c *Core) insert(readyAt int64) {
 	c.window[c.tail] = readyAt
-	c.tail = (c.tail + 1) % len(c.window)
+	if c.tail++; c.tail == len(c.window) {
+		c.tail = 0
+	}
 	c.count++
 }
 

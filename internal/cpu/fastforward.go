@@ -218,10 +218,8 @@ func (c *Core) Skip(k int64, st FFState) {
 	case st.Fill:
 		n := k * int64(c.cfg.IssueWidth)
 		for j := int64(0); j < n; j++ {
-			c.window[c.tail] = c.cycle
-			c.tail = (c.tail + 1) % len(c.window)
+			c.insert(c.cycle)
 		}
-		c.count += int(n)
 		c.bubblesLeft -= int(n)
 	}
 	ku := uint64(k)

@@ -108,7 +108,11 @@ type Device struct {
 	groupActs   []int64  // per-group earliest next ACT (tRRD_L)
 	actWindow   [4]int64 // issue cycles of the last four ACTs (tFAW)
 	actWindowN  int
-	maxFAW      int64 // largest tFAW over the modes: bounds when tFAW can bind
+
+	// The smallest and largest tFAW over the modes: tFAW can bind only when
+	// the fourth-previous ACT plus maxFAW lies past the other ACT floors,
+	// and can make ACT floors differ by row only when the two differ.
+	minFAW, maxFAW int64
 
 	refBusyUntil int64 // end of an in-flight REF (tRFC)
 
@@ -153,7 +157,9 @@ func NewDevice(cfg Config) *Device {
 	for i := range d.banks {
 		d.banks[i].group = i / cfg.BanksPerGroup
 	}
+	d.minFAW = int64(cfg.Timings[0].FAW)
 	for m := range cfg.Timings {
+		d.minFAW = min(d.minFAW, int64(cfg.Timings[m].FAW))
 		d.maxFAW = max(d.maxFAW, int64(cfg.Timings[m].FAW))
 	}
 	return d
@@ -313,23 +319,38 @@ func (d *Device) PREFloor(bank int) int64 {
 
 // ACTFloor is EarliestIssue for an ACT of row in bank. tFAW depends on the
 // row's mode, which costs a Config.ModeOf lookup; the lookup runs only when
-// the fourth-previous ACT plus the largest tFAW of any mode lies past the
-// other floors, since otherwise no mode's tFAW can bind.
+// ACTBankFloor finds that the row can matter.
 func (d *Device) ACTFloor(bank, row int) int64 {
+	t, ok := d.ACTBankFloor(bank)
+	if !ok {
+		t = max(t, d.actWindow[d.actWindowN%4]+int64(d.timing(d.modeOf(bank, row)).FAW))
+	}
+	return t
+}
+
+// ACTBankFloor is ACTFloor for every row of bank at once. It reports false
+// when the answer depends on the row: tFAW differs by mode and the
+// fourth-previous ACT plus the largest tFAW lies past the other floors; the
+// floor it then returns leaves tFAW out. Otherwise no mode's tFAW can bind,
+// or every mode's binds alike.
+func (d *Device) ACTBankFloor(bank int) (int64, bool) {
 	if d.refBusyUntil > d.clock {
-		return d.refBusyUntil
+		return d.refBusyUntil, true
 	}
 	b := &d.banks[bank]
 	if b.open {
-		return never
+		return never, true
 	}
 	t := max(b.nextACT, d.rankNextACT, d.groupActs[b.group])
 	if d.actWindowN >= 4 {
 		if faw := d.actWindow[d.actWindowN%4]; faw+d.maxFAW > t {
-			t = max(t, faw+int64(d.timing(d.modeOf(bank, row)).FAW))
+			if d.minFAW != d.maxFAW {
+				return t, false
+			}
+			t = faw + d.maxFAW
 		}
 	}
-	return t
+	return t, true
 }
 
 // Issue applies cmd to the device state. It panics if the command cannot

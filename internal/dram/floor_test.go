@@ -73,7 +73,8 @@ func refEarliestIssue(d *Device, cmd Command) int64 {
 // mode decides whether tFAW binds) through a random legal command workout
 // with refreshes, and checks every cycle that EarliestIssue and the
 // per-kind accessors equal the reference for every kind on every bank,
-// against the open row and against other rows.
+// against the open row and against other rows. ACTBankFloor, where it
+// answers for every row at once, must equal the reference for each.
 func TestFloorAccessorsMatchReference(t *testing.T) {
 	cfg := clrConfig(modeByRow{})
 	cfg.Timings[ModeHighPerf].FAW += 12
@@ -81,6 +82,7 @@ func TestFloorAccessorsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	kinds := []Kind{KindACT, KindPRE, KindRD, KindWR, KindPREA, KindREF}
 	refreshing := false
+	rowDependent := 0 // ACTBankFloor answers that the row decides
 	for step := 0; step < 20_000; step++ {
 		for bank := range d.banks {
 			for _, row := range []int{d.banks[bank].row, rng.Intn(6)} {
@@ -94,6 +96,12 @@ func TestFloorAccessorsMatchReference(t *testing.T) {
 					switch k {
 					case KindACT:
 						got = d.ACTFloor(bank, row)
+						if bf, ok := d.ACTBankFloor(bank); !ok {
+							rowDependent++
+						} else if bf != want {
+							t.Fatalf("cycle %d: ACTBankFloor(%d) = %d, reference %d for row %d",
+								d.clock, bank, bf, want, row)
+						}
 					case KindPRE:
 						got = d.PREFloor(bank)
 					case KindRD, KindWR:
@@ -124,7 +132,7 @@ func TestFloorAccessorsMatchReference(t *testing.T) {
 		}
 		d.AdvanceClock(1 + int64(rng.Intn(3)))
 	}
-	if d.CmdCounts[KindREF] == 0 || d.CmdCounts[KindACT] < 500 {
-		t.Fatalf("weak workout: command counts %v", d.CmdCounts)
+	if d.CmdCounts[KindREF] == 0 || d.CmdCounts[KindACT] < 500 || rowDependent == 0 {
+		t.Fatalf("weak workout: command counts %v, %d row-dependent ACT floors", d.CmdCounts, rowDependent)
 	}
 }

@@ -23,6 +23,7 @@ type Request struct {
 
 	decoded    Address
 	enqueuedAt int64
+	seq        uint64 // enqueue order, controller-wide: the request's age
 	classified bool
 }
 
@@ -119,20 +120,13 @@ type Controller struct {
 	sched  Scheduler
 	policy RowPolicy
 
-	readQ  []*Request
-	writeQ []*Request
+	read, write queue  // the request queues, indexed by bank (queue.go)
+	seq         uint64 // enqueue sequence number of the youngest request
 
 	draining bool
 
-	hitStreak []int // consecutive row hits served per bank since its last ACT
-	atCap     int   // banks whose streak has reached cfg.RowHitCap
-
-	// openRowQueued[b] counts queued requests (both queues) that target bank
-	// b's currently open row; meaningful only while the bank is open. It
-	// makes the row-close exemption check of a close-entry re-derivation
-	// O(1) instead of a queue walk, at the cost of O(1) bookkeeping per
-	// enqueue/issue and one recount per ACT.
-	openRowQueued []int
+	hitStreak []int  // consecutive row hits served per bank since its last ACT
+	atCap     uint64 // banks whose streak has reached cfg.RowHitCap
 
 	// refresh bookkeeping
 	refNext    []float64 // next due cycle per stream
@@ -221,16 +215,18 @@ func NewController(dev *dram.Device, cfg Config) (*Controller, error) {
 	if err != nil {
 		return nil, err
 	}
+	banks := dev.NumBanks()
 	c := &Controller{
-		dev:           dev,
-		cfg:           cfg,
-		sched:         sched,
-		policy:        policy,
-		hitStreak:     make([]int, dev.Config().Banks()),
-		openRowQueued: make([]int, dev.Config().Banks()),
-		refNext:       make([]float64, len(cfg.Refresh)),
-		refPending:    -1,
-		st:            Stats{ReadLatency: *stats.NewHistogram(512, 4)},
+		dev:        dev,
+		cfg:        cfg,
+		sched:      sched,
+		policy:     policy,
+		read:       newQueue(banks),
+		write:      newQueue(banks),
+		hitStreak:  make([]int, banks),
+		refNext:    make([]float64, len(cfg.Refresh)),
+		refPending: -1,
+		st:         Stats{ReadLatency: *stats.NewHistogram(512, 4)},
 	}
 	for i, s := range cfg.Refresh {
 		if s.Interval <= 0 {
@@ -238,7 +234,6 @@ func NewController(dev *dram.Device, cfg Config) (*Controller, error) {
 		}
 		c.refNext[i] = s.Interval
 	}
-	banks := dev.NumBanks()
 	c.ffBankTO = make([]int64, banks)
 	c.ffTOAll = ^uint64(0) >> (64 - uint(banks))
 	c.ffTODirty = c.ffTOAll
@@ -295,39 +290,30 @@ func (c *Controller) Clock() int64 { return c.dev.Clock() }
 func (c *Controller) Stats() Stats { return c.st }
 
 // Pending returns the number of queued (unissued) requests.
-func (c *Controller) Pending() int { return len(c.readQ) + len(c.writeQ) }
+func (c *Controller) Pending() int { return c.read.n + c.write.n }
 
 // CanEnqueue reports whether a request of the given kind would be accepted.
 func (c *Controller) CanEnqueue(write bool) bool {
 	if write {
-		return len(c.writeQ) < c.cfg.WriteQueueCap
+		return c.write.n < c.cfg.WriteQueueCap
 	}
-	return len(c.readQ) < c.cfg.ReadQueueCap
+	return c.read.n < c.cfg.ReadQueueCap
 }
 
-// noteEnqueued maintains the open-row request count for a newly queued
-// request.
-func (c *Controller) noteEnqueued(req *Request) {
-	if open, row := c.dev.BankState(req.decoded.Bank); open && row == req.decoded.Row {
-		c.openRowQueued[req.decoded.Bank]++
-	}
+// rowChanged restarts bank b's hit streak and rebuilds its summaries in both
+// queues after a command opened or closed its row (ACT, PRE, PREA).
+func (c *Controller) rowChanged(b int) {
+	c.hitStreak[b] = 0
+	c.atCap &^= 1 << uint(b)
+	open, row := c.dev.BankState(b)
+	c.read.summarise(b, open, row)
+	c.write.summarise(b, open, row)
 }
 
-// recountOpenRow rebuilds openRowQueued[bank] for the given row (called when
-// an ACT opens it; the queues may already hold requests for it).
-func (c *Controller) recountOpenRow(bank, row int) {
-	n := 0
-	for _, r := range c.readQ {
-		if r.decoded.Bank == bank && r.decoded.Row == row {
-			n++
-		}
-	}
-	for _, r := range c.writeQ {
-		if r.decoded.Bank == bank && r.decoded.Row == row {
-			n++
-		}
-	}
-	c.openRowQueued[bank] = n
+// openRowQueued reports whether a queued request (either queue) targets bank
+// b's open row: the row-close exemption, read from the hit masks.
+func (c *Controller) openRowQueued(b int) bool {
+	return (c.read.hits|c.write.hits)&(1<<uint(b)) != 0
 }
 
 // EnqueueDecoded submits a request whose address the caller has already
@@ -341,13 +327,15 @@ func (c *Controller) EnqueueDecoded(req *Request, da Address) bool {
 	}
 	req.decoded = da
 	req.enqueuedAt = c.dev.Clock()
+	c.seq++
+	req.seq = c.seq
+	q := &c.read
 	if req.Write {
-		c.writeQ = append(c.writeQ, req)
-	} else {
-		c.readQ = append(c.readQ, req)
+		q = &c.write
 	}
-	c.noteEnqueued(req)
-	c.dirtyBank(req.decoded.Bank)
+	open, row := c.dev.BankState(da.Bank)
+	q.push(req, open, row)
+	c.dirtyBank(da.Bank)
 	return true
 }
 
@@ -408,8 +396,7 @@ func (c *Controller) tickRefresh(now int64) bool {
 		if c.dev.CanIssue(prea) {
 			c.dev.Issue(prea)
 			for b := range c.dev.NumBanks() {
-				c.resetStreak(b)
-				c.openRowQueued[b] = 0
+				c.rowChanged(b)
 			}
 			c.dirtyAllHorizon() // rank-wide: every bank closed
 			return true
@@ -451,23 +438,23 @@ func (c *Controller) refArmed(i int, t int64, pending bool) bool {
 // are queued) and stops at WriteLow.
 func (c *Controller) nextDraining(d bool) bool {
 	if d {
-		return len(c.writeQ) > c.cfg.WriteLow
+		return c.write.n > c.cfg.WriteLow
 	}
-	return len(c.writeQ) >= c.cfg.WriteHigh || (len(c.readQ) == 0 && len(c.writeQ) > 0)
+	return c.write.n >= c.cfg.WriteHigh || (c.read.n == 0 && c.write.n > 0)
 }
 
 // activeQueue steps the drain hysteresis and selects the read or write
 // queue. A flip dirties the schedule memo: the published floors belong to
 // the queue the failed scan walked.
-func (c *Controller) activeQueue() *[]*Request {
+func (c *Controller) activeQueue() *queue {
 	if d := c.nextDraining(c.draining); d != c.draining {
 		c.draining = d
 		c.dirtySched()
 	}
 	if c.draining {
-		return &c.writeQ
+		return &c.write
 	}
-	return &c.readQ
+	return &c.read
 }
 
 // tickSchedule runs the composed Scheduler over the active queue. Returns
@@ -481,7 +468,7 @@ func (c *Controller) activeQueue() *[]*Request {
 // schedComponent is a pure memo read).
 func (c *Controller) tickSchedule(now int64) bool {
 	q := c.activeQueue()
-	if len(*q) == 0 {
+	if q.n == 0 {
 		c.publishSched(ffNever, 0)
 		return false
 	}
@@ -523,14 +510,13 @@ func (c *Controller) publishSched(h int64, trips uint64) {
 	c.ffSchedValid = true
 }
 
-// issueColumn issues the RD/WR q[i] needs (the caller has checked its floor
-// is due), removes the request from q, and settles its completion: a read's
-// is scheduled for when its data arrives, a write's runs now (writes are
-// posted). Calling OnComplete hands the request back to its submitter, so
-// it is the last thing the controller does with it.
-func (c *Controller) issueColumn(q *[]*Request, i int, now int64) {
-	req := (*q)[i]
-	bank := req.decoded.Bank
+// issueColumn issues the RD/WR that request i of bank's list in q needs (the
+// caller has checked its floor is due), removes the request from q, and
+// settles its completion: a read's is scheduled for when its data arrives, a
+// write's runs now (writes are posted). Calling OnComplete hands the request
+// back to its submitter, so it is the last thing the controller does with it.
+func (c *Controller) issueColumn(q *queue, bank, i int, now int64) {
+	req := q.banks[bank].reqs[i]
 	kind := dram.KindRD
 	if req.Write {
 		kind = dram.KindWR
@@ -539,13 +525,10 @@ func (c *Controller) issueColumn(q *[]*Request, i int, now int64) {
 	c.dev.Issue(dram.Command{Kind: kind, Bank: bank, Row: req.decoded.Row, Column: req.decoded.Column})
 	c.hitStreak[bank]++
 	if c.hitStreak[bank] == c.cfg.RowHitCap {
-		c.atCap++
-	}
-	if c.openRowQueued[bank] > 0 {
-		c.openRowQueued[bank]--
+		c.atCap |= 1 << uint(bank)
 	}
 	c.dirtyBank(bank)
-	*q = append((*q)[:i], (*q)[i+1:]...) // preserves FCFS age order
+	q.remove(bank, i, req.decoded.Row)
 	if req.Write {
 		c.st.WritesServed++
 		if req.OnComplete != nil {
@@ -566,19 +549,6 @@ func (c *Controller) classify(req *Request, counter *uint64) {
 		*counter++
 		req.classified = true
 	}
-}
-
-// olderConflictExists reports whether any request older than index i in q
-// targets the same bank but a different row — the starvation condition the
-// row-hit cap protects against.
-func (c *Controller) olderConflictExists(q []*Request, i int) bool {
-	target := q[i].decoded
-	for _, other := range q[:i] {
-		if other.decoded.Bank == target.Bank && other.decoded.Row != target.Row {
-			return true
-		}
-	}
-	return false
 }
 
 // tickRowClose closes the lowest-numbered bank the composed RowPolicy (the
@@ -603,33 +573,9 @@ func (c *Controller) tickRowClose(now int64) {
 	}
 }
 
-// rowHasQueuedRequest reports whether any queued request targets (bank,row).
-// Hot paths read openRowQueued instead; this queue walk is the test oracle
-// for that counter (and the reference semantics of the timeout exemption).
-func (c *Controller) rowHasQueuedRequest(bank, row int) bool {
-	for _, r := range c.readQ {
-		if r.decoded.Bank == bank && r.decoded.Row == row {
-			return true
-		}
-	}
-	for _, r := range c.writeQ {
-		if r.decoded.Bank == bank && r.decoded.Row == row {
-			return true
-		}
-	}
-	return false
-}
-
-func (c *Controller) resetStreak(bank int) {
-	if c.hitStreak[bank] >= c.cfg.RowHitCap {
-		c.atCap--
-	}
-	c.hitStreak[bank] = 0
-}
-
 // Drained reports whether all queues and in-flight completions are empty.
 func (c *Controller) Drained() bool {
-	return len(c.readQ) == 0 && len(c.writeQ) == 0 && c.completions.Len() == 0
+	return c.Pending() == 0 && c.completions.Len() == 0
 }
 
 // completion is a scheduled read-data callback.

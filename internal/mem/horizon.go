@@ -258,8 +258,8 @@ func (c *Controller) SkipTicks(n int64) {
 // records one cycle; SkipTicks a whole span. Only called when
 // Config.Metrics is set, so the disabled path pays one branch.
 func (c *Controller) observe(n int64, issued bool) {
-	c.obsReadQ.ObserveN(float64(len(c.readQ)), uint64(n))
-	c.obsWriteQ.ObserveN(float64(len(c.writeQ)), uint64(n))
+	c.obsReadQ.ObserveN(float64(c.read.n), uint64(n))
+	c.obsWriteQ.ObserveN(float64(c.write.n), uint64(n))
 	if c.draining {
 		c.obsDrain.Add(uint64(n))
 	}
@@ -279,13 +279,11 @@ func (c *Controller) observe(n int64, issued bool) {
 	// Classify by the oldest request of the queue the scheduler considered
 	// (c.draining was settled by tickSchedule and holds over a span),
 	// falling back to the other queue if that one is empty.
-	q := c.readQ
-	if c.draining || len(q) == 0 {
-		if len(c.writeQ) > 0 {
-			q = c.writeQ
-		}
+	q := &c.read
+	if (c.draining || q.n == 0) && c.write.n > 0 {
+		q = &c.write
 	}
-	req := q[0]
+	req := q.banks[q.oldest()].reqs[0]
 	open, row := c.dev.BankState(req.decoded.Bank)
 	var cmd dram.Command
 	switch {

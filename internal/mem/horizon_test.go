@@ -35,10 +35,12 @@ type arrival struct {
 }
 
 // burstySchedule generates n arrivals: bursts of 1-8 back-to-back requests
-// of horizonTrafficStep's mix (deep queues, capped hits, write drains), each
-// followed by an idle gap of up to maxGap cycles, which carries a controller
-// across refresh intervals and row-close deadlines while idle. It also
-// returns the cycle the last gap ends at.
+// of horizonTrafficStep's mix (deep queues, write drains), each followed by
+// an idle gap of up to maxGap cycles, which carries a controller across
+// refresh intervals and row-close deadlines while idle. With the skip
+// twins' refresh streams the default composition trips the row-hit cap on
+// (260, 1800) but never on (600, 2600). It also returns the cycle the last
+// gap ends at.
 func burstySchedule(n int, maxGap uint64) ([]arrival, int64) {
 	var schedule []arrival
 	state := uint64(0x51a7b2c90ddc0ffe)
@@ -175,13 +177,12 @@ func TestHorizonMatchesTicks(t *testing.T) {
 // TestSkipTicksMatchesTickedTwin runs two identically-configured controllers
 // through the same arrival schedule: one ticks every cycle, the other skips
 // every dead span NextEventCycle exposes. Completion times, counter-for-
-// counter stats, and the final clock must match exactly. The schedule mixes
-// bursts (deep queues, capped hits, write drains) with long idle gaps that
-// carry the skipping twin across refresh-arm boundaries and timeout closes.
+// counter stats, and the final clock must match exactly. The schedules mix
+// bursts (deep queues, write drains) with long idle gaps that carry the
+// skipping twin across refresh-arm boundaries and timeout closes. The
+// cap-trips leg's denser schedule also trips the row-hit cap, and its
+// skipping twin must replay CapTrips in SkipTicks spans.
 func TestSkipTicksMatchesTickedTwin(t *testing.T) {
-	schedule, last := burstySchedule(600, 2600)
-	end := last + 5_000
-
 	cfg := Config{
 		MaxPostponedRefresh: 2,
 		Refresh: []RefreshStream{
@@ -193,56 +194,81 @@ func TestSkipTicksMatchesTickedTwin(t *testing.T) {
 		ID    int
 		Cycle int64
 	}
-
-	run := func(skip bool) (done []completion, accepted int, st Stats, clock int64) {
-		c := newTestController(t, cfg)
-		next := 0
-		for c.Clock() < end {
-			now := c.Clock()
-			for next < len(schedule) && schedule[next].cycle <= now {
-				req := schedule[next].req // copy
-				id := next
-				req.OnComplete = func(at int64) { done = append(done, completion{id, at}) }
-				if enqueue(c, &req) {
-					accepted++
+	legs := []struct {
+		name     string
+		n        int
+		maxGap   uint64
+		tail     int64
+		capTrips bool // the leg must trip the cap and replay trips in spans
+	}{
+		{"bursty", 600, 2600, 5_000, false},
+		{"cap-trips", 260, 1800, 4_000, true},
+	}
+	for _, leg := range legs {
+		t.Run(leg.name, func(t *testing.T) {
+			t.Parallel()
+			schedule, last := burstySchedule(leg.n, leg.maxGap)
+			end := last + leg.tail
+			// run returns what the controller did and the CapTrips its
+			// SkipTicks spans added.
+			run := func(skip bool) (done []completion, accepted int, st Stats, clock int64, replayed uint64) {
+				c := newTestController(t, cfg)
+				next := 0
+				for c.Clock() < end {
+					now := c.Clock()
+					for next < len(schedule) && schedule[next].cycle <= now {
+						req := schedule[next].req // copy
+						id := next
+						req.OnComplete = func(at int64) { done = append(done, completion{id, at}) }
+						if enqueue(c, &req) {
+							accepted++
+						}
+						next++
+					}
+					if skip {
+						limit := end
+						if next < len(schedule) && schedule[next].cycle < limit {
+							limit = schedule[next].cycle
+						}
+						if h := c.NextEventCycle(); h < limit {
+							limit = h
+						}
+						if n := limit - now; n > 0 {
+							trips := c.st.CapTrips
+							c.SkipTicks(n)
+							replayed += c.st.CapTrips - trips
+							continue
+						}
+					}
+					c.Tick()
 				}
-				next++
+				return done, accepted, c.Stats(), c.Clock(), replayed
 			}
-			if skip {
-				limit := end
-				if next < len(schedule) && schedule[next].cycle < limit {
-					limit = schedule[next].cycle
-				}
-				if h := c.NextEventCycle(); h < limit {
-					limit = h
-				}
-				if n := limit - now; n > 0 {
-					c.SkipTicks(n)
-					continue
-				}
-			}
-			c.Tick()
-		}
-		return done, accepted, c.Stats(), c.Clock()
-	}
 
-	tickedDone, tickedAcc, tickedStats, tickedClock := run(false)
-	if len(tickedDone) == 0 || tickedStats.Refreshes == 0 || tickedStats.TimeoutCloses == 0 {
-		t.Fatalf("weak reference run: %d completions, %d refreshes, %d timeout closes — schedule does not exercise the horizon components",
-			len(tickedDone), tickedStats.Refreshes, tickedStats.TimeoutCloses)
-	}
-	skipDone, skipAcc, skipStats, skipClock := run(true)
-	if skipClock != tickedClock {
-		t.Errorf("final clock %d != ticked %d", skipClock, tickedClock)
-	}
-	if skipAcc != tickedAcc {
-		t.Errorf("accepted %d != ticked %d", skipAcc, tickedAcc)
-	}
-	if !reflect.DeepEqual(skipDone, tickedDone) {
-		t.Errorf("completion log diverges (%d vs %d entries)", len(skipDone), len(tickedDone))
-	}
-	if !reflect.DeepEqual(skipStats, tickedStats) {
-		t.Errorf("stats diverge:\n skip:   %+v\n ticked: %+v", skipStats, tickedStats)
+			tickedDone, tickedAcc, tickedStats, tickedClock, _ := run(false)
+			if len(tickedDone) == 0 || tickedStats.Refreshes == 0 || tickedStats.TimeoutCloses == 0 ||
+				(leg.capTrips && tickedStats.CapTrips == 0) {
+				t.Fatalf("weak reference run: %d completions, %d refreshes, %d timeout closes, %d CapTrips — schedule does not exercise the horizon components",
+					len(tickedDone), tickedStats.Refreshes, tickedStats.TimeoutCloses, tickedStats.CapTrips)
+			}
+			skipDone, skipAcc, skipStats, skipClock, replayed := run(true)
+			t.Logf("%d CapTrips, %d of them replayed by SkipTicks", skipStats.CapTrips, replayed)
+			if leg.capTrips && replayed == 0 {
+				t.Errorf("weak run: SkipTicks replayed none of the %d CapTrips", skipStats.CapTrips)
+			}
+			if skipClock != tickedClock {
+				t.Errorf("final clock %d != ticked %d", skipClock, tickedClock)
+			}
+			if skipAcc != tickedAcc {
+				t.Errorf("accepted %d != ticked %d", skipAcc, tickedAcc)
+			}
+			if !reflect.DeepEqual(skipDone, tickedDone) {
+				t.Errorf("completion log diverges (%d vs %d entries)", len(skipDone), len(tickedDone))
+			}
+			if !reflect.DeepEqual(skipStats, tickedStats) {
+				t.Errorf("stats diverge:\n skip:   %+v\n ticked: %+v", skipStats, tickedStats)
+			}
+		})
 	}
 }
 
@@ -257,9 +283,9 @@ func TestSkipTicksPanicsOutsideDrainFixpoint(t *testing.T) {
 	if !enqueue(c, &Request{Addr: 0x40, Write: true}) {
 		t.Fatal("write rejected")
 	}
-	if c.draining || len(c.readQ) != 0 || c.nextDraining(c.draining) == c.draining {
-		t.Fatalf("setup is not the period-2 regime: draining=%v readQ=%d writeQ=%d",
-			c.draining, len(c.readQ), len(c.writeQ))
+	if c.draining || c.read.n != 0 || c.nextDraining(c.draining) == c.draining {
+		t.Fatalf("setup is not the period-2 regime: draining=%v read queue %d, write queue %d",
+			c.draining, c.read.n, c.write.n)
 	}
 	if h := c.NextEventCycle(); h != c.Clock() {
 		t.Errorf("NextEventCycle = %d, want the clock %d (no span may start here)", h, c.Clock())
@@ -272,9 +298,23 @@ func TestSkipTicksPanicsOutsideDrainFixpoint(t *testing.T) {
 	c.SkipTicks(1)
 }
 
-// TestOpenRowQueuedMatchesScan checks the O(1) timeout-exemption counter
-// against the queue scan it replaced: for every open bank, openRowQueued is
-// nonzero exactly when some queued request targets the open row.
+// rowHasQueuedRequest reports whether any queued request targets (bank,row):
+// the queue walk openRowQueued replaced, kept as its test oracle.
+func (c *Controller) rowHasQueuedRequest(bank, row int) bool {
+	for _, q := range []*queue{&c.read, &c.write} {
+		for _, r := range q.banks[bank].reqs {
+			if r.decoded.Row == row {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestOpenRowQueuedMatchesScan checks the O(1) timeout-exemption check
+// (openRowQueued, read from the queues' hit masks) against the queue scan it
+// replaced: for every open bank, openRowQueued holds exactly when some queued
+// request targets the open row.
 func TestOpenRowQueuedMatchesScan(t *testing.T) {
 	c := newTestController(t, Config{
 		Refresh: []RefreshStream{{Mode: dram.ModeDefault, Interval: 1100}},
@@ -290,9 +330,9 @@ func TestOpenRowQueuedMatchesScan(t *testing.T) {
 			if !open {
 				continue
 			}
-			if got, want := c.openRowQueued[b] > 0, c.rowHasQueuedRequest(b, row); got != want {
-				t.Fatalf("cycle %d bank %d: openRowQueued=%d disagrees with queue scan (%v)",
-					c.Clock(), b, c.openRowQueued[b], want)
+			if got, want := c.openRowQueued(b), c.rowHasQueuedRequest(b, row); got != want {
+				t.Fatalf("cycle %d bank %d: openRowQueued=%v disagrees with queue scan (%v)",
+					c.Clock(), b, got, want)
 			}
 		}
 		c.Tick()

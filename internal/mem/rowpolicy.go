@@ -50,7 +50,7 @@ func (p *timeoutPolicy) BankCloseCycle(c *Controller, b int) int64 {
 	if !open {
 		return ffNever
 	}
-	if c.openRowQueued[b] > 0 {
+	if c.openRowQueued(b) {
 		return ffNever
 	}
 	return max(last+p.cycles, c.dev.PREFloor(b))
@@ -73,7 +73,7 @@ func (closedPagePolicy) Name() string { return "closed" }
 
 func (closedPagePolicy) BankCloseCycle(c *Controller, b int) int64 {
 	open, _ := c.dev.BankState(b)
-	if !open || c.openRowQueued[b] > 0 {
+	if !open || c.openRowQueued(b) {
 		return ffNever
 	}
 	return c.dev.PREFloor(b)
@@ -107,7 +107,7 @@ func (p *hitCountPolicy) BankCloseCycle(c *Controller, b int) int64 {
 	if c.hitStreak[b] >= p.maxHits {
 		return c.dev.PREFloor(b)
 	}
-	if c.openRowQueued[b] > 0 {
+	if c.openRowQueued(b) {
 		return ffNever
 	}
 	return max(last+p.idleCycles, c.dev.PREFloor(b))
@@ -115,12 +115,11 @@ func (p *hitCountPolicy) BankCloseCycle(c *Controller, b int) int64 {
 
 // closeRow issues the policy-initiated PRE on bank b (its close cycle, PRE
 // floor included, has been reached) and performs the shared bookkeeping:
-// streak reset, open-row count, the TimeoutCloses counter, and horizon
-// dirtying.
+// streak reset, the bank's queue summaries, the TimeoutCloses counter, and
+// horizon dirtying.
 func (c *Controller) closeRow(b int) {
 	c.dev.Issue(dram.Command{Kind: dram.KindPRE, Bank: b})
-	c.resetStreak(b)
-	c.openRowQueued[b] = 0
+	c.rowChanged(b)
 	c.st.TimeoutCloses++
 	c.dirtyBank(b)
 }

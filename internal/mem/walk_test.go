@@ -1,8 +1,11 @@
 package mem
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
 	"reflect"
+	"slices"
 	"testing"
 
 	"clrdram/internal/dram"
@@ -15,11 +18,13 @@ import (
 // lockstep and must agree on every command, every counter and the published
 // horizon on every cycle.
 
-// twoPass is the reference FR-FCFS(-Cap) scheduler. Pass 1 serves the oldest
-// issuable row hit that is not capped, counting one CapTrips per capped hit
-// it skips; pass 2 issues the oldest issuable next command of any request,
-// skipping capped hits, and otherwise returns the minimum floor it saw.
-// Floors come from dram.Device.EarliestIssue.
+// twoPass is the reference FR-FCFS(-Cap) scheduler. It walks the queue in
+// age order, the bank lists merged by sequence number (ageOrder). Pass 1
+// serves the oldest issuable row hit that is not capped, counting one
+// CapTrips per capped hit it skips; pass 2 issues the oldest issuable next
+// command of any request, skipping capped hits, and otherwise returns the
+// minimum floor it saw. Floors come from dram.Device.EarliestIssue, and the
+// cap test reads the hit streaks and rescans the older requests itself.
 type twoPass struct{ capped bool }
 
 func (p twoPass) prod() Scheduler {
@@ -31,15 +36,20 @@ func (p twoPass) prod() Scheduler {
 
 func (p twoPass) Name() string { return "two-pass " + p.prod().Name() }
 
-func (p twoPass) Schedule(c *Controller, q *[]*Request, now int64) (bool, int64) {
+func (p twoPass) Schedule(c *Controller, q *queue, now int64) (bool, int64) {
+	reqs := ageOrder(q)
 	isHit := func(req *Request) bool {
 		open, row := c.dev.BankState(req.decoded.Bank)
 		return open && row == req.decoded.Row
 	}
 	isCapped := func(i int, req *Request) bool {
-		return p.capped && c.hitStreak[req.decoded.Bank] >= c.cfg.RowHitCap && c.olderConflictExists(*q, i)
+		return p.capped && c.hitStreak[req.decoded.Bank] >= c.cfg.RowHitCap && olderConflictExists(reqs, i)
 	}
-	for i, req := range *q {
+	issue := func(req *Request) {
+		b := req.decoded.Bank
+		c.issueNext(q, b, slices.Index(q.banks[b].reqs, req), now)
+	}
+	for i, req := range reqs {
 		if !isHit(req) {
 			continue
 		}
@@ -48,12 +58,12 @@ func (p twoPass) Schedule(c *Controller, q *[]*Request, now int64) (bool, int64)
 			continue
 		}
 		if refFloor(c, req) <= now {
-			c.issueNext(q, i, now)
+			issue(req)
 			return true, now
 		}
 	}
 	minNext := int64(ffNever)
-	for i, req := range *q {
+	for i, req := range reqs {
 		if isHit(req) && isCapped(i, req) {
 			continue
 		}
@@ -61,10 +71,34 @@ func (p twoPass) Schedule(c *Controller, q *[]*Request, now int64) (bool, int64)
 			minNext = min(minNext, e)
 			continue
 		}
-		c.issueNext(q, i, now)
+		issue(req)
 		return true, now
 	}
 	return false, minNext
+}
+
+// ageOrder returns q's requests in age order: its bank lists merged by
+// sequence number.
+func ageOrder(q *queue) []*Request {
+	var reqs []*Request
+	for _, bq := range q.banks {
+		reqs = append(reqs, bq.reqs...)
+	}
+	slices.SortFunc(reqs, func(a, b *Request) int { return cmp.Compare(a.seq, b.seq) })
+	return reqs
+}
+
+// olderConflictExists reports whether any request older than index i of the
+// age-ordered reqs targets the same bank but a different row — the
+// starvation condition the row-hit cap protects against.
+func olderConflictExists(reqs []*Request, i int) bool {
+	target := reqs[i].decoded
+	for _, other := range reqs[:i] {
+		if other.decoded.Bank == target.Bank && other.decoded.Row != target.Row {
+			return true
+		}
+	}
+	return false
 }
 
 // refFloor is the floor of the command req needs next, through the device's
@@ -95,20 +129,24 @@ func (l *commandLog) OnCommand(cmd dram.Command, cycle int64) {
 	l.cmds = append(l.cmds, loggedCommand{cmd, cycle})
 }
 
-// walkCase is one lockstep configuration.
+// walkCase is one lockstep configuration. faw adds cycles to the
+// high-performance rows' tFAW, so that tFAW differs by row mode and a closed
+// bank's ACT floor can depend on the row.
 type walkCase struct {
 	sched, policy string
 	seed          uint64
 	readCap       int
 	writeCap      int
+	faw           int
 	cycles        int
 }
 
 // walkTwin is one side of the lockstep pair.
 type walkTwin struct {
-	c    *Controller
-	log  *commandLog
-	done []loggedCompletion
+	c       *Controller
+	log     *commandLog
+	done    []loggedCompletion
+	arrived []*Request // requests enqueued since the caller last cleared it
 }
 
 type loggedCompletion struct {
@@ -121,6 +159,7 @@ func newWalkTwin(t testing.TB, wc walkCase, reference bool) *walkTwin {
 	cfg := smallCfg()
 	cfg.Timings[dram.ModeMaxCap] = dram.MaxCapNS().ToCycles(cfg.ClockNS)
 	cfg.Timings[dram.ModeHighPerf] = dram.HighPerfNS(true).ToCycles(cfg.ClockNS)
+	cfg.Timings[dram.ModeHighPerf].FAW += wc.faw
 	// Traffic rows stay below 512: rows 0-255 run high-performance, the
 	// rest max-capacity.
 	cfg.ModeOf = clrModeByRow{rows: 1024}
@@ -156,35 +195,51 @@ func countersOf(st Stats) counters {
 	return counters{st.RowBuffer, st.ReadsServed, st.WritesServed, st.Refreshes, st.TimeoutCloses, st.CapTrips}
 }
 
+// walkArrivals enqueues one cycle's arrivals of the lockstep traffic
+// (horizonTrafficStep: a hot-row pool that trips the cap, uniform noise, one
+// write in five) into every twin and appends them to each twin's arrived.
+// Bursts of 1-16 requests come one cycle in 32 on average: the queues fill,
+// drain and sit empty in turn.
+func walkArrivals(t testing.TB, state *uint64, id *int, twins ...*walkTwin) {
+	t.Helper()
+	*state = *state*6364136223846793005 + 1442695040888963407
+	if *state>>59 != 0 {
+		return
+	}
+	for k := 0; k < 1+int(*state>>40)%16; k++ {
+		r := horizonTrafficStep(state)
+		if !twins[0].c.CanEnqueue(r.Write) {
+			return
+		}
+		for _, tw := range twins {
+			req, n := *r, *id
+			req.OnComplete = func(at int64) { tw.done = append(tw.done, loggedCompletion{n, at}) }
+			if !enqueue(tw.c, &req) {
+				t.Fatalf("cycle %d: twins disagree on admission", tw.c.Clock())
+			}
+			tw.arrived = append(tw.arrived, &req)
+		}
+		*id++
+	}
+}
+
 // runWalkLockstep drives the production walk and the two-pass reference
-// over identical traffic (horizonTrafficStep: a hot-row pool that trips the
-// cap, uniform noise, one write in five) and fails at the first cycle where
+// over identical traffic (walkArrivals) and fails at the first cycle where
 // their command streams, counters, horizon settlement or NextEventCycle
-// differ. It returns the production twin's final stats.
-func runWalkLockstep(t testing.TB, wc walkCase) Stats {
+// differ. It returns the production twin's final stats and the number of
+// cycles that began with a closed bank holding requests whose ACT floor
+// depends on the row (dram.Device.ACTBankFloor).
+func runWalkLockstep(t testing.TB, wc walkCase) (Stats, int) {
 	t.Helper()
 	prod, ref := newWalkTwin(t, wc, false), newWalkTwin(t, wc, true)
 	state := wc.seed
-	id := 0
+	id, rowDependent := 0, 0
 	for cycle := 0; cycle < wc.cycles; cycle++ {
-		// Bursts of 1-16 requests, one cycle in 32 on average: the queues
-		// fill, drain and sit empty in turn.
-		state = state*6364136223846793005 + 1442695040888963407
-		if state>>59 == 0 {
-			for k := 0; k < 1+int(state>>40)%16; k++ {
-				r := horizonTrafficStep(&state)
-				if !prod.c.CanEnqueue(r.Write) {
-					break
-				}
-				for _, tw := range []*walkTwin{prod, ref} {
-					tw := tw
-					req, n := *r, id
-					req.OnComplete = func(at int64) { tw.done = append(tw.done, loggedCompletion{n, at}) }
-					if !enqueue(tw.c, &req) {
-						t.Fatalf("cycle %d: twins disagree on admission", cycle)
-					}
-				}
-				id++
+		walkArrivals(t, &state, &id, prod, ref)
+		for m := (prod.c.read.nonEmpty | prod.c.write.nonEmpty) &^ prod.c.dev.OpenBankMask(); m != 0; m &= m - 1 {
+			if _, ok := prod.c.dev.ACTBankFloor(bits.TrailingZeros64(m)); !ok {
+				rowDependent++
+				break
 			}
 		}
 		prod.c.Tick()
@@ -211,7 +266,7 @@ func runWalkLockstep(t testing.TB, wc walkCase) Stats {
 	if a, b := prod.c.Stats(), ref.c.Stats(); !reflect.DeepEqual(a, b) {
 		t.Fatalf("final stats diverge:\n walk:     %+v\n two-pass: %+v", a, b)
 	}
-	return prod.c.Stats()
+	return prod.c.Stats(), rowDependent
 }
 
 func lastCommand(l *commandLog) loggedCommand {
@@ -221,34 +276,52 @@ func lastCommand(l *commandLog) loggedCommand {
 	return l.cmds[len(l.cmds)-1]
 }
 
-// walkSeeds are the lockstep cases of TestScheduleWalkMatchesTwoPass and the
-// seed corpus of its fuzz target: default queues, shallow queues that fill
-// and drain often, and a one-entry read queue.
+// walkSeeds are the lockstep cases of TestScheduleWalkMatchesTwoPass and
+// TestQueueIndexInvariant and the seed corpus of the fuzz target: default
+// queues, shallow queues that fill and drain often, a one-entry read queue,
+// and default queues on a device whose tFAW differs by row mode.
 var walkSeeds = []struct {
 	seed              uint64
 	readCap, writeCap int
+	faw               int
 }{
-	{0x51a7b2c90ddc0ffe, 64, 64},
-	{0x9e3779b97f4a7c15, 8, 12},
-	{7, 1, 4},
+	{0x51a7b2c90ddc0ffe, 64, 64, 0},
+	{0x9e3779b97f4a7c15, 8, 12, 0},
+	{7, 1, 4, 0},
+	{0x51a7b2c90ddc0ffe, 64, 64, 12},
+}
+
+// walkSeedCase is the lockstep case of walkSeeds entry i for sched, and its
+// subtest name.
+func walkSeedCase(sched string, i int) (walkCase, string) {
+	ws := walkSeeds[i]
+	name := fmt.Sprintf("%s/q%d-%d", sched, ws.readCap, ws.writeCap)
+	if ws.faw != 0 {
+		name += fmt.Sprintf("-faw%d", ws.faw)
+	}
+	return walkCase{sched: sched, seed: ws.seed, readCap: ws.readCap, writeCap: ws.writeCap, faw: ws.faw, cycles: 30_000}, name
 }
 
 // TestScheduleWalkMatchesTwoPass runs the production walk against the
 // two-pass reference in lockstep, for both schedulers that share the walk,
 // and checks the traffic exercised what the walk decides between: capped
-// hits, write drains, refreshes and conflicts.
+// hits, write drains, refreshes, conflicts and, with tFAW differing by row
+// mode, closed banks whose ACT floor depends on the row.
 func TestScheduleWalkMatchesTwoPass(t *testing.T) {
 	for _, sched := range []string{"frfcfs-cap", "frfcfs"} {
-		for _, ws := range walkSeeds {
-			wc := walkCase{sched: sched, seed: ws.seed, readCap: ws.readCap, writeCap: ws.writeCap, cycles: 30_000}
-			t.Run(fmt.Sprintf("%s/q%d-%d", sched, ws.readCap, ws.writeCap), func(t *testing.T) {
+		for i := range walkSeeds {
+			wc, name := walkSeedCase(sched, i)
+			t.Run(name, func(t *testing.T) {
 				t.Parallel()
-				st := runWalkLockstep(t, wc)
+				st, rowDependent := runWalkLockstep(t, wc)
 				if st.WritesServed == 0 || st.Refreshes == 0 || st.RowBuffer.Conflicts == 0 {
 					t.Fatalf("weak traffic: %+v", st)
 				}
 				if sched == "frfcfs-cap" && wc.readCap == 64 && st.CapTrips == 0 {
 					t.Fatal("weak traffic: the row-hit cap never tripped")
+				}
+				if wc.faw != 0 && rowDependent == 0 {
+					t.Fatal("weak traffic: no ACT floor depended on the row")
 				}
 			})
 		}
@@ -256,12 +329,13 @@ func TestScheduleWalkMatchesTwoPass(t *testing.T) {
 }
 
 // FuzzScheduleWalkMatchesTwoPass fuzzes the lockstep check over the traffic
-// seed, the queue capacities and the row policy, for both schedulers.
+// seed, the queue capacities, the row policy and the high-performance tFAW
+// stretch, for both schedulers.
 func FuzzScheduleWalkMatchesTwoPass(f *testing.F) {
 	for _, ws := range walkSeeds {
-		f.Add(ws.seed, uint8(ws.readCap-1), uint8(ws.writeCap-2), uint8(0))
+		f.Add(ws.seed, uint8(ws.readCap-1), uint8(ws.writeCap-2), uint8(0), uint8(ws.faw))
 	}
-	f.Fuzz(func(t *testing.T, seed uint64, readCap, writeCap, policy uint8) {
+	f.Fuzz(func(t *testing.T, seed uint64, readCap, writeCap, policy, faw uint8) {
 		for _, sched := range []string{"frfcfs-cap", "frfcfs"} {
 			runWalkLockstep(t, walkCase{
 				sched:    sched,
@@ -269,6 +343,7 @@ func FuzzScheduleWalkMatchesTwoPass(f *testing.F) {
 				seed:     seed,
 				readCap:  1 + int(readCap)%64,
 				writeCap: 2 + int(writeCap)%63,
+				faw:      int(faw) % 24,
 				cycles:   6_000,
 			})
 		}

@@ -109,10 +109,11 @@ func BenchmarkFig12SingleCore(b *testing.B) {
 	}
 	opts := benchOpts()
 	for i := 0; i < b.N; i++ {
-		res, err := sim.RunFig12(profiles, opts)
+		out, err := sim.Run(context.Background(), sim.Fig12Spec(profiles), sim.WithOptions(opts))
 		if err != nil {
 			b.Fatal(err)
 		}
+		res := *out.Fig12
 		if i == 0 {
 			b.ReportMetric(res.Rows[0].NormIPC[4], "mcf-speedup-100%")
 			b.ReportMetric(res.Rows[0].NormEnergy[4], "mcf-energy-100%")
@@ -132,10 +133,11 @@ func BenchmarkFig13MultiCore(b *testing.B) {
 	opts := benchOpts()
 	opts.TargetInstructions = 30_000
 	for i := 0; i < b.N; i++ {
-		res, err := sim.RunFig13(groups, opts)
+		out, err := sim.Run(context.Background(), sim.Fig13Spec(groups), sim.WithOptions(opts))
 		if err != nil {
 			b.Fatal(err)
 		}
+		res := *out.Fig13
 		if i == 0 {
 			b.ReportMetric(res.GMeanWS[4], "H-group-WS-100%")
 		}
@@ -170,10 +172,11 @@ func BenchmarkFig15RefreshInterval(b *testing.B) {
 	profiles := []workload.Profile{benchProfile("random_00")}
 	opts := benchOpts()
 	for i := 0; i < b.N; i++ {
-		rows, err := sim.RunFig15(profiles, []float64{1.0}, opts)
+		out, err := sim.Run(context.Background(), sim.Fig15Spec(profiles, []float64{1.0}), sim.WithOptions(opts))
 		if err != nil {
 			b.Fatal(err)
 		}
+		rows := out.Fig15
 		if i == 0 {
 			last := rows[len(rows)-1]
 			b.ReportMetric((1-last.NormRefresh[0])*100, "CLR-194-refreshE-saving-%")
@@ -264,17 +267,17 @@ func BenchmarkControllerTick(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, err := mem.NewMapper(cfg, mem.SchemeRowBankCol)
-	if err != nil {
-		b.Fatal(err)
-	}
 	addr := uint64(12345)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		addr = addr*6364136223846793005 + 1442695040888963407
 		a := addr % (1 << 30)
-		ctrl.EnqueueDecoded(&mem.Request{Addr: a, Write: i%4 == 0}, m.Decode(a))
+		// row:bg:bank:col over 64-byte lines, 128 columns and 16 banks;
+		// rows past capacity wrap.
+		line := a >> 6
+		da := mem.Address{Bank: int(line >> 7 & 15), Row: int(line >> 11 & uint64(cfg.Rows-1)), Column: int(line & 127)}
+		ctrl.EnqueueDecoded(&mem.Request{Addr: a, Write: i%4 == 0}, da)
 		ctrl.Tick()
 	}
 }
@@ -436,7 +439,7 @@ func benchFig12Workers(b *testing.B, workers int) {
 	opts := benchOpts()
 	opts.Workers = workers
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.RunFig12(profiles, opts); err != nil {
+		if _, err := sim.Run(context.Background(), sim.Fig12Spec(profiles), sim.WithOptions(opts)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -462,7 +465,7 @@ func benchFig12Stats(b *testing.B, collect bool) {
 	opts.Workers = 1
 	opts.CollectStats = collect
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.RunFig12(profiles, opts); err != nil {
+		if _, err := sim.Run(context.Background(), sim.Fig12Spec(profiles), sim.WithOptions(opts)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -479,10 +482,11 @@ func BenchmarkSection9Comparison(b *testing.B) {
 	profiles := []workload.Profile{benchProfile("random_00")}
 	opts := benchOpts()
 	for i := 0; i < b.N; i++ {
-		rows, err := sim.RunComparison(profiles, 1.0, opts)
+		out, err := sim.Run(context.Background(), sim.ComparisonSpec(profiles, 1.0), sim.WithOptions(opts))
 		if err != nil {
 			b.Fatal(err)
 		}
+		rows := out.Comparison
 		if i == 0 {
 			for _, r := range rows {
 				if r.Design == core.DesignCLRDRAM {

@@ -1,17 +1,17 @@
 // Command clrserve is the simulation-as-a-service daemon: a long-running
 // HTTP/JSON server that accepts workload/sweep specs (the versioned
-// sim.Spec JSON envelope), runs them on a shared bounded engine pool, and
-// serves the canonical RunReport/SweepReport documents back. SERVING.md
-// documents the API, job lifecycle and admission semantics.
+// sim.Spec JSON envelope), runs them on a shared bounded engine pool, shows
+// their shard progress, and serves the canonical RunReport/SweepReport
+// documents back. SERVING.md documents the API, job lifecycle and
+// admission semantics.
 //
 //	clrserve -addr :8080 -checkpoint /var/lib/clrdram
 //	clrserve -smoke                     # in-process end-to-end determinism gate
-//	clrserve -loadtest -requests 5000   # hammer a daemon (self-hosted or -target)
 //
 // The daemon drains gracefully on SIGINT/SIGTERM: admission stops
 // (503), running sweeps keep checkpointing their shards, and when the
-// drain timeout passes they are interrupted — their journal entries
-// survive, so the next start with the same -checkpoint resumes them.
+// drain timeout passes they are interrupted. Restart with the same
+// -checkpoint and resubmit: the completed shards reload.
 package main
 
 import (
@@ -38,23 +38,15 @@ import (
 func main() {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:8080", "listen address")
-		ckptDir  = flag.String("checkpoint", "", "checkpoint directory: sweep shards, memoised baselines and the job journal persist here across restarts")
+		ckptDir  = flag.String("checkpoint", "", "checkpoint directory: sweep shards and memoised baselines persist here across restarts")
 		workers  = flag.Int("workers", 0, "total simulation fan-out across all jobs (0 = GOMAXPROCS)")
 		maxJobs  = flag.Int("max-jobs", 2, "jobs simulated concurrently (each fans out on the shared pool)")
 		queueCap = flag.Int("queue", 64, "admission backlog bound; overflow is rejected with 429")
-		rate     = flag.Float64("rate", 0, "per-client sustained submissions/sec (0 = unlimited)")
-		burst    = flag.Int("burst", 8, "per-client token-bucket burst")
 		cacheN   = flag.Int("cache", 256, "completed jobs retained for result-cache hits")
-		resume   = flag.Bool("resume", true, "re-enqueue journaled jobs from a previous run (needs -checkpoint)")
 		drainT   = flag.Duration("drain-timeout", 30*time.Second, "how long a shutdown waits for running jobs before checkpoint-interrupting them")
 
-		smoke    = flag.Bool("smoke", false, "run the in-process end-to-end determinism gate and exit")
-		loadtest = flag.Bool("loadtest", false, "run the load-test driver and exit")
-		target   = flag.String("target", "", "loadtest: daemon base URL (default: self-host an in-process daemon)")
-		requests = flag.Int("requests", 1000, "loadtest: total submissions")
-		clients  = flag.Int("clients", 8, "loadtest: concurrent client identities")
-		unique   = flag.Int("unique", 4, "loadtest: distinct job identities across the submissions")
-		instrs   = flag.Uint64("instructions", 20_000, "loadtest/smoke: instructions per core for generated specs")
+		smoke  = flag.Bool("smoke", false, "run the in-process end-to-end determinism gate and exit")
+		instrs = flag.Uint64("instructions", 20_000, "smoke: instructions per core for the generated spec")
 	)
 	flag.Parse()
 	logger := log.New(os.Stderr, "clrserve: ", log.LstdFlags)
@@ -63,8 +55,6 @@ func main() {
 		Workers:       *workers,
 		MaxConcurrent: *maxJobs,
 		MaxQueued:     *queueCap,
-		RatePerSec:    *rate,
-		Burst:         *burst,
 		CacheEntries:  *cacheN,
 		Logf:          logger.Printf,
 	}
@@ -76,31 +66,21 @@ func main() {
 		cfg.Store = store
 	}
 
-	switch {
-	case *smoke:
+	if *smoke {
 		if err := runSmoke(cfg, *instrs, logger); err != nil {
 			fatal(err)
 		}
 		fmt.Println("serve-smoke: PASS")
-	case *loadtest:
-		if err := runLoadTest(cfg, *target, *requests, *clients, *unique, *instrs, logger); err != nil {
-			fatal(err)
-		}
-	default:
-		if err := runDaemon(cfg, *addr, *resume, *drainT, logger); err != nil {
-			fatal(err)
-		}
+		return
+	}
+	if err := runDaemon(cfg, *addr, *drainT, logger); err != nil {
+		fatal(err)
 	}
 }
 
 // runDaemon serves until a signal arrives, then drains gracefully.
-func runDaemon(cfg serve.Config, addr string, resume bool, drainTimeout time.Duration, logger *log.Logger) error {
+func runDaemon(cfg serve.Config, addr string, drainTimeout time.Duration, logger *log.Logger) error {
 	m := serve.NewManager(cfg)
-	if resume && cfg.Store != nil {
-		if _, err := m.Resume(); err != nil {
-			return err
-		}
-	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
@@ -122,13 +102,13 @@ func runDaemon(cfg serve.Config, addr string, resume bool, drainTimeout time.Dur
 
 	// Graceful drain: close the listener, stop admitting, give running
 	// jobs until the timeout to finish and flush reports, then interrupt
-	// them (their shards are checkpointed; the journal resumes them).
+	// them (their completed shards stay checkpointed).
 	logger.Printf("signal received; draining (timeout %s)", drainTimeout)
 	dctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	shutdownErr := srv.Shutdown(dctx)
 	if err := m.Drain(dctx); err != nil {
-		logger.Printf("drain timed out; running jobs checkpoint-interrupted for resume")
+		logger.Printf("drain timed out; running jobs interrupted (completed shards stay checkpointed)")
 	} else {
 		logger.Printf("drained cleanly")
 	}
@@ -138,9 +118,9 @@ func runDaemon(cfg serve.Config, addr string, resume bool, drainTimeout time.Dur
 	return nil
 }
 
-// smokeSpec is the tiny Fig12 sweep both gates (smoke, loadtest self-host)
-// use. The fast-forward mode is pinned explicitly so the smoke gate's
-// byte-identity check covers the planner end to end.
+// smokeSpec is the tiny Fig12 sweep the smoke gate submits. The
+// fast-forward mode is pinned explicitly so the byte-identity check covers
+// the planner end to end.
 func smokeSpec(instrs uint64) (sim.Spec, serve.RunOptions) {
 	return sim.Fig12Spec(workload.All()[:2]), serve.RunOptions{
 		Seed:               7,
@@ -169,7 +149,7 @@ func runSmoke(cfg serve.Config, instrs uint64, logger *log.Logger) error {
 	if err != nil {
 		return err
 	}
-	body, err := json.Marshal(serve.SubmitRequest{Client: "smoke", Spec: sb, Options: opts})
+	body, err := json.Marshal(serve.SubmitRequest{Spec: sb, Options: opts})
 	if err != nil {
 		return err
 	}
@@ -243,46 +223,6 @@ func runSmoke(cfg serve.Config, instrs uint64, logger *log.Logger) error {
 		return err
 	}
 	return m.Drain(dctx)
-}
-
-// runLoadTest hammers a daemon — the one at target, or a self-hosted
-// in-process one — and prints the admission/latency report.
-func runLoadTest(cfg serve.Config, target string, requests, clients, unique int, instrs uint64, logger *log.Logger) error {
-	ctx, _, stop := cli.SignalContext(context.Background())
-	defer stop()
-
-	var m *serve.Manager
-	if target == "" {
-		m = serve.NewManager(cfg)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		srv := &http.Server{Handler: serve.NewServer(m)}
-		go srv.Serve(ln)
-		defer func() {
-			dctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			srv.Shutdown(dctx)
-			m.Drain(dctx)
-		}()
-		target = "http://" + ln.Addr().String()
-		logger.Printf("loadtest: self-hosted daemon on %s", target)
-	}
-
-	rep, err := serve.LoadTest(ctx, serve.LoadTestConfig{
-		BaseURL:            target,
-		Requests:           requests,
-		Clients:            clients,
-		Unique:             unique,
-		TargetInstructions: instrs,
-		Wait:               true,
-		Logf:               logger.Printf,
-	})
-	if err != nil {
-		return err
-	}
-	return rep.WriteText(os.Stdout)
 }
 
 func fatal(err error) {

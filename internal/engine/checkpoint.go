@@ -8,7 +8,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -121,45 +120,6 @@ func (s *Store) Save(key string, v any) error {
 		return fmt.Errorf("engine: checkpoint %s: %w", key, err)
 	}
 	return nil
-}
-
-// Delete removes the shard stored under key; a missing shard is not an
-// error. Delete on a nil store is a no-op.
-func (s *Store) Delete(key string) error {
-	if s == nil {
-		return nil
-	}
-	err := os.Remove(s.path(key))
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("engine: checkpoint %s: %w", key, err)
-	}
-	return nil
-}
-
-// Keys lists the shard keys present in the store — the sanitized file names
-// without their .json suffix — sorted lexically. A store whose directory
-// does not exist yet (or a nil store) has no keys.
-func (s *Store) Keys() ([]string, error) {
-	if s == nil {
-		return nil, nil
-	}
-	entries, err := os.ReadDir(s.dir)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("engine: checkpoint dir: %w", err)
-	}
-	var keys []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".json") {
-			continue
-		}
-		keys = append(keys, strings.TrimSuffix(name, ".json"))
-	}
-	sort.Strings(keys)
-	return keys, nil
 }
 
 func (s *Store) path(key string) string {

@@ -73,6 +73,9 @@ func TestNilStoreDisablesCheckpointing(t *testing.T) {
 	if s.Sub("x") != nil {
 		t.Error("Sub of nil store should be nil")
 	}
+	if s.WithWarn(func(string, error) {}) != nil {
+		t.Error("WithWarn of nil store should be nil")
+	}
 	var v shardResult
 	if ok, err := s.Load("k", &v); ok || err != nil {
 		t.Errorf("nil Load = (%v, %v)", ok, err)

@@ -146,48 +146,3 @@ func TestCheckpointCorruptShardRecomputed(t *testing.T) {
 		t.Fatalf("recomputed %d shards after repair, want 0", again.Load())
 	}
 }
-
-// TestStoreKeysAndDelete covers the listing/removal surface the job journal
-// is built on.
-func TestStoreKeysAndDelete(t *testing.T) {
-	store, err := NewStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub := store.Sub("jobs")
-	if keys, err := sub.Keys(); err != nil || len(keys) != 0 {
-		t.Fatalf("empty store Keys = %v, %v", keys, err)
-	}
-	for _, k := range []string{"j2", "j1", "j3"} {
-		if err := sub.Save(k, map[string]int{"x": 1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	keys, err := sub.Keys()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) != 3 || keys[0] != "j1" || keys[1] != "j2" || keys[2] != "j3" {
-		t.Fatalf("Keys = %v, want sorted [j1 j2 j3]", keys)
-	}
-	if err := sub.Delete("j2"); err != nil {
-		t.Fatal(err)
-	}
-	if err := sub.Delete("j2"); err != nil { // idempotent
-		t.Fatal(err)
-	}
-	keys, _ = sub.Keys()
-	if len(keys) != 2 || keys[0] != "j1" || keys[1] != "j3" {
-		t.Fatalf("Keys after delete = %v", keys)
-	}
-	var nilStore *Store
-	if keys, err := nilStore.Keys(); err != nil || keys != nil {
-		t.Fatalf("nil store Keys = %v, %v", keys, err)
-	}
-	if err := nilStore.Delete("x"); err != nil {
-		t.Fatal(err)
-	}
-	if nilStore.WithWarn(func(string, error) {}) != nil {
-		t.Fatal("nil store WithWarn should stay nil")
-	}
-}

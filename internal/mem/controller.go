@@ -1,3 +1,11 @@
+// Package mem implements the memory controller of the evaluated system
+// (paper Table 2): FR-FCFS-Cap scheduling, a 120 ns timeout-based open-row
+// policy, 64-entry read/write queues with write draining, and a
+// heterogeneous refresh engine that issues distinct refresh streams for
+// max-capacity and high-performance rows (paper §5.2). The controller
+// takes requests already decoded to DRAM coordinates (EnqueueDecoded): the
+// system simulator places pages with its profiling-guided mapping
+// (internal/core.PageMapper).
 package mem
 
 import (
@@ -7,6 +15,13 @@ import (
 	"clrdram/internal/metrics"
 	"clrdram/internal/stats"
 )
+
+// Address is a fully decoded DRAM coordinate. Bank is the flat bank index.
+type Address struct {
+	Bank   int
+	Row    int
+	Column int
+}
 
 // Request is one cache-line memory transaction submitted to the controller.
 type Request struct {

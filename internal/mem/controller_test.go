@@ -6,6 +6,14 @@ import (
 	"clrdram/internal/dram"
 )
 
+func smallCfg() dram.Config {
+	cfg := dram.Standard16Gb()
+	cfg.Rows = 1 << 12
+	cfg.Columns = 128
+	cfg.Timings[dram.ModeDefault] = dram.DDR4BaselineNS().ToCycles(cfg.ClockNS)
+	return cfg
+}
+
 func newTestController(t *testing.T, cfg Config) *Controller {
 	t.Helper()
 	dev := dram.NewDevice(smallCfg())
@@ -16,19 +24,23 @@ func newTestController(t *testing.T, cfg Config) *Controller {
 	return c
 }
 
-// testMapper decodes the raw addresses of unit traffic: the default
-// interleaving over smallCfg's geometry, which every test device shares.
-var testMapper = func() *Mapper {
-	m, err := NewMapper(smallCfg(), SchemeRowBankCol)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}()
+// decode slices a raw test address into coordinates over smallCfg's
+// geometry, which every test device shares: bits low to high are 6 of line
+// offset, 7 of column, 4 of flat bank (bank group included) and 12 of row.
+// Addresses past capacity wrap.
+func decode(addr uint64) Address {
+	line := addr >> 6
+	return Address{Bank: int(line >> 7 & 15), Row: int(line >> 11 & 4095), Column: int(line & 127)}
+}
 
-// enqueue submits req decoded through testMapper.
+// encode is decode's inverse within capacity.
+func encode(a Address) uint64 {
+	return (uint64(a.Row)<<11 | uint64(a.Bank)<<7 | uint64(a.Column)) << 6
+}
+
+// enqueue submits req decoded by decode.
 func enqueue(c *Controller, req *Request) bool {
-	return c.EnqueueDecoded(req, testMapper.Decode(req.Addr))
+	return c.EnqueueDecoded(req, decode(req.Addr))
 }
 
 // runUntil ticks the controller until pred is true or the cycle budget is
@@ -83,7 +95,7 @@ func TestRowHitClassification(t *testing.T) {
 	enqueue(c, &Request{Addr: 0x40, OnComplete: cb})
 	// One read to a different row of the same bank: conflict after timeout
 	// or explicit precharge; since it queues immediately, it is a conflict.
-	other := testMapper.Encode(Address{Bank: 0, Row: 7, Column: 0})
+	other := encode(Address{Bank: 0, Row: 7, Column: 0})
 	enqueue(c, &Request{Addr: other, OnComplete: cb})
 	runUntil(t, c, 100000, func() bool { return done == 3 })
 	st := c.Stats().RowBuffer
@@ -98,10 +110,9 @@ func TestFRFCFSPrefersRowHits(t *testing.T) {
 	mk := func(id int, addr uint64) *Request {
 		return &Request{Addr: addr, OnComplete: func(int64) { order = append(order, id) }}
 	}
-	m := testMapper
-	rowA0 := m.Encode(Address{Bank: 0, Row: 0, Column: 0})
-	rowA1 := m.Encode(Address{Bank: 0, Row: 0, Column: 5})
-	rowB := m.Encode(Address{Bank: 0, Row: 9, Column: 0})
+	rowA0 := encode(Address{Bank: 0, Row: 0, Column: 0})
+	rowA1 := encode(Address{Bank: 0, Row: 0, Column: 5})
+	rowB := encode(Address{Bank: 0, Row: 9, Column: 0})
 
 	// Open row 0 first.
 	enqueue(c, mk(0, rowA0))
@@ -123,16 +134,15 @@ func TestRowHitCapPreventsStarvation(t *testing.T) {
 	mk := func(id int, addr uint64) *Request {
 		return &Request{Addr: addr, OnComplete: func(int64) { order = append(order, id) }}
 	}
-	m := testMapper
-	open := m.Encode(Address{Bank: 0, Row: 0, Column: 0})
+	open := encode(Address{Bank: 0, Row: 0, Column: 0})
 	enqueue(c, mk(0, open))
 	runUntil(t, c, 10000, func() bool { return len(order) == 1 })
 
-	conflict := m.Encode(Address{Bank: 0, Row: 3, Column: 0})
+	conflict := encode(Address{Bank: 0, Row: 3, Column: 0})
 	enqueue(c, mk(100, conflict))
 	// Keep a hit stream coming; cap should let only ~2 more hits pass.
 	for i := 0; i < 6; i++ {
-		enqueue(c, mk(i+1, m.Encode(Address{Bank: 0, Row: 0, Column: i + 1})))
+		enqueue(c, mk(i+1, encode(Address{Bank: 0, Row: 0, Column: i + 1})))
 	}
 	runUntil(t, c, 200000, func() bool { return len(order) == 8 })
 	pos := -1
@@ -354,7 +364,7 @@ func TestPREAUsedForRefresh(t *testing.T) {
 	})
 	done := 0
 	for i := 0; i < 12; i++ {
-		addr := testMapper.Encode(Address{Bank: i % 16, Row: i, Column: 0})
+		addr := encode(Address{Bank: i % 16, Row: i, Column: 0})
 		enqueue(c, &Request{Addr: addr, OnComplete: func(int64) { done++ }})
 	}
 	runUntil(t, c, 100000, func() bool { return done == 12 && c.Stats().Refreshes >= 2 })

@@ -6,13 +6,10 @@ import "errors"
 // codes (429/503/404/409); embedded users match with errors.Is.
 var (
 	// ErrQueueFull rejects a submission when the admission backlog is at
-	// Config.MaxQueued. The bound is what keeps a saturating client from
+	// Config.MaxQueued. The bound is what keeps a flood of submissions from
 	// growing server memory without limit; callers should back off and
 	// retry (HTTP: 429 with Retry-After).
 	ErrQueueFull = errors.New("serve: admission queue full")
-	// ErrRateLimited rejects a submission that exceeds the client's token
-	// bucket (Config.RatePerSec/Burst).
-	ErrRateLimited = errors.New("serve: client rate limit exceeded")
 	// ErrDraining rejects submissions after Drain began: the daemon is
 	// checkpointing and shutting down.
 	ErrDraining = errors.New("serve: daemon is draining")

@@ -39,11 +39,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// SubmitRequest is the POST /v1/jobs body. Client defaults to the
-// X-Client header, then "default"; Spec is the versioned sim.Spec JSON
-// envelope.
+// SubmitRequest is the POST /v1/jobs body. Spec is the versioned sim.Spec
+// JSON envelope.
 type SubmitRequest struct {
-	Client  string          `json:"client,omitempty"`
 	Spec    json.RawMessage `json:"spec"`
 	Options RunOptions      `json:"options,omitempty"`
 }
@@ -75,13 +73,13 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // writeError maps the package's typed errors onto HTTP statuses: 429 for
-// backpressure (queue full / rate limited, with Retry-After so clients
-// back off), 503 while draining, 404 for unknown jobs, 409 for a report
-// fetched before the job finished, 400 otherwise.
+// backpressure (queue full, with Retry-After so clients back off), 503
+// while draining, 404 for unknown jobs, 409 for a report fetched before the
+// job finished, 400 otherwise.
 func writeError(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
 	switch {
-	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrRateLimited):
+	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", "1")
 		status = http.StatusTooManyRequests
 	case errors.Is(err, ErrDraining):
@@ -114,11 +112,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("serve: bad spec: %w", err))
 		return
 	}
-	client := req.Client
-	if client == "" {
-		client = r.Header.Get("X-Client")
-	}
-	res, err := s.m.Submit(client, spec, req.Options)
+	res, err := s.m.Submit(spec, req.Options)
 	if err != nil {
 		writeError(w, err)
 		return

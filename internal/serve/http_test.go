@@ -15,13 +15,13 @@ import (
 	"clrdram/internal/workload"
 )
 
-func postJob(t *testing.T, ts *httptest.Server, client string, spec sim.Spec, opts RunOptions) (SubmitResponse, int) {
+func postJob(t *testing.T, ts *httptest.Server, spec sim.Spec, opts RunOptions) (SubmitResponse, int) {
 	t.Helper()
 	sb, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := json.Marshal(SubmitRequest{Client: client, Spec: sb, Options: opts})
+	body, err := json.Marshal(SubmitRequest{Spec: sb, Options: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestServerReportMatchesDirectRun(t *testing.T) {
 	spec := sim.Fig12Spec(workload.All()[:2])
 	opts := RunOptions{Seed: 7, TargetInstructions: 20_000}
 
-	sr, status := postJob(t, ts, "gate", spec, opts)
+	sr, status := postJob(t, ts, spec, opts)
 	if status != http.StatusAccepted {
 		t.Fatalf("submit: status %d", status)
 	}
@@ -141,11 +141,11 @@ func TestServerBackpressureAndErrors(t *testing.T) {
 
 	// Fill: one running, one queued.
 	spec0, opts0 := testSpec(t, 0)
-	if _, code := postJob(t, ts, "c", spec0, opts0); code != http.StatusAccepted {
+	if _, code := postJob(t, ts, spec0, opts0); code != http.StatusAccepted {
 		t.Fatalf("first submit: %d", code)
 	}
 	spec1, opts1 := testSpec(t, 1)
-	if _, code := postJob(t, ts, "c", spec1, opts1); code != http.StatusAccepted {
+	if _, code := postJob(t, ts, spec1, opts1); code != http.StatusAccepted {
 		t.Fatalf("second submit: %d", code)
 	}
 
@@ -170,7 +170,7 @@ func TestServerBackpressureAndErrors(t *testing.T) {
 	}
 
 	// Identical resubmission still dedups through saturation.
-	if sr, code := postJob(t, ts, "d", spec1, opts1); code != http.StatusAccepted || sr.Admission != "deduped" {
+	if sr, code := postJob(t, ts, spec1, opts1); code != http.StatusAccepted || sr.Admission != "deduped" {
 		t.Fatalf("dedup under saturation: %d %+v", code, sr)
 	}
 
@@ -218,9 +218,10 @@ func TestServerBackpressureAndErrors(t *testing.T) {
 }
 
 // TestServerRejectsUnknownOptions checks that a submission naming a field
-// the server does not know (a retired option or a misspelling) or an
-// unsupported fast-forward mode is refused with a 400 that names it,
-// instead of running a job other than the one the client asked for.
+// the server does not know (a retired option or body field, or a
+// misspelling) or an unsupported fast-forward mode is refused with a 400
+// that names it, instead of running a job other than the one the client
+// asked for.
 func TestServerRejectsUnknownOptions(t *testing.T) {
 	m := stubManager(t, Config{MaxConcurrent: 1}, func(ctx context.Context, j *Job) ([]byte, error) {
 		return []byte("{}\n"), nil
@@ -229,13 +230,14 @@ func TestServerRejectsUnknownOptions(t *testing.T) {
 	defer ts.Close()
 
 	spec := `{"version":1,"kind":"single","profile":{"name":"random_00"}}`
-	for _, tc := range []struct{ name, options, want string }{
-		{"retired field", `{"disable_fast_forward":true}`, "disable_fast_forward"},
-		{"misspelled field", `{"target_instruction":1000}`, "target_instruction"},
-		{"adaptive mode", `{"fast_forward":"adaptive"}`, "adaptive"},
+	for _, tc := range []struct{ name, field, options, want string }{
+		{"retired field", "", `{"disable_fast_forward":true}`, "disable_fast_forward"},
+		{"misspelled field", "", `{"target_instruction":1000}`, "target_instruction"},
+		{"adaptive mode", "", `{"fast_forward":"adaptive"}`, "adaptive"},
+		{"retired body field", `"client":"alice",`, `{}`, "client"},
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
-			strings.NewReader(`{"spec":`+spec+`,"options":`+tc.options+`}`))
+			strings.NewReader(`{`+tc.field+`"spec":`+spec+`,"options":`+tc.options+`}`))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,56 +251,5 @@ func TestServerRejectsUnknownOptions(t *testing.T) {
 	}
 	if st := m.Stats(); st.Queued != 0 || st.Running != 0 {
 		t.Fatalf("a rejected submission was admitted: %+v", st)
-	}
-}
-
-// TestLoadTestAgainstStubServer drives the load-test client at an
-// httptest daemon with a stubbed runner: thousands of submissions in a few
-// identity classes must all be accounted for (queued+deduped+cached+
-// rejected+errors = requests) with the admission path keeping the queue
-// bounded.
-func TestLoadTestAgainstStubServer(t *testing.T) {
-	m := stubManager(t, Config{MaxConcurrent: 2, MaxQueued: 64},
-		func(ctx context.Context, j *Job) ([]byte, error) {
-			return []byte("{}\n"), nil
-		})
-	ts := httptest.NewServer(NewServer(m))
-	defer ts.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	rep, err := LoadTest(ctx, LoadTestConfig{
-		BaseURL:  ts.URL,
-		Requests: 2000,
-		Clients:  16,
-		Unique:   4,
-		Wait:     true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := rep.Queued + rep.Deduped + rep.Cached +
-		rep.RejectedQueueFull + rep.RejectedRateLimited + rep.RejectedDraining + rep.Errors
-	if total != rep.Requests || rep.Requests != 2000 {
-		t.Fatalf("unaccounted requests: %+v", rep)
-	}
-	if rep.Errors != 0 {
-		t.Fatalf("%d transport errors: %+v", rep.Errors, rep)
-	}
-	if rep.Queued < 1 || rep.Queued > 4 {
-		t.Fatalf("queued %d unique jobs, want 1..4: %+v", rep.Queued, rep)
-	}
-	if rep.Deduped+rep.Cached == 0 {
-		t.Fatalf("no coalescing under a 500x duplicate barrage: %+v", rep)
-	}
-	if rep.JobsFinished != 4 {
-		t.Fatalf("finished %d unique jobs, want 4: %+v", rep.JobsFinished, rep)
-	}
-	var buf bytes.Buffer
-	if err := rep.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "loadtest: 2000 requests") {
-		t.Fatalf("report text: %s", buf.String())
 	}
 }

@@ -87,9 +87,9 @@ func (o RunOptions) SimOptions() sim.Options {
 }
 
 // JobID derives the canonical job identity: a hash over the canonical JSON
-// encodings of the spec and the normalized options. Identical submissions —
-// from any client, at any time — share an ID; single-flight coalescing, the
-// result cache, and checkpoint-backed resume all key on it.
+// encodings of the spec and the normalized options. Identical submissions
+// share an ID, before and after a daemon restart; single-flight coalescing
+// and the result cache key on it.
 func JobID(spec sim.Spec, opts RunOptions) (string, error) {
 	sb, err := json.Marshal(spec)
 	if err != nil {
@@ -108,8 +108,8 @@ func JobID(spec sim.Spec, opts RunOptions) (string, error) {
 
 // JobState is one job's lifecycle position. Transitions:
 // queued → running → done | failed, and any pre-terminal state →
-// interrupted on drain (interrupted jobs stay journaled and are re-enqueued
-// by Resume on the next daemon start).
+// interrupted on drain (resubmit after a restart; completed shards reload
+// from the checkpoint store).
 type JobState string
 
 const (
@@ -124,11 +124,10 @@ const (
 // the mutable lifecycle (state, error, report) is guarded by mu, with
 // shard progress in atomics so the engine's progress hook never contends.
 type Job struct {
-	id     string
-	client string
-	spec   sim.Spec
-	opts   RunOptions
-	seq    uint64 // admission order, for stable listings
+	id   string
+	spec sim.Spec
+	opts RunOptions
+	seq  uint64 // admission order, for stable listings
 
 	progressDone  atomic.Int64
 	progressTotal atomic.Int64
@@ -138,24 +137,10 @@ type Job struct {
 	err    error
 	report []byte // canonical report document (JSON, trailing newline)
 	done   chan struct{}
-	cancel context.CancelFunc
 }
 
 // ID returns the canonical job identity (see JobID).
 func (j *Job) ID() string { return j.id }
-
-// Client returns the submitting client's name.
-func (j *Job) Client() string { return j.client }
-
-// Spec returns the job's simulation spec.
-func (j *Job) Spec() sim.Spec { return j.spec }
-
-// Options returns the job's normalized run options.
-func (j *Job) Options() RunOptions { return j.opts }
-
-// Done is closed when the job reaches a terminal state (done, failed, or
-// interrupted).
-func (j *Job) Done() <-chan struct{} { return j.done }
 
 // State returns the job's current lifecycle state.
 func (j *Job) State() JobState {
@@ -174,7 +159,6 @@ type Progress struct {
 // JobStatus is the JSON status document of one job.
 type JobStatus struct {
 	ID       string   `json:"id"`
-	Client   string   `json:"client"`
 	Kind     string   `json:"kind"`
 	State    JobState `json:"state"`
 	Error    string   `json:"error,omitempty"`
@@ -187,10 +171,9 @@ func (j *Job) Status() JobStatus {
 	state, err := j.state, j.err
 	j.mu.Unlock()
 	st := JobStatus{
-		ID:     j.id,
-		Client: j.client,
-		Kind:   j.spec.Kind(),
-		State:  state,
+		ID:    j.id,
+		Kind:  j.spec.Kind(),
+		State: state,
 		Progress: Progress{
 			Done:  int(j.progressDone.Load()),
 			Total: int(j.progressTotal.Load()),

@@ -1,16 +1,13 @@
 // Package serve is the simulation-as-a-service subsystem behind the
-// clrserve daemon: a job manager that multiplexes client-submitted
-// simulation specs (sim.Spec, JSON-encoded) over one shared, bounded
-// engine pool.
+// clrserve daemon: a job manager that runs submitted simulation specs
+// (sim.Spec, JSON-encoded) on one shared, bounded engine pool and keeps
+// their canonical reports.
 //
-// The admission path is built for heavy traffic from many clients:
+// How the manager admits and runs jobs:
 //
 //   - a bounded backlog (ErrQueueFull past Config.MaxQueued) keeps a
-//     saturating client from growing server memory without limit;
-//   - per-client token buckets (Config.RatePerSec/Burst) cap sustained
-//     submission rates;
-//   - dispatch is round-robin across clients, so one client's deep queue
-//     cannot starve another's single job;
+//     flood of submissions from growing server memory without limit;
+//   - queued jobs start in admission order (one FIFO);
 //   - identical in-flight submissions coalesce into one job
 //     (single-flight, keyed by the canonical spec+options hash), and
 //     completed jobs are retained as a bounded result cache;
@@ -18,18 +15,15 @@
 //     fan-out is one machine-wide budget no matter how many jobs run;
 //   - with a checkpoint store attached, completed experiment shards and
 //     the memoised cross-job baselines (alone-IPC runs, per-workload
-//     baseline rows) persist across jobs AND daemon restarts, and every
-//     admitted job is journaled so Resume re-enqueues interrupted work.
+//     baseline rows) persist across jobs and daemon restarts, so a sweep
+//     resubmitted after a restart reloads every shard it completed.
 //
 // SERVING.md documents the HTTP surface, job lifecycle and semantics.
 package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"time"
-
 	"sync"
 
 	"clrdram/internal/engine"
@@ -45,27 +39,18 @@ type Config struct {
 	// MaxConcurrent is the number of jobs simulated at once (each fans its
 	// shards out on the shared pool). Default 2.
 	MaxConcurrent int
-	// MaxQueued bounds the admission backlog across all clients; overflow
-	// is rejected with ErrQueueFull. Default 64.
+	// MaxQueued bounds the admission backlog; overflow is rejected with
+	// ErrQueueFull. Default 64.
 	MaxQueued int
-	// RatePerSec is the per-client sustained submission rate (token
-	// bucket). 0 disables rate limiting.
-	RatePerSec float64
-	// Burst is the per-client token-bucket capacity. Default 8.
-	Burst int
 	// CacheEntries bounds how many completed (done or failed) jobs are
 	// retained for result-cache hits; the oldest are evicted first.
 	// Default 256.
 	CacheEntries int
-	// Store, when non-nil, persists three things under its root: the
-	// sweep shard checkpoints shared by every job ("shards/..."; this is
-	// the memoised cross-job cache for alone-IPC baselines and figure
-	// rows), and the job journal ("serve-jobs/...") that Resume re-enqueues
-	// after a restart.
+	// Store, when non-nil, persists the sweep shard checkpoints shared by
+	// every job under "shards/..." in its root: the memoised cross-job
+	// cache for alone-IPC baselines and figure rows, which outlives a
+	// daemon restart.
 	Store *engine.Store
-	// Registry receives the server's counters and gauges (nil: a private
-	// registry, still served at /metrics).
-	Registry *metrics.Registry
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
 }
@@ -77,9 +62,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxQueued <= 0 {
 		c.MaxQueued = 64
 	}
-	if c.Burst <= 0 {
-		c.Burst = 8
-	}
 	if c.CacheEntries <= 0 {
 		c.CacheEntries = 256
 	}
@@ -89,40 +71,32 @@ func (c Config) withDefaults() Config {
 // counters groups the manager's metrics instruments (created once, updated
 // lock-free).
 type counters struct {
-	submitted, admitted          *metrics.Counter
-	dedupHits, cacheHits         *metrics.Counter
-	rejQueueFull, rejRateLimited *metrics.Counter
-	rejDraining                  *metrics.Counter
-	jobsDone, jobsFailed         *metrics.Counter
-	jobsInterrupted, jobsResumed *metrics.Counter
-	queueDepth, running          *metrics.Gauge
-	retained, clients            *metrics.Gauge
+	submitted, admitted       *metrics.Counter
+	dedupHits, cacheHits      *metrics.Counter
+	rejQueueFull, rejDraining *metrics.Counter
+	jobsDone, jobsFailed      *metrics.Counter
+	jobsInterrupted           *metrics.Counter
+	queueDepth, running       *metrics.Gauge
+	retained                  *metrics.Gauge
 }
 
 // Manager owns the job table, the admission queue and the shared engine
 // pool. All exported methods are safe for concurrent use.
 type Manager struct {
-	cfg     Config
-	pool    *engine.Pool
-	reg     *metrics.Registry
-	ctr     counters
-	journal *engine.Store // admitted-job journal (resume)
-	shards  *engine.Store // sweep shard checkpoints, shared by all jobs
+	cfg    Config
+	pool   *engine.Pool
+	reg    *metrics.Registry
+	ctr    counters
+	shards *engine.Store // sweep shard checkpoints, shared by all jobs
 
 	rootCtx    context.Context
 	rootCancel context.CancelFunc
 	wg         sync.WaitGroup
 
-	now func() time.Time // test hook
-
 	mu        sync.Mutex
-	jobs      map[string]*Job   // every known job by ID (active + retained)
-	queues    map[string][]*Job // per-client FIFO backlog
-	rr        []string          // round-robin ring of clients with backlog
-	rrNext    int
-	queuedN   int
+	jobs      map[string]*Job // every known job by ID (active + retained)
+	queue     []*Job          // FIFO backlog
 	runningN  int
-	buckets   map[string]*bucket
 	doneOrder []string // completed job IDs, oldest first (cache eviction)
 	draining  bool
 	seq       uint64
@@ -132,22 +106,15 @@ type Manager struct {
 	runFn func(ctx context.Context, j *Job) ([]byte, error)
 }
 
-// NewManager builds a manager. Call Resume afterwards to re-enqueue
-// journaled jobs from a previous run, and Drain to shut down.
+// NewManager builds a manager. Call Drain to shut down.
 func NewManager(cfg Config) *Manager {
 	cfg = cfg.withDefaults()
-	reg := cfg.Registry
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
+	reg := metrics.NewRegistry()
 	m := &Manager{
-		cfg:     cfg,
-		pool:    engine.NewSharedPool(cfg.Workers),
-		reg:     reg,
-		now:     time.Now,
-		jobs:    make(map[string]*Job),
-		queues:  make(map[string][]*Job),
-		buckets: make(map[string]*bucket),
+		cfg:  cfg,
+		pool: engine.NewSharedPool(cfg.Workers),
+		reg:  reg,
+		jobs: make(map[string]*Job),
 	}
 	m.rootCtx, m.rootCancel = context.WithCancel(context.Background())
 	m.ctr = counters{
@@ -156,25 +123,20 @@ func NewManager(cfg Config) *Manager {
 		dedupHits:       reg.Counter("serve.dedup_hits"),
 		cacheHits:       reg.Counter("serve.cache_hits"),
 		rejQueueFull:    reg.Counter("serve.rejected_queue_full"),
-		rejRateLimited:  reg.Counter("serve.rejected_rate_limited"),
 		rejDraining:     reg.Counter("serve.rejected_draining"),
 		jobsDone:        reg.Counter("serve.jobs_done"),
 		jobsFailed:      reg.Counter("serve.jobs_failed"),
 		jobsInterrupted: reg.Counter("serve.jobs_interrupted"),
-		jobsResumed:     reg.Counter("serve.jobs_resumed"),
 		queueDepth:      reg.Gauge("serve.queue_depth"),
 		running:         reg.Gauge("serve.running"),
 		retained:        reg.Gauge("serve.jobs_retained"),
-		clients:         reg.Gauge("serve.clients"),
 	}
 	if cfg.Store != nil {
 		corrupt := reg.Counter("serve.shards_corrupt")
-		st := cfg.Store.WithWarn(func(key string, err error) {
+		m.shards = cfg.Store.WithWarn(func(key string, err error) {
 			corrupt.Inc()
 			m.logf("checkpoint: skipping corrupt shard %s: %v", key, err)
-		})
-		m.journal = st.Sub("serve-jobs")
-		m.shards = st.Sub("shards")
+		}).Sub("shards")
 	}
 	m.runFn = m.simRun
 	return m
@@ -186,9 +148,6 @@ func (m *Manager) logf(format string, args ...any) {
 	}
 }
 
-// Pool exposes the shared engine pool (for reporting its width).
-func (m *Manager) Pool() *engine.Pool { return m.pool }
-
 // SubmitResult is the admission outcome: the job (new, coalesced, or a
 // retained completed one) plus which of the three it was.
 type SubmitResult struct {
@@ -197,15 +156,11 @@ type SubmitResult struct {
 	Cached  bool // identical job already completed and retained
 }
 
-// Submit admits one simulation request for client. Identical requests
-// (same canonical spec+options) coalesce: onto the in-flight job if one
-// exists (single-flight; both callers observe the same job), or onto the
-// retained result if the job already completed. New work is charged to the
-// client's token bucket and must fit the backlog bound.
-func (m *Manager) Submit(client string, spec sim.Spec, opts RunOptions) (SubmitResult, error) {
-	if client == "" {
-		client = "default"
-	}
+// Submit admits one simulation request. Identical requests (same canonical
+// spec+options) coalesce: onto the in-flight job if one exists
+// (single-flight; both callers observe the same job), or onto the retained
+// result if the job already completed. New work must fit the backlog bound.
+func (m *Manager) Submit(spec sim.Spec, opts RunOptions) (SubmitResult, error) {
 	if err := opts.Validate(); err != nil {
 		return SubmitResult{}, err
 	}
@@ -223,121 +178,60 @@ func (m *Manager) Submit(client string, spec sim.Spec, opts RunOptions) (SubmitR
 		return SubmitResult{}, ErrDraining
 	}
 	if j := m.jobs[id]; j != nil {
-		switch j.State() {
-		case StateDone, StateFailed:
+		if s := j.State(); s == StateDone || s == StateFailed {
 			m.ctr.cacheHits.Inc()
 			m.touchLocked(id)
 			return SubmitResult{Job: j, Cached: true}, nil
-		case StateInterrupted:
-			// A drained-away job resubmitted in this process: fall through
-			// to normal admission and replace it with a fresh queued job.
-		default:
-			m.ctr.dedupHits.Inc()
-			return SubmitResult{Job: j, Deduped: true}, nil
 		}
+		m.ctr.dedupHits.Inc()
+		return SubmitResult{Job: j, Deduped: true}, nil
 	}
-	if !m.allowLocked(client) {
-		m.ctr.rejRateLimited.Inc()
-		m.clientCounter(client, "rejected").Inc()
-		return SubmitResult{}, fmt.Errorf("%w (client %q)", ErrRateLimited, client)
-	}
-	if m.queuedN >= m.cfg.MaxQueued {
+	if len(m.queue) >= m.cfg.MaxQueued {
 		m.ctr.rejQueueFull.Inc()
-		m.clientCounter(client, "rejected").Inc()
-		return SubmitResult{}, fmt.Errorf("%w (%d queued)", ErrQueueFull, m.queuedN)
+		return SubmitResult{}, fmt.Errorf("%w (%d queued)", ErrQueueFull, len(m.queue))
 	}
-	j := m.enqueueLocked(id, client, spec, opts)
-	if err := m.saveJournalLocked(j); err != nil {
-		m.logf("journal: %v", err)
+	m.seq++
+	j := &Job{
+		id:    id,
+		spec:  spec,
+		opts:  opts,
+		seq:   m.seq,
+		state: StateQueued,
+		done:  make(chan struct{}),
 	}
+	m.jobs[id] = j
+	m.queue = append(m.queue, j)
 	m.ctr.admitted.Inc()
-	m.clientCounter(client, "admitted").Inc()
 	m.dispatchLocked()
 	return SubmitResult{Job: j}, nil
 }
 
-// enqueueLocked creates the job and appends it to its client's queue.
-func (m *Manager) enqueueLocked(id, client string, spec sim.Spec, opts RunOptions) *Job {
-	m.seq++
-	j := &Job{
-		id:     id,
-		client: client,
-		spec:   spec,
-		opts:   opts,
-		seq:    m.seq,
-		state:  StateQueued,
-		done:   make(chan struct{}),
-	}
-	m.jobs[id] = j
-	if len(m.queues[client]) == 0 {
-		m.rr = append(m.rr, client)
-	}
-	m.queues[client] = append(m.queues[client], j)
-	m.queuedN++
-	m.updateGaugesLocked()
-	return j
-}
-
-// dispatchLocked starts queued jobs while running slots are free, visiting
-// clients round-robin so queue depth does not buy priority.
+// dispatchLocked starts queued jobs, oldest first, while running slots are
+// free.
 func (m *Manager) dispatchLocked() {
-	for m.runningN < m.cfg.MaxConcurrent && m.queuedN > 0 {
-		j := m.nextLocked()
-		if j == nil {
-			break
-		}
-		m.queuedN--
+	for m.runningN < m.cfg.MaxConcurrent && len(m.queue) > 0 {
+		j := m.queue[0]
+		m.queue = m.queue[1:]
 		m.runningN++
 		j.setState(StateRunning)
-		jctx, cancel := context.WithCancel(m.rootCtx)
-		j.mu.Lock()
-		j.cancel = cancel
-		j.mu.Unlock()
 		m.wg.Add(1)
-		go m.run(j, jctx, cancel)
+		go m.run(j)
 	}
 	m.updateGaugesLocked()
-}
-
-// nextLocked pops the head of the next client's queue in round-robin
-// order.
-func (m *Manager) nextLocked() *Job {
-	if len(m.rr) == 0 {
-		return nil
-	}
-	if m.rrNext >= len(m.rr) {
-		m.rrNext = 0
-	}
-	client := m.rr[m.rrNext]
-	q := m.queues[client]
-	j := q[0]
-	if len(q) == 1 {
-		delete(m.queues, client)
-		m.rr = append(m.rr[:m.rrNext], m.rr[m.rrNext+1:]...)
-		// rrNext now indexes the client after the removed one.
-	} else {
-		m.queues[client] = q[1:]
-		m.rrNext++
-	}
-	if m.rrNext >= len(m.rr) {
-		m.rrNext = 0
-	}
-	return j
 }
 
 // run executes one job to a terminal state.
-func (m *Manager) run(j *Job, ctx context.Context, cancel context.CancelFunc) {
+func (m *Manager) run(j *Job) {
 	defer m.wg.Done()
-	defer cancel()
-	report, err := m.runFn(ctx, j)
+	report, err := m.runFn(m.rootCtx, j)
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.runningN--
 	switch {
-	case err != nil && ctx.Err() != nil:
-		// Cancelled (drain/shutdown): completed shards are already on
-		// disk; the journal entry stays so Resume re-enqueues the job.
+	case err != nil && m.rootCtx.Err() != nil:
+		// Cancelled by a drain that timed out: with a store attached, the
+		// shards it completed are on disk for a resubmission after restart.
 		j.finish(StateInterrupted, nil, err)
 		m.ctr.jobsInterrupted.Inc()
 		m.logf("job %s (%s) interrupted: %v", j.id, j.spec.Kind(), err)
@@ -345,13 +239,11 @@ func (m *Manager) run(j *Job, ctx context.Context, cancel context.CancelFunc) {
 		j.finish(StateFailed, nil, err)
 		m.ctr.jobsFailed.Inc()
 		m.retainLocked(j.id)
-		m.deleteJournalLocked(j.id)
 		m.logf("job %s (%s) failed: %v", j.id, j.spec.Kind(), err)
 	default:
 		j.finish(StateDone, report, nil)
 		m.ctr.jobsDone.Inc()
 		m.retainLocked(j.id)
-		m.deleteJournalLocked(j.id)
 		m.logf("job %s (%s) done: %d report bytes", j.id, j.spec.Kind(), len(report))
 	}
 	m.dispatchLocked()
@@ -397,14 +289,9 @@ func (m *Manager) touchLocked(id string) {
 }
 
 func (m *Manager) updateGaugesLocked() {
-	m.ctr.queueDepth.Set(float64(m.queuedN))
+	m.ctr.queueDepth.Set(float64(len(m.queue)))
 	m.ctr.running.Set(float64(m.runningN))
 	m.ctr.retained.Set(float64(len(m.doneOrder)))
-	m.ctr.clients.Set(float64(len(m.buckets)))
-}
-
-func (m *Manager) clientCounter(client, which string) *metrics.Counter {
-	return m.reg.Counter("serve.client." + client + "." + which)
 }
 
 // Job looks a job up by ID.
@@ -452,7 +339,7 @@ func (m *Manager) Stats() Stats {
 	defer m.mu.Unlock()
 	return Stats{
 		Draining: m.draining,
-		Queued:   m.queuedN,
+		Queued:   len(m.queue),
 		Running:  m.runningN,
 		Retained: len(m.doneOrder),
 	}
@@ -469,23 +356,17 @@ func (m *Manager) MetricsSnapshot() metrics.Snapshot {
 // Drain stops admission (ErrDraining), interrupts the backlog, and waits —
 // up to ctx — for running jobs to finish and flush their reports. When ctx
 // expires first, the running jobs are cancelled; every shard they completed
-// is already checkpointed, and their journal entries survive, so Resume on
-// the next start re-enqueues them to finish from where they stopped.
+// is already checkpointed, so resubmitting them after a restart with the
+// same store reloads those shards.
 func (m *Manager) Drain(ctx context.Context) error {
 	m.mu.Lock()
-	first := !m.draining
-	if first {
+	if !m.draining {
 		m.draining = true
-		for client, q := range m.queues {
-			for _, j := range q {
-				j.finish(StateInterrupted, nil, ErrDraining)
-				m.ctr.jobsInterrupted.Inc()
-			}
-			delete(m.queues, client)
+		for _, j := range m.queue {
+			j.finish(StateInterrupted, nil, ErrDraining)
+			m.ctr.jobsInterrupted.Inc()
 		}
-		m.rr = nil
-		m.rrNext = 0
-		m.queuedN = 0
+		m.queue = nil
 		m.updateGaugesLocked()
 	}
 	m.mu.Unlock()
@@ -505,84 +386,4 @@ func (m *Manager) Drain(ctx context.Context) error {
 	}
 	m.rootCancel()
 	return err
-}
-
-// journalEntry is the persisted form of an admitted job.
-type journalEntry struct {
-	Version int             `json:"version"`
-	ID      string          `json:"id"`
-	Client  string          `json:"client"`
-	Spec    json.RawMessage `json:"spec"`
-	Options RunOptions      `json:"options"`
-}
-
-func (m *Manager) saveJournalLocked(j *Job) error {
-	if m.journal == nil {
-		return nil
-	}
-	sb, err := json.Marshal(j.spec)
-	if err != nil {
-		return err
-	}
-	return m.journal.Save(j.id, journalEntry{
-		Version: 1,
-		ID:      j.id,
-		Client:  j.client,
-		Spec:    sb,
-		Options: j.opts,
-	})
-}
-
-func (m *Manager) deleteJournalLocked(id string) {
-	if m.journal == nil {
-		return
-	}
-	if err := m.journal.Delete(id); err != nil {
-		m.logf("journal: %v", err)
-	}
-}
-
-// Resume re-enqueues journaled jobs left behind by a previous daemon run
-// (admitted but not finished: they were queued, running, or interrupted by
-// a drain). Their sweep shards are still checkpointed, so they complete
-// from where they stopped. Resume bypasses rate limiting but honors the
-// backlog bound; jobs past it stay journaled for the next call. Returns
-// the number re-enqueued.
-func (m *Manager) Resume() (int, error) {
-	if m.journal == nil {
-		return 0, nil
-	}
-	keys, err := m.journal.Keys()
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, key := range keys {
-		var e journalEntry
-		ok, err := m.journal.Load(key, &e)
-		if err != nil {
-			return n, err
-		}
-		if !ok { // corrupt entry: already warned by the store hook
-			continue
-		}
-		var spec sim.Spec
-		if err := json.Unmarshal(e.Spec, &spec); err != nil {
-			m.logf("journal: dropping undecodable job %s: %v", e.ID, err)
-			m.deleteJournalLocked(e.ID)
-			continue
-		}
-		m.mu.Lock()
-		if m.jobs[e.ID] == nil && m.queuedN < m.cfg.MaxQueued && !m.draining {
-			m.enqueueLocked(e.ID, e.Client, spec, e.Options.Normalize())
-			m.ctr.jobsResumed.Inc()
-			n++
-		}
-		m.dispatchLocked()
-		m.mu.Unlock()
-	}
-	if n > 0 {
-		m.logf("resumed %d journaled job(s)", n)
-	}
-	return n, nil
 }

@@ -3,13 +3,10 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"clrdram/internal/engine"
 	"clrdram/internal/sim"
 	"clrdram/internal/workload"
 )
@@ -50,13 +47,12 @@ func TestSingleFlightDedup(t *testing.T) {
 	})
 	spec, opts := testSpec(t, 0)
 
-	// Two concurrent identical submissions from different clients must
-	// coalesce onto one job...
-	r1, err := m.Submit("alice", spec, opts)
+	// Two concurrent identical submissions must coalesce onto one job...
+	r1, err := m.Submit(spec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := m.Submit("bob", spec, opts)
+	r2, err := m.Submit(spec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +83,7 @@ func TestSingleFlightDedup(t *testing.T) {
 	}
 
 	// A third identical submission after completion is a cache hit.
-	r3, err := m.Submit("carol", spec, opts)
+	r3, err := m.Submit(spec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,126 +112,27 @@ func TestQueueOverflow(t *testing.T) {
 	// error, not buffered.
 	for u := 0; u < 3; u++ {
 		spec, opts := testSpec(t, u)
-		if _, err := m.Submit("c", spec, opts); err != nil {
+		if _, err := m.Submit(spec, opts); err != nil {
 			t.Fatalf("submit %d: %v", u, err)
 		}
 	}
 	spec, opts := testSpec(t, 3)
-	_, err := m.Submit("c", spec, opts)
+	_, err := m.Submit(spec, opts)
 	if !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overflow submit: err = %v, want ErrQueueFull", err)
 	}
 
 	// Dedup of an already-queued job is NOT new work and must still pass.
 	spec0, opts0 := testSpec(t, 1)
-	r, err := m.Submit("d", spec0, opts0)
+	r, err := m.Submit(spec0, opts0)
 	if err != nil || !r.Deduped {
 		t.Fatalf("dedup during saturation: %+v, %v", r, err)
 	}
 }
 
-func TestRateLimit(t *testing.T) {
-	clock := time.Unix(1000, 0)
-	m := stubManager(t, Config{MaxConcurrent: 1, MaxQueued: 100, RatePerSec: 1, Burst: 2},
-		func(ctx context.Context, j *Job) ([]byte, error) { return []byte("ok"), nil })
-	m.now = func() time.Time { return clock }
-
-	// Burst of 2 passes, the third is rejected...
-	for u := 0; u < 2; u++ {
-		spec, opts := testSpec(t, u)
-		if _, err := m.Submit("hot", spec, opts); err != nil {
-			t.Fatalf("burst submit %d: %v", u, err)
-		}
-	}
-	spec, opts := testSpec(t, 2)
-	if _, err := m.Submit("hot", spec, opts); !errors.Is(err, ErrRateLimited) {
-		t.Fatalf("burst overflow: err = %v, want ErrRateLimited", err)
-	}
-
-	// ...other clients have their own bucket...
-	if _, err := m.Submit("cold", spec, opts); err != nil {
-		t.Fatalf("second client hit first client's limit: %v", err)
-	}
-
-	// ...and one second of refill readmits one token.
-	clock = clock.Add(time.Second)
-	spec3, opts3 := testSpec(t, 3)
-	if _, err := m.Submit("hot", spec3, opts3); err != nil {
-		t.Fatalf("post-refill submit: %v", err)
-	}
-	spec4, opts4 := testSpec(t, 4)
-	if _, err := m.Submit("hot", spec4, opts4); !errors.Is(err, ErrRateLimited) {
-		t.Fatal("refill granted more than rate*dt tokens")
-	}
-}
-
-func TestRoundRobinFairness(t *testing.T) {
-	var mu sync.Mutex
-	var order []string
-	gate := make(chan struct{}, 1)
-	m := stubManager(t, Config{MaxConcurrent: 1, MaxQueued: 100}, func(ctx context.Context, j *Job) ([]byte, error) {
-		mu.Lock()
-		order = append(order, j.Client())
-		mu.Unlock()
-		select {
-		case <-gate:
-			return []byte("ok"), nil
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	})
-
-	// alice floods 4 jobs, then bob submits 1. With FIFO dispatch bob would
-	// wait behind the whole flood; round-robin must run him after at most
-	// one more alice job.
-	jobs := make([]*Job, 0, 5)
-	for u := 0; u < 4; u++ {
-		spec, opts := testSpec(t, u)
-		r, err := m.Submit("alice", spec, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		jobs = append(jobs, r.Job)
-	}
-	spec, opts := testSpec(t, 10)
-	r, err := m.Submit("bob", spec, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs = append(jobs, r.Job)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	for range jobs {
-		gate <- struct{}{} // release one job at a time
-	}
-	for _, j := range jobs {
-		if _, err := j.Wait(ctx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	bobAt := -1
-	for i, c := range order {
-		if c == "bob" {
-			bobAt = i
-		}
-	}
-	if bobAt < 0 || bobAt > 2 {
-		t.Fatalf("bob ran at position %d of %v, want within the first 3 (round-robin)", bobAt, order)
-	}
-}
-
-func TestDrainInterruptsAndResumeContinues(t *testing.T) {
-	dir := t.TempDir()
-	store, err := engine.NewStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-
+func TestDrainInterruptsJobs(t *testing.T) {
 	started := make(chan struct{}, 8)
-	m := NewManager(Config{MaxConcurrent: 1, Store: store})
+	m := NewManager(Config{MaxConcurrent: 1})
 	m.runFn = func(ctx context.Context, j *Job) ([]byte, error) {
 		started <- struct{}{}
 		<-ctx.Done() // runs until drained
@@ -244,20 +141,19 @@ func TestDrainInterruptsAndResumeContinues(t *testing.T) {
 
 	// One running + one queued.
 	spec0, opts0 := testSpec(t, 0)
-	r0, err := m.Submit("a", spec0, opts0)
+	r0, err := m.Submit(spec0, opts0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec1, opts1 := testSpec(t, 1)
-	r1, err := m.Submit("a", spec1, opts1)
+	r1, err := m.Submit(spec1, opts1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-started
 
 	// Drain with an immediate deadline: the queued job is interrupted at
-	// once, the running one is cancelled when the deadline passes. Both
-	// journal entries must survive for Resume.
+	// once, the running one is cancelled when the deadline passes.
 	dctx, dcancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer dcancel()
 	if err := m.Drain(dctx); !errors.Is(err, context.DeadlineExceeded) {
@@ -269,39 +165,8 @@ func TestDrainInterruptsAndResumeContinues(t *testing.T) {
 	if s := r1.Job.State(); s != StateInterrupted {
 		t.Fatalf("queued job state after drain: %s", s)
 	}
-	if _, err := m.Submit("a", spec0, opts0); !errors.Is(err, ErrDraining) {
+	if _, err := m.Submit(spec0, opts0); !errors.Is(err, ErrDraining) {
 		t.Fatalf("submit while draining: err = %v, want ErrDraining", err)
-	}
-
-	// A fresh manager over the same store re-enqueues both journaled jobs
-	// and runs them to completion.
-	m2 := stubManager(t, Config{MaxConcurrent: 2, Store: store},
-		func(ctx context.Context, j *Job) ([]byte, error) {
-			return []byte("resumed-" + j.ID()), nil
-		})
-	n, err := m2.Resume()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Fatalf("resumed %d jobs, want 2", n)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	for _, r := range []SubmitResult{r0, r1} {
-		j2, err := m2.Job(r.Job.ID())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b, err := j2.Wait(ctx); err != nil || len(b) == 0 {
-			t.Fatalf("resumed job %s: %q, %v", j2.ID(), b, err)
-		}
-	}
-
-	// Completed jobs leave the journal: a third manager resumes nothing.
-	m3 := stubManager(t, Config{Store: store}, nil)
-	if n, err := m3.Resume(); err != nil || n != 0 {
-		t.Fatalf("resume after completion: %d, %v (want 0)", n, err)
 	}
 }
 
@@ -314,7 +179,7 @@ func TestResultCacheEviction(t *testing.T) {
 	jobs := make([]*Job, 3)
 	for u := 0; u < 3; u++ {
 		spec, opts := testSpec(t, u)
-		r, err := m.Submit("c", spec, opts)
+		r, err := m.Submit(spec, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -336,7 +201,7 @@ func TestResultCacheEviction(t *testing.T) {
 
 	// Resubmitting the evicted identity re-executes it (no stale answer).
 	spec, opts := testSpec(t, 0)
-	r, err := m.Submit("c", spec, opts)
+	r, err := m.Submit(spec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,13 +218,15 @@ func TestJobsListingOrderAndStatus(t *testing.T) {
 		func(ctx context.Context, j *Job) ([]byte, error) { return []byte("ok"), nil })
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
+	var ids []string
 	var last *Job
 	for u := 0; u < 3; u++ {
 		spec, opts := testSpec(t, u)
-		r, err := m.Submit(fmt.Sprintf("c%d", u), spec, opts)
+		r, err := m.Submit(spec, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
+		ids = append(ids, r.Job.ID())
 		last = r.Job
 	}
 	if _, err := last.Wait(ctx); err != nil {
@@ -370,8 +237,8 @@ func TestJobsListingOrderAndStatus(t *testing.T) {
 		t.Fatalf("listed %d jobs, want 3", len(list))
 	}
 	for i, st := range list {
-		if st.Client != fmt.Sprintf("c%d", i) {
-			t.Fatalf("listing out of admission order: %+v", list)
+		if st.ID != ids[i] {
+			t.Fatalf("listing out of admission order: %+v, want IDs %v", list, ids)
 		}
 		if st.Kind != "fig12" {
 			t.Fatalf("job %d kind = %q", i, st.Kind)

@@ -21,15 +21,6 @@ type ComparisonRow struct {
 	Dynamic        bool
 }
 
-// RunComparison runs every workload under the DDR4 baseline, CLR-DRAM (at
-// the given HP fraction) and the three §9 alternatives, and returns
-// normalized aggregates. The capacity column is the other half of the
-// story: the static designs pay their capacity cost always, CLR-DRAM only
-// when (and where) the system chooses to.
-func RunComparison(profiles []workload.Profile, clrFraction float64, opts Options) ([]ComparisonRow, error) {
-	return runComparison(context.Background(), profiles, clrFraction, opts)
-}
-
 func runComparison(ctx context.Context, profiles []workload.Profile, clrFraction float64, opts Options) ([]ComparisonRow, error) {
 	alts, err := core.DefaultAlternatives(clrFraction)
 	if err != nil {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"clrdram/internal/core"
@@ -13,10 +14,11 @@ func TestRunComparisonShape(t *testing.T) {
 		{Name: "c-random", Pattern: workload.PatternRandom, FootprintPages: 8192,
 			BubbleMean: 4, WriteFrac: 0.25, MemIntensive: true},
 	}
-	rows, err := RunComparison(profiles, 1.0, opts)
+	out, err := Run(context.Background(), ComparisonSpec(profiles, 1.0), WithOptions(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := out.Comparison
 	if len(rows) != 4 {
 		t.Fatalf("got %d designs, want 4", len(rows))
 	}

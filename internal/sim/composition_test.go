@@ -67,10 +67,11 @@ func TestDefaultCompositionFig12CSVIdentity(t *testing.T) {
 			o.Mem.Scheduler = mem.DefaultScheduler
 			o.Mem.RowPolicy = mem.DefaultRowPolicy
 		}
-		res, err := RunFig12(profiles, o)
+		out, err := Run(context.Background(), Fig12Spec(profiles), WithOptions(o))
 		if err != nil {
 			t.Fatal(err)
 		}
+		res := *out.Fig12
 		var buf bytes.Buffer
 		if err := WriteFig12CSV(&buf, res); err != nil {
 			t.Fatal(err)
@@ -128,10 +129,11 @@ func TestCompositionIdentityMatrix(t *testing.T) {
 				for _, workers := range []int{1, 4} {
 					o := sweep
 					o.Workers = workers
-					res, err := RunFig13(groups, o)
+					out, err := Run(context.Background(), Fig13Spec(groups), WithOptions(o))
 					if err != nil {
 						t.Fatal(err)
 					}
+					res := *out.Fig13
 					var buf bytes.Buffer
 					if err := WriteFig13CSV(&buf, res); err != nil {
 						t.Fatal(err)

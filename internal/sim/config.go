@@ -46,11 +46,12 @@ type Options struct {
 	// from TargetInstructions.
 	MaxCPUCycles int64
 
-	// Workers bounds the experiment-level parallelism of the sweep drivers
-	// (RunFig12/13/15, RunComparison, AloneIPCs): independent simulations
-	// fan out across this many goroutines. 0 means runtime.GOMAXPROCS(0).
-	// Results are bit-identical at every worker count (every run is
-	// internally seeded from Options.Seed; see internal/engine).
+	// Workers bounds the experiment-level parallelism of the sweep specs
+	// (Fig12Spec, Fig13Spec, Fig15Spec, ComparisonSpec): independent
+	// simulations fan out across this many goroutines. 0 means
+	// runtime.GOMAXPROCS(0). Results are bit-identical at every worker
+	// count (every run is internally seeded from Options.Seed; see
+	// internal/engine).
 	Workers int
 	// Progress, when non-nil, receives (done, total) after each completed
 	// experiment shard. Calls are serialized; drivers report one shard per

@@ -205,10 +205,11 @@ func TestFastForwardIdentityHetMixWorkers(t *testing.T) {
 		o := opts
 		o.FastForward = cfg.ff
 		o.Workers = cfg.workers
-		res, err := RunFig13(groups, o)
+		out, err := Run(context.Background(), Fig13Spec(groups), WithOptions(o))
 		if err != nil {
 			t.Fatal(err)
 		}
+		res := *out.Fig13
 		got, err := json.Marshal(res)
 		if err != nil {
 			t.Fatal(err)

@@ -60,16 +60,6 @@ type Fig12Result struct {
 	IntensiveIPC                         []float64
 }
 
-// RunFig12 reproduces Figure 12 (and the single-core half of Figure 14):
-// normalized IPC, DRAM energy and DRAM power for every workload at each
-// high-performance row fraction. Workload rows are independent shards on
-// the experiment engine: they fan out across Options.Workers goroutines
-// (bit-identical results at any worker count), report through
-// Options.Progress, and persist to Options.Checkpoint.
-func RunFig12(profiles []workload.Profile, opts Options) (Fig12Result, error) {
-	return runFig12(context.Background(), profiles, opts)
-}
-
 func runFig12(ctx context.Context, profiles []workload.Profile, opts Options) (Fig12Result, error) {
 	var out Fig12Result
 	rows, err := engine.MapCheckpointed(ctx, opts.pool(), opts.shardStore("fig12"),
@@ -200,12 +190,6 @@ type Fig13Result struct {
 	GMeanPower  []float64
 }
 
-// RunFig13 reproduces Figure 13: weighted speedup and DRAM energy of
-// four-core mixes in the L/M/H intensity groups, normalized to baseline.
-func RunFig13(groups map[string][]workload.Mix, opts Options) (Fig13Result, error) {
-	return runFig13(context.Background(), groups, opts)
-}
-
 func runFig13(ctx context.Context, groups map[string][]workload.Mix, opts Options) (Fig13Result, error) {
 	out := Fig13Result{
 		GroupWS:     map[string][]float64{},
@@ -312,18 +296,9 @@ func runFig13(ctx context.Context, groups map[string][]workload.Mix, opts Option
 // the DDR4 baseline, per HP fraction.
 type Fig15Row struct {
 	REFWms      float64
-	NormPerf    []float64 // indexed like fractions passed to RunFig15
+	NormPerf    []float64 // indexed like the fractions of the Fig15Spec
 	NormEnergy  []float64
 	NormRefresh []float64
-}
-
-// RunFig15 reproduces Figure 15 (single-core variant): for each tREFW
-// setting and each HP fraction (excluding 0%, which cannot extend tREFW),
-// the normalized performance, DRAM energy, and refresh energy over a set of
-// workloads (geometric means; refresh energy uses the arithmetic sum ratio
-// because per-workload refresh energy can be ~0 for short runs).
-func RunFig15(profiles []workload.Profile, fractions []float64, opts Options) ([]Fig15Row, error) {
-	return runFig15(context.Background(), profiles, fractions, opts)
 }
 
 func runFig15(ctx context.Context, profiles []workload.Profile, fractions []float64, opts Options) ([]Fig15Row, error) {

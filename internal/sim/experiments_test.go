@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -29,10 +30,11 @@ func tinyProfiles() []workload.Profile {
 }
 
 func TestRunFig12Shape(t *testing.T) {
-	res, err := RunFig12(tinyProfiles(), tinyOpts())
+	out, err := Run(context.Background(), Fig12Spec(tinyProfiles()), WithOptions(tinyOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := *out.Fig12
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -75,10 +77,11 @@ func TestRunFig13Shape(t *testing.T) {
 		"H": {{Name: "H00", Profiles: [4]workload.Profile{ps[0], ps[1], ps[2], ps[0]}}},
 		"L": {{Name: "L00", Profiles: [4]workload.Profile{light, light, light, light}}},
 	}
-	res, err := RunFig13(groups, opts)
+	out, err := Run(context.Background(), Fig13Spec(groups), WithOptions(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := *out.Fig13
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -99,10 +102,11 @@ func TestRunFig13Shape(t *testing.T) {
 func TestRunFig15Shape(t *testing.T) {
 	opts := tinyOpts()
 	profiles := tinyProfiles()[:2]
-	rows, err := RunFig15(profiles, []float64{1.0}, opts)
+	out, err := Run(context.Background(), Fig15Spec(profiles, []float64{1.0}), WithOptions(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := out.Fig15
 	if len(rows) != len(REFWSettings) {
 		t.Fatalf("rows = %d, want %d", len(rows), len(REFWSettings))
 	}

@@ -184,10 +184,11 @@ func TestFastForwardIdentityFig12CSV(t *testing.T) {
 		o := opts
 		o.FastForward = cfg.ff
 		o.Workers = cfg.workers
-		res, err := RunFig12(profiles, o)
+		out, err := Run(context.Background(), Fig12Spec(profiles), WithOptions(o))
 		if err != nil {
 			t.Fatal(err)
 		}
+		res := *out.Fig12
 		var buf bytes.Buffer
 		if err := WriteFig12CSV(&buf, res); err != nil {
 			t.Fatal(err)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -19,14 +20,16 @@ func TestFig12ParallelMatchesSerial(t *testing.T) {
 	// Acceptance: workers=1 and workers=8 produce identical results for the
 	// same seed — the engine's determinism contract at the driver level.
 	profiles := tinyProfiles()[:2]
-	serial, err := RunFig12(profiles, withWorkers(tinyOpts(), 1))
+	out, err := Run(context.Background(), Fig12Spec(profiles), WithOptions(withWorkers(tinyOpts(), 1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunFig12(profiles, withWorkers(tinyOpts(), 8))
+	serial := *out.Fig12
+	out, err = Run(context.Background(), Fig12Spec(profiles), WithOptions(withWorkers(tinyOpts(), 8)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	parallel := *out.Fig12
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("Fig12 differs between workers=1 and workers=8:\n%+v\nvs\n%+v", serial, parallel)
 	}
@@ -42,14 +45,16 @@ func TestFig13ParallelMatchesSerial(t *testing.T) {
 		"H": {{Name: "H00", Profiles: [4]workload.Profile{ps[0], ps[1], ps[2], ps[0]}}},
 		"L": {{Name: "L00", Profiles: [4]workload.Profile{light, light, light, light}}},
 	}
-	serial, err := RunFig13(groups, withWorkers(opts, 1))
+	out, err := Run(context.Background(), Fig13Spec(groups), WithOptions(withWorkers(opts, 1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunFig13(groups, withWorkers(opts, 8))
+	serial := *out.Fig13
+	out, err = Run(context.Background(), Fig13Spec(groups), WithOptions(withWorkers(opts, 8)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	parallel := *out.Fig13
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("Fig13 differs between workers=1 and workers=8:\n%+v\nvs\n%+v", serial, parallel)
 	}
@@ -64,11 +69,11 @@ func TestAloneIPCsParallelMatchesSerial(t *testing.T) {
 	}
 	opts := tinyOpts()
 	opts.TargetInstructions = 15_000
-	serial, err := AloneIPCs(mixes, withWorkers(opts, 1))
+	serial, err := aloneIPCs(context.Background(), mixes, withWorkers(opts, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := AloneIPCs(mixes, withWorkers(opts, 8))
+	parallel, err := aloneIPCs(context.Background(), mixes, withWorkers(opts, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,10 +94,11 @@ func TestFig12CheckpointRoundTrip(t *testing.T) {
 	opts := withWorkers(tinyOpts(), 4)
 	opts.Checkpoint = store
 
-	first, err := RunFig12(profiles, opts)
+	out, err := Run(context.Background(), Fig12Spec(profiles), WithOptions(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
+	first := *out.Fig12
 	// Poison one persisted shard: if the second run resumes from the store
 	// (instead of recomputing), the poisoned row must surface verbatim.
 	poisoned := first.Rows[0]
@@ -100,10 +106,11 @@ func TestFig12CheckpointRoundTrip(t *testing.T) {
 	if err := opts.shardStore("fig12").Save(profiles[0].Name, poisoned); err != nil {
 		t.Fatal(err)
 	}
-	second, err := RunFig12(profiles, opts)
+	out, err = Run(context.Background(), Fig12Spec(profiles), WithOptions(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
+	second := *out.Fig12
 	if second.Rows[0].MPKI != 12345 {
 		t.Error("second run recomputed a shard that was checkpointed")
 	}
@@ -114,10 +121,11 @@ func TestFig12CheckpointRoundTrip(t *testing.T) {
 	// A different seed must not reuse the poisoned shard (namespace pins
 	// the run-shaping options).
 	opts.Seed = 99
-	other, err := RunFig12(profiles, opts)
+	out, err = Run(context.Background(), Fig12Spec(profiles), WithOptions(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
+	other := *out.Fig12
 	if other.Rows[0].MPKI == 12345 {
 		t.Error("checkpoint namespace leaked across seeds")
 	}
@@ -133,7 +141,7 @@ func TestProgressReportedFromDriver(t *testing.T) {
 		last, total = d, tot
 		mu.Unlock()
 	}
-	if _, err := RunFig12(tinyProfiles()[:2], opts); err != nil {
+	if _, err := Run(context.Background(), Fig12Spec(tinyProfiles()[:2]), WithOptions(opts)); err != nil {
 		t.Fatal(err)
 	}
 	if last != 2 || total != 2 {

@@ -156,10 +156,11 @@ func TestSweepReportDeterministicAcrossWorkers(t *testing.T) {
 		o := reportOpts()
 		o.Workers = workers
 		o.Timer = &engine.Timer{}
-		f12, err := RunFig12(profiles, o)
+		out, err := Run(context.Background(), Fig12Spec(profiles), WithOptions(o))
 		if err != nil {
 			t.Fatal(err)
 		}
+		f12 := *out.Fig12
 		rep := SweepReport{
 			Schema:             SweepSchema,
 			Seed:               o.Seed,
@@ -190,10 +191,11 @@ func TestFig12RowsCarryMeasuredSeries(t *testing.T) {
 	p, _ := workload.ByName("random_00")
 	o := reportOpts()
 	o.CollectStats = false // measured series must not require the registry
-	f12, err := RunFig12([]workload.Profile{p}, o)
+	out, err := Run(context.Background(), Fig12Spec([]workload.Profile{p}), WithOptions(o))
 	if err != nil {
 		t.Fatal(err)
 	}
+	f12 := *out.Fig12
 	r := f12.Rows[0]
 	if len(r.RowHitRate) != len(HPFractions) || len(r.BankUtil) != len(HPFractions) {
 		t.Fatalf("measured series lengths %d/%d, want %d", len(r.RowHitRate), len(r.BankUtil), len(HPFractions))

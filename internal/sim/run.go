@@ -36,15 +36,11 @@ func runMix(ctx context.Context, m workload.Mix, clr core.Config, opts Options) 
 	return res, nil
 }
 
-// AloneIPCs computes the alone-run IPC of every profile in the mixes on the
+// aloneIPCs computes the alone-run IPC of every profile in the mixes on the
 // baseline configuration (the denominator of weighted speedup). Results are
 // memoised by profile name: the unique profiles are computed concurrently
 // on the experiment engine (one shard each), and the map is assembled only
 // after the fan-out barrier, so no shard ever touches shared state.
-func AloneIPCs(mixes []workload.Mix, opts Options) (map[string]float64, error) {
-	return aloneIPCs(context.Background(), mixes, opts)
-}
-
 func aloneIPCs(ctx context.Context, mixes []workload.Mix, opts Options) (map[string]float64, error) {
 	var unique []workload.Profile
 	seen := make(map[string]bool)

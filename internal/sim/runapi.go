@@ -65,26 +65,36 @@ func MixSpec(m workload.Mix, clr core.Config) Spec {
 	return Spec{kind: specMix, mix: m, clr: clr}
 }
 
-// Fig12Spec runs the single-core HP-fraction sweep (Figure 12) over the
-// given workloads.
+// Fig12Spec reproduces Figure 12 (and the single-core half of Figure 14):
+// normalized IPC, DRAM energy and DRAM power for every workload at each
+// high-performance row fraction. Workload rows are independent shards on
+// the experiment engine: they fan out across Options.Workers goroutines
+// (bit-identical results at any worker count), report through
+// Options.Progress, and persist to Options.Checkpoint.
 func Fig12Spec(profiles []workload.Profile) Spec {
 	return Spec{kind: specFig12, profiles: profiles}
 }
 
-// Fig13Spec runs the multi-core sweep (Figure 13) over intensity-grouped
-// mixes.
+// Fig13Spec reproduces Figure 13: weighted speedup and DRAM energy of
+// four-core mixes in the L/M/H intensity groups, normalized to baseline.
 func Fig13Spec(groups map[string][]workload.Mix) Spec {
 	return Spec{kind: specFig13, groups: groups}
 }
 
-// Fig15Spec runs the refresh-window sweep (Figure 15) over the given
-// workloads and HP fractions.
+// Fig15Spec reproduces Figure 15 (single-core variant): for each tREFW
+// setting and each HP fraction (excluding 0%, which cannot extend tREFW),
+// the normalized performance, DRAM energy, and refresh energy over a set of
+// workloads (geometric means; refresh energy uses the arithmetic sum ratio
+// because per-workload refresh energy can be ~0 for short runs).
 func Fig15Spec(profiles []workload.Profile, fractions []float64) Spec {
 	return Spec{kind: specFig15, profiles: profiles, fractions: fractions}
 }
 
-// ComparisonSpec runs the §9 related-work comparison at the given CLR HP
-// fraction.
+// ComparisonSpec runs the §9 related-work comparison: every workload under
+// the DDR4 baseline, CLR-DRAM (at the given HP fraction) and the three §9
+// alternatives, reported as normalized aggregates. The capacity column is
+// the other half of the story: the static designs pay their capacity cost
+// always, CLR-DRAM only when (and where) the system chooses to.
 func ComparisonSpec(profiles []workload.Profile, clrFraction float64) Spec {
 	return Spec{kind: specComparison, profiles: profiles, clrFraction: clrFraction}
 }
@@ -115,11 +125,6 @@ func WithWorkers(n int) Option {
 	return func(o *Options) { o.Workers = n }
 }
 
-// WithCheckpoint persists completed experiment shards to st for resumption.
-func WithCheckpoint(st *engine.Store) Option {
-	return func(o *Options) { o.Checkpoint = st }
-}
-
 // WithStats toggles the observability layer (Result.Report).
 func WithStats(on bool) Option {
 	return func(o *Options) { o.CollectStats = on }
@@ -136,19 +141,6 @@ func WithFastForward(on bool) Option {
 	}
 }
 
-// WithWarmupFork toggles checkpoint-and-fork warmup in the sweep drivers (on
-// by default; forked sweeps are byte-identical to cold ones).
-func WithWarmupFork(on bool) Option {
-	return func(o *Options) { o.DisableWarmupFork = !on }
-}
-
-// WithPool runs the spec's experiment fan-out on a caller-owned pool.
-// Passing the same engine.NewSharedPool to several concurrent Runs bounds
-// their combined fan-out by one shared budget (see Options.SharedPool).
-func WithPool(p *engine.Pool) Option {
-	return func(o *Options) { o.SharedPool = p }
-}
-
 // WithProgress attaches a progress sink for sweep drivers.
 func WithProgress(p engine.Progress) Option {
 	return func(o *Options) { o.Progress = p }
@@ -163,8 +155,7 @@ func WithTimer(t *engine.Timer) Option {
 // spec under ctx with the composed options and returns the matching Outcome
 // field. Cancellation is uniform — every inner loop (single systems and
 // engine-fanned sweeps alike) observes ctx — and every failure is a
-// *RunError carrying the run's identity. RunFig12/13/15 and RunComparison
-// are thin wrappers over this.
+// *RunError carrying the run's identity.
 func Run(ctx context.Context, spec Spec, optFns ...Option) (Outcome, error) {
 	opts := DefaultOptions()
 	for _, fn := range optFns {

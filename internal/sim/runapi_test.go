@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"testing"
@@ -134,32 +133,5 @@ func TestRunErrorIdentity(t *testing.T) {
 	}
 	if re.Driver != "single" || re.Workload != p.Name {
 		t.Errorf("RunError identity = (%q, %q), want (single, %s)", re.Driver, re.Workload, p.Name)
-	}
-}
-
-// TestRunFig12SpecMatchesDeprecatedWrapper pins the sweep-driver migration:
-// Run(Fig12Spec) and RunFig12 serialise to the same CSV.
-func TestRunFig12SpecMatchesDeprecatedWrapper(t *testing.T) {
-	profiles := []workload.Profile{streamProfile()}
-	opts := ffDiffOpts()
-	opts.CollectStats = false
-
-	old, err := RunFig12(profiles, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Run(context.Background(), Fig12Spec(profiles), WithOptions(opts))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var a, b bytes.Buffer
-	if err := WriteFig12CSV(&a, old); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFig12CSV(&b, *out.Fig12); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("Fig12 CSV diverges between RunFig12 and Run(Fig12Spec)")
 	}
 }

@@ -183,7 +183,7 @@ func TestMultiCoreMixRuns(t *testing.T) {
 			t.Fatalf("core %d retired %d", i, c.Instructions)
 		}
 	}
-	alone, err := AloneIPCs([]workload.Mix{mix}, opts)
+	alone, err := aloneIPCs(context.Background(), []workload.Mix{mix}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

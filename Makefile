@@ -5,7 +5,7 @@
 # on top of both tiers: ffdiff (fast-forward vs ticked simulation), ckdiff
 # (compiled + batched circuit kernels vs interpreted loop), serve-smoke
 # (clrserve daemon report vs direct sim.Run, byte-identical), compdiff
-# (registry-composed default memory system vs the seed, bit-identical),
+# (name-composed default memory system vs the seed, bit-identical),
 # and ffbench-smoke (fast-forward must not lose to planner-off on the
 # memory-intensive profile) — plus bench-check, which builds and tests the
 # standing benchmark's own module.
@@ -110,12 +110,16 @@ serve-smoke:
 	go run ./cmd/clrserve -smoke
 
 # compdiff is the composable-API identity gate (DESIGN.md §14): the
-# registry-driven construction path must leave the paper's default
+# name-driven construction path must leave the paper's default
 # composition bit-identical — a zero configuration and one with every
-# default registry name (standard, scheduler and row policy) spelled
-# out explicitly produce the same Result, canonical RunReport, and Fig. 12
+# default name (standard, scheduler and row policy) spelled out
+# explicitly produce the same Result, canonical RunReport, and Fig. 12
 # CSV bytes at any worker count — and every scheduler × row-policy pair
 # must stay fast-forward/ticked bit-identical on the four-core mix. The
+# gate also checks that the composition reaches the checkpoint namespace:
+# TestCheckpointNamespaceCoversComposition runs an fcfs/closed Fig. 12
+# sweep into a store holding a default sweep's shards and requires the
+# result of the same sweep without a store (DESIGN.md §7). The
 # second line runs the FR-FCFS(-Cap) scan over the per-bank candidate index
 # in lockstep with the two-pass age-order reference (DESIGN.md §16), plus
 # its fuzz seed corpus, and TestQueueIndexInvariant, which recounts the
@@ -125,7 +129,7 @@ serve-smoke:
 # mask) and requires the bank lists merged by sequence number to equal the
 # queues' arrival order. Also part of `go test ./...`.
 compdiff:
-	go test ./internal/sim -run 'TestDefaultComposition|TestCompositionIdentityMatrix' -count=1
+	go test ./internal/sim -run 'TestDefaultComposition|TestCompositionIdentityMatrix|TestCheckpointNamespaceCoversComposition' -count=1
 	go test ./internal/mem -run 'TestScheduleWalkMatchesTwoPass|FuzzScheduleWalkMatchesTwoPass|TestQueueIndexInvariant' -count=1
 
 # ffbench-smoke is the fast-forward performance gate: five short rounds on

@@ -109,7 +109,7 @@ func BenchmarkFig12SingleCore(b *testing.B) {
 	}
 	opts := benchOpts()
 	for i := 0; i < b.N; i++ {
-		out, err := sim.Run(context.Background(), sim.Fig12Spec(profiles), sim.WithOptions(opts))
+		out, err := sim.Run(context.Background(), sim.Fig12Spec(profiles), opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func BenchmarkFig13MultiCore(b *testing.B) {
 	opts := benchOpts()
 	opts.TargetInstructions = 30_000
 	for i := 0; i < b.N; i++ {
-		out, err := sim.Run(context.Background(), sim.Fig13Spec(groups), sim.WithOptions(opts))
+		out, err := sim.Run(context.Background(), sim.Fig13Spec(groups), opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -150,12 +150,12 @@ func BenchmarkFig14Power(b *testing.B) {
 	p := benchProfile("random_00")
 	opts := benchOpts()
 	for i := 0; i < b.N; i++ {
-		out, err := sim.Run(context.Background(), sim.SingleSpec(p, core.Baseline()), sim.WithOptions(opts))
+		out, err := sim.Run(context.Background(), sim.SingleSpec(p, core.Baseline()), opts)
 		if err != nil {
 			b.Fatal(err)
 		}
 		base := out.Single
-		out, err = sim.Run(context.Background(), sim.SingleSpec(p, core.CLR(1.0)), sim.WithOptions(opts))
+		out, err = sim.Run(context.Background(), sim.SingleSpec(p, core.CLR(1.0)), opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -172,7 +172,7 @@ func BenchmarkFig15RefreshInterval(b *testing.B) {
 	profiles := []workload.Profile{benchProfile("random_00")}
 	opts := benchOpts()
 	for i := 0; i < b.N; i++ {
-		out, err := sim.Run(context.Background(), sim.Fig15Spec(profiles, []float64{1.0}), sim.WithOptions(opts))
+		out, err := sim.Run(context.Background(), sim.Fig15Spec(profiles, []float64{1.0}), opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -206,12 +206,12 @@ func BenchmarkAblationEarlyTermination(b *testing.B) {
 	noET := core.CLR(1.0)
 	noET.EarlyTermination = false
 	for i := 0; i < b.N; i++ {
-		out, err := sim.Run(context.Background(), sim.SingleSpec(p, core.CLR(1.0)), sim.WithOptions(opts))
+		out, err := sim.Run(context.Background(), sim.SingleSpec(p, core.CLR(1.0)), opts)
 		if err != nil {
 			b.Fatal(err)
 		}
 		with := out.Single
-		out, err = sim.Run(context.Background(), sim.SingleSpec(p, noET), sim.WithOptions(opts))
+		out, err = sim.Run(context.Background(), sim.SingleSpec(p, noET), opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -230,7 +230,7 @@ func BenchmarkAblationRowHitCap(b *testing.B) {
 			opts := benchOpts()
 			opts.Mem.RowHitCap = cap
 			for i := 0; i < b.N; i++ {
-				if _, err := sim.Run(context.Background(), sim.SingleSpec(p, core.CLR(1.0)), sim.WithOptions(opts)); err != nil {
+				if _, err := sim.Run(context.Background(), sim.SingleSpec(p, core.CLR(1.0)), opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -329,7 +329,7 @@ func BenchmarkEndToEndSimulatedInstructions(b *testing.B) {
 	b.ResetTimer()
 	var instr uint64
 	for i := 0; i < b.N; i++ {
-		out, err := sim.Run(context.Background(), sim.SingleSpec(p, core.CLR(1.0)), sim.WithOptions(opts))
+		out, err := sim.Run(context.Background(), sim.SingleSpec(p, core.CLR(1.0)), opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -363,7 +363,7 @@ func benchFastForward(b *testing.B, name string, mode sim.FFMode) {
 	b.ResetTimer()
 	var instr uint64
 	for i := 0; i < b.N; i++ {
-		out, err := sim.Run(context.Background(), sim.SingleSpec(p, core.CLR(0.5)), sim.WithOptions(opts))
+		out, err := sim.Run(context.Background(), sim.SingleSpec(p, core.CLR(0.5)), opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -439,7 +439,7 @@ func benchFig12Workers(b *testing.B, workers int) {
 	opts := benchOpts()
 	opts.Workers = workers
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(context.Background(), sim.Fig12Spec(profiles), sim.WithOptions(opts)); err != nil {
+		if _, err := sim.Run(context.Background(), sim.Fig12Spec(profiles), opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -465,7 +465,7 @@ func benchFig12Stats(b *testing.B, collect bool) {
 	opts.Workers = 1
 	opts.CollectStats = collect
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(context.Background(), sim.Fig12Spec(profiles), sim.WithOptions(opts)); err != nil {
+		if _, err := sim.Run(context.Background(), sim.Fig12Spec(profiles), opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -482,7 +482,7 @@ func BenchmarkSection9Comparison(b *testing.B) {
 	profiles := []workload.Profile{benchProfile("random_00")}
 	opts := benchOpts()
 	for i := 0; i < b.N; i++ {
-		out, err := sim.Run(context.Background(), sim.ComparisonSpec(profiles, 1.0), sim.WithOptions(opts))
+		out, err := sim.Run(context.Background(), sim.ComparisonSpec(profiles, 1.0), opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -511,7 +511,7 @@ func BenchmarkAblationRefreshPostponement(b *testing.B) {
 			opts.Mem.MaxPostponedRefresh = postpone
 			var ipc float64
 			for i := 0; i < b.N; i++ {
-				out, err := sim.Run(context.Background(), sim.SingleSpec(p, core.CLR(1.0)), sim.WithOptions(opts))
+				out, err := sim.Run(context.Background(), sim.SingleSpec(p, core.CLR(1.0)), opts)
 				if err != nil {
 					b.Fatal(err)
 				}

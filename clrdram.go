@@ -20,9 +20,11 @@
 //     chip-area overhead models.
 //
 // This package is the public facade: it re-exports the user-facing types of
-// the internal packages. Executables in cmd/ regenerate every table and
-// figure; examples/ shows typical library usage; EXPERIMENTS.md records
-// paper-versus-measured results.
+// the internal packages. A simulation is configured one way, as
+// Run(ctx, spec, opts), with the memory system chosen by name through
+// Options.Standard and MemConfig. Executables in cmd/ regenerate every
+// table and figure; examples/ shows typical library usage; EXPERIMENTS.md
+// records paper-versus-measured results.
 package clrdram
 
 import (
@@ -115,18 +117,16 @@ type (
 func DefaultOptions() Options { return sim.DefaultOptions() }
 
 // Spec names one unit of simulation work for Run; Outcome is its result.
-// Option adjusts the run's Options functionally; RunError is the typed
-// error every run path returns on failure.
+// RunError is the typed error every run path returns on failure.
 type (
 	Spec     = sim.Spec
 	Outcome  = sim.Outcome
-	Option   = sim.Option
 	RunError = sim.RunError
 )
 
 // Run is the unified, context-aware entry point behind every simulation
-// driver. Build the spec with SingleSpec/MixSpec/..., compose options with
-// the With* functions, and cancel via ctx.
+// driver. Build the spec with SingleSpec/MixSpec/..., start opts from
+// DefaultOptions (zero fields take its values), and cancel via ctx.
 var Run = sim.Run
 
 // Spec constructors for Run.
@@ -139,24 +139,16 @@ var (
 	ComparisonSpec = sim.ComparisonSpec
 )
 
-// Functional options for Run.
-var (
-	WithOptions     = sim.WithOptions
-	WithWorkers     = sim.WithWorkers
-	WithStats       = sim.WithStats
-	WithFastForward = sim.WithFastForward
-)
-
 // Memory-system composition (DESIGN.md §14): the memory system's three
 // roles — DRAM standard, command scheduler and row-buffer policy — are
-// independently swappable behind small interfaces, resolved by registry
-// name through MemConfig / Options.Standard (or the -scheduler, -rowpolicy
-// and -standard CLI flags). Pages are placed by the profiling-guided
-// hot-page mapping of §8.1, not by a swappable role.
+// chosen independently by name through Options.Standard and MemConfig (or
+// the -standard, -scheduler and -rowpolicy CLI flags). Each set of names is
+// closed. Pages are placed by the profiling-guided hot-page mapping of
+// §8.1, not by a swappable role.
 type (
 	// MemConfig configures the memory controller, including the Scheduler
-	// and RowPolicy registry names (empty strings mean the paper's
-	// defaults). Set it on Options.Mem.
+	// and RowPolicy names (empty strings mean the paper's defaults). Set it
+	// on Options.Mem.
 	MemConfig = mem.Config
 	// Scheduler picks the next DRAM command for a request queue
 	// (frfcfs-cap, frfcfs, fcfs). Besides its Name it has one method,
@@ -168,29 +160,23 @@ type (
 	// method, BankCloseCycle: the first cycle it closes a bank's open row,
 	// which the controller both closes at and fast-forwards to.
 	RowPolicy = mem.RowPolicy
-	// Standard is a DRAM standard: device geometry plus its timing package
-	// (ddr4-2400, lpddr4-3200). Select one via Options.Standard.
-	Standard = dram.Standard
 )
 
-// Default registry names for the three composable roles.
+// Default names for the three composable roles.
 const (
 	DefaultScheduler = mem.DefaultScheduler
 	DefaultRowPolicy = mem.DefaultRowPolicy
 	DefaultStandard  = dram.DefaultStandard
 )
 
-// Registry lookups (name -> instance) and catalogues for the composable
-// memory-system roles. The Register* functions extend the registries with
-// custom implementations; the *Names functions list what is registered.
+// Name lookups (name -> instance, or the device configuration a DRAM
+// standard prescribes: geometry, clock and timing package) and catalogues
+// for the composable memory-system roles; the *Names functions list the
+// accepted names.
 var (
-	NewScheduler = mem.NewScheduler
-	NewRowPolicy = mem.NewRowPolicy
-	NewStandard  = dram.NewStandard
-
-	RegisterScheduler = mem.RegisterScheduler
-	RegisterRowPolicy = mem.RegisterRowPolicy
-	RegisterStandard  = dram.RegisterStandard
+	NewScheduler   = mem.NewScheduler
+	NewRowPolicy   = mem.NewRowPolicy
+	StandardConfig = dram.StandardConfig
 
 	SchedulerNames = mem.SchedulerNames
 	RowPolicyNames = mem.RowPolicyNames

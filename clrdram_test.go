@@ -65,7 +65,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	opts.ProfileRecords = 2_000
 	p, _ := WorkloadByName("random_00")
 	run := func(cfg Config) Result {
-		out, err := Run(context.Background(), SingleSpec(p, cfg), WithOptions(opts))
+		out, err := Run(context.Background(), SingleSpec(p, cfg), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,16 +81,19 @@ func TestFacadeEndToEnd(t *testing.T) {
 
 func TestFacadeRegistries(t *testing.T) {
 	if len(SchedulerNames()) < 3 || len(RowPolicyNames()) < 4 || len(StandardNames()) < 2 {
-		t.Fatalf("registry catalogues too small: sched=%v policy=%v std=%v",
+		t.Fatalf("name catalogues too small: sched=%v policy=%v std=%v",
 			SchedulerNames(), RowPolicyNames(), StandardNames())
 	}
 	s, err := NewScheduler(DefaultScheduler, MemConfig{})
 	if err != nil || s.Name() != DefaultScheduler {
 		t.Fatalf("NewScheduler(%q) = %v, %v", DefaultScheduler, s, err)
 	}
-	std, err := NewStandard(DefaultStandard)
-	if err != nil || !std.CLRCapable() {
-		t.Fatalf("default standard must be CLR-capable: %v, %v", std, err)
+	dev, err := StandardConfig(DefaultStandard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := CLR(0.5).Build(dev); err != nil {
+		t.Fatalf("default standard must be CLR-capable: %v", err)
 	}
 	if _, err := NewScheduler("no-such-scheduler", MemConfig{}); err == nil {
 		t.Fatal("unknown scheduler name must fail")

@@ -203,7 +203,7 @@ func runSmoke(cfg serve.Config, instrs uint64, logger *log.Logger) error {
 	}
 
 	simOpts := opts.SimOptions()
-	out, err := sim.Run(context.Background(), spec, sim.WithOptions(simOpts))
+	out, err := sim.Run(context.Background(), spec, simOpts)
 	if err != nil {
 		return err
 	}

@@ -84,10 +84,7 @@ func main() {
 	opts.CollectStats = *statsF || *statsOut != ""
 	opts.Mem.Scheduler = *schedF
 	opts.Mem.RowPolicy = *policyF
-	if *stdF != "" {
-		opts.Standard = *stdF
-		opts.Device = dram.Config{} // let the standard prescribe the device
-	}
+	opts.Standard = *stdF
 	ff, err := sim.ParseFFMode(*ffMode)
 	if err != nil {
 		fatal(fmt.Errorf("-fastforward: %w", err))
@@ -143,7 +140,7 @@ func main() {
 		default:
 			fatal(fmt.Errorf("need -workload, -mix or -trace (or -list)"))
 		}
-		out, err := sim.Run(ctx, spec, sim.WithOptions(opts))
+		out, err := sim.Run(ctx, spec, opts)
 		if err != nil {
 			fatal(err)
 		}

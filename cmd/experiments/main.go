@@ -71,7 +71,6 @@ func main() {
 		statsF    = flag.Bool("stats", false, "collect observability stats and print a sweep report (with engine timings) at the end")
 		statsOut  = flag.String("stats-out", "", "write the sweep report as JSON to this file ('-' for stdout; implies -stats)")
 		ffMode    = flag.String("fastforward", "on", "event-driven cycle skipping, on or off (results are bit-identical either way)")
-		warmFork  = flag.Bool("warmup-fork", true, "snapshot warmed cache state once per workload set and fork it across sweep configurations (results are byte-identical either way)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file")
 		schedF    = flag.String("scheduler", "", "memory scheduler: "+strings.Join(mem.SchedulerNames(), "|")+" (default "+mem.DefaultScheduler+")")
@@ -95,16 +94,12 @@ func main() {
 	opts.Progress = progressLine
 	opts.Mem.Scheduler = *schedF
 	opts.Mem.RowPolicy = *policyF
-	if *stdF != "" {
-		opts.Standard = *stdF
-		opts.Device = dram.Config{} // let the standard prescribe the device
-	}
+	opts.Standard = *stdF
 	ff, err := sim.ParseFFMode(*ffMode)
 	if err != nil {
 		fatal(fmt.Errorf("-fastforward: %w", err))
 	}
 	opts.FastForward = ff
-	opts.DisableWarmupFork = !*warmFork
 	spiceOpts := spice.TableOptions{Iterations: *mcIters, Seed: *seed, Workers: *workers}
 
 	if *cpuProf != "" {
@@ -209,7 +204,7 @@ func main() {
 	if *fig12 || *fig14 {
 		fmt.Printf("Running single-core sweep: %d workloads × %d HP fractions (+baseline), %d instructions each...\n",
 			len(profiles), len(sim.HPFractions), *instrs)
-		out, err := sim.Run(ctx, sim.Fig12Spec(profiles), sim.WithOptions(opts))
+		out, err := sim.Run(ctx, sim.Fig12Spec(profiles), opts)
 		if err != nil {
 			fatal(err)
 		}
@@ -246,7 +241,7 @@ func main() {
 	if *fig13 || *fig14 {
 		fmt.Printf("Running multi-core sweep: %d mixes per group × %d fractions...\n", *mixes, len(sim.HPFractions))
 		groups := workload.MixGroups(*seed, *mixes)
-		out, err := sim.Run(ctx, sim.Fig13Spec(groups), sim.WithOptions(opts))
+		out, err := sim.Run(ctx, sim.Fig13Spec(groups), opts)
 		if err != nil {
 			fatal(err)
 		}
@@ -358,7 +353,7 @@ func main() {
 		if len(intensive) > 6 {
 			intensive = intensive[:6]
 		}
-		out, err := sim.Run(ctx, sim.ComparisonSpec(intensive, 1.0), sim.WithOptions(opts))
+		out, err := sim.Run(ctx, sim.ComparisonSpec(intensive, 1.0), opts)
 		if err != nil {
 			fatal(err)
 		}
@@ -388,7 +383,7 @@ func main() {
 			intensive = intensive[:8]
 		}
 		fracs := []float64{0.25, 0.5, 0.75, 1.0}
-		out, err := sim.Run(ctx, sim.Fig15Spec(intensive, fracs), sim.WithOptions(opts))
+		out, err := sim.Run(ctx, sim.Fig15Spec(intensive, fracs), opts)
 		if err != nil {
 			fatal(err)
 		}

@@ -19,12 +19,12 @@ func Example() {
 	opts.TargetInstructions = 50_000
 
 	ctx := context.Background()
-	base, err := clrdram.Run(ctx, clrdram.SingleSpec(mcf, clrdram.Baseline()), clrdram.WithOptions(opts))
+	base, err := clrdram.Run(ctx, clrdram.SingleSpec(mcf, clrdram.Baseline()), opts)
 	if err != nil {
 		log.Fatal(err)
 	}
 	// All rows in high-performance mode.
-	fast, err := clrdram.Run(ctx, clrdram.SingleSpec(mcf, clrdram.CLR(1.0)), clrdram.WithOptions(opts))
+	fast, err := clrdram.Run(ctx, clrdram.SingleSpec(mcf, clrdram.CLR(1.0)), opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func ExampleSchedulerNames() {
 	// standards: ddr4-2400 lpddr4-3200
 }
 
-// ExampleNewScheduler shows registry lookup: the empty string resolves to
+// ExampleNewScheduler shows name lookup: the empty string resolves to
 // the paper's default, and unknown names fail with a typed error.
 func ExampleNewScheduler() {
 	def, err := clrdram.NewScheduler("", clrdram.MemConfig{})
@@ -138,8 +138,8 @@ func ExampleNewScheduler() {
 	// Output: frfcfs-cap fcfs true
 }
 
-// Example_composition composes a memory system declaratively: registry
-// names go into Options, and the constructed controller honours them. (No
+// Example_composition composes a memory system declaratively: names go into
+// Options, and the constructed controller honours them. (No
 // Output comment — a full simulation is too slow for the example runner, so
 // this example is compile-checked only.)
 func Example_composition() {
@@ -152,8 +152,7 @@ func Example_composition() {
 	opts.Mem.RowPolicy = "hitcount" // close rows after MaxRowHits hits
 	opts.Mem.MaxRowHits = 8
 
-	out, err := clrdram.Run(context.Background(), clrdram.SingleSpec(p, clrdram.Baseline()),
-		clrdram.WithOptions(opts))
+	out, err := clrdram.Run(context.Background(), clrdram.SingleSpec(p, clrdram.Baseline()), opts)
 	if err != nil {
 		log.Fatal(err)
 	}

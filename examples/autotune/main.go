@@ -71,7 +71,7 @@ func main() {
 
 // runSingle drives one single-core simulation through the unified Run API.
 func runSingle(p clrdram.Profile, cfg clrdram.Config, opts clrdram.Options) (clrdram.Result, error) {
-	out, err := clrdram.Run(context.Background(), clrdram.SingleSpec(p, cfg), clrdram.WithOptions(opts))
+	out, err := clrdram.Run(context.Background(), clrdram.SingleSpec(p, cfg), opts)
 	if err != nil {
 		return clrdram.Result{}, err
 	}

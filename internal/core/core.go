@@ -97,15 +97,16 @@ func (c Config) Build(devCfg dram.Config) (dram.Config, []mem.RefreshStream, err
 		tab = DefaultTable()
 	}
 	clock := devCfg.ClockNS
+	// The paper's ddr4-2400 device leaves Timings[ModeDefault] zero for the
+	// Table 1 baseline column. A fixed-timing standard (lpddr4-3200)
+	// prescribes the set itself and has no SPICE model behind it, so it
+	// runs the baseline only: per-row mode timings would be fiction.
+	if devCfg.Timings[dram.ModeDefault] == (dram.TimingSet{}) {
+		devCfg.Timings[dram.ModeDefault] = tab.Baseline.ToCycles(clock)
+	} else if c.Enabled {
+		return dram.Config{}, nil, fmt.Errorf("core: the device has a fixed timing table and cannot model CLR-DRAM row modes; run it with the baseline configuration")
+	}
 	if !c.Enabled {
-		// Fill the baseline timing set only when the geometry did not bring
-		// its own: a fixed-timing standard (dram.Standard with CLRCapable()
-		// false, e.g. lpddr4-3200) prescribes Timings[ModeDefault] itself,
-		// while the paper's ddr4-2400 device leaves it zero for this Table 1
-		// baseline column.
-		if devCfg.Timings[dram.ModeDefault] == (dram.TimingSet{}) {
-			devCfg.Timings[dram.ModeDefault] = tab.Baseline.ToCycles(clock)
-		}
 		devCfg.ModeOf = dram.FixedMode(dram.ModeDefault)
 		streams := mem.StandardRefresh(clock, dram.ModeDefault, 0, 64)
 		return devCfg, streams, nil
@@ -115,7 +116,6 @@ func (c Config) Build(devCfg dram.Config) (dram.Config, []mem.RefreshStream, err
 	if err != nil {
 		return dram.Config{}, nil, err
 	}
-	devCfg.Timings[dram.ModeDefault] = tab.Baseline.ToCycles(clock)
 	devCfg.Timings[dram.ModeMaxCap] = tab.MaxCap.ToCycles(clock)
 	devCfg.Timings[dram.ModeHighPerf] = hp.ToCycles(clock)
 

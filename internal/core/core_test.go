@@ -29,6 +29,27 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestBuildFixedTimingDevice checks the one definition of the fixed-timing
+// rule: a device that prescribes its own Timings[ModeDefault] (lpddr4-3200)
+// builds as the baseline with those timings kept, and rejects CLR modes.
+func TestBuildFixedTimingDevice(t *testing.T) {
+	lp, err := dram.StandardConfig("lpddr4-3200")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := Baseline().Build(lp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Timings[dram.ModeDefault] != lp.Timings[dram.ModeDefault] {
+		t.Fatalf("baseline build replaced the prescribed timings: %+v, want %+v",
+			got.Timings[dram.ModeDefault], lp.Timings[dram.ModeDefault])
+	}
+	if _, _, err := CLR(0.5).Build(lp); err == nil || !strings.Contains(err.Error(), "cannot model CLR-DRAM") {
+		t.Fatalf("CLR build on a fixed-timing device = %v, want a CLR-capability rejection", err)
+	}
+}
+
 func TestBuildBaseline(t *testing.T) {
 	devCfg := dram.Standard16Gb()
 	got, streams, err := Baseline().Build(devCfg)

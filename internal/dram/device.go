@@ -44,7 +44,7 @@ func (c Config) Banks() int { return c.BankGroups * c.BanksPerGroup }
 
 // MaxBanks is the largest rank the device model supports: the open banks
 // and the controller's per-bank horizon entries are tracked as one 64-bit
-// mask. Every registered standard has at most 16 banks.
+// mask. Every standard has at most 16 banks.
 const MaxBanks = 64
 
 // ErrTooManyBanks is wrapped by Validate for a rank of more than MaxBanks

@@ -4,119 +4,44 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
-// A Standard bundles what a DRAM timing specification prescribes for the
-// device model: the rank geometry, the clock, and (for fixed-timing
-// standards) the ModeDefault timing set. It is the first of the three
-// swappable memory-system roles (standard, scheduler, row policy); the
-// other two live in internal/mem.
-//
-// Two kinds of standard exist:
-//
-//   - CLR-capable standards leave Timings zero. The CLR configuration layer
-//     (internal/core) derives all per-mode timing sets from its SPICE-backed
-//     TimingTable, so the standard only pins geometry and clock. The default
-//     "ddr4-2400" standard — the paper's Table 2 device — is of this kind.
-//   - Fixed standards provide Timings[ModeDefault] themselves (typically
-//     table-driven via DeriveConfig) and reject CLR mode configurations:
-//     their device has no SPICE model behind it, so per-row mode timings
-//     would be fiction.
-type Standard interface {
-	// Name returns the registry name, e.g. "ddr4-2400".
-	Name() string
-	// DeviceConfig returns the geometry, clock and (for fixed standards)
-	// timing the standard prescribes. Callers may override geometry fields
-	// before building the device; the returned value is a copy.
-	DeviceConfig() Config
-	// CLRCapable reports whether the device may be configured with CLR-DRAM
-	// per-row modes (internal/core fills Timings for all NumModes entries).
-	CLRCapable() bool
-}
-
-// DefaultStandard names the registry entry every zero configuration resolves
+// DefaultStandard names the DRAM standard every zero configuration resolves
 // to: the paper's 16 Gb DDR4-2400 device (Standard16Gb geometry, timings
 // filled by the CLR layer's Table 1 baseline column).
 const DefaultStandard = "ddr4-2400"
 
-// ErrUnknownStandard is wrapped by NewStandard for names with no registry
-// entry. Match with errors.Is.
+// ErrUnknownStandard is wrapped by StandardConfig for names it does not
+// know. Match with errors.Is.
 var ErrUnknownStandard = errors.New("dram: unknown standard")
 
-var standards = map[string]Standard{}
-
-// RegisterStandard adds a standard to the registry under s.Name(). It panics
-// on an empty name or a duplicate registration: registration happens at init
-// time, where a collision is a programming error, not an input error.
-func RegisterStandard(s Standard) {
-	name := s.Name()
-	if name == "" {
-		panic("dram: RegisterStandard with empty name")
+// StandardConfig returns the device configuration a DRAM standard
+// prescribes: rank geometry, clock and, for a fixed-timing standard, the
+// ModeDefault timing set. The set of standards is closed; the empty name
+// resolves to DefaultStandard.
+//
+//   - "ddr4-2400", the paper's Table 2 device, leaves Timings zero: the CLR
+//     configuration layer (internal/core) derives every per-mode timing set
+//     from its SPICE-backed TimingTable, so the standard pins only geometry
+//     and clock.
+//   - "lpddr4-3200" is derived from a flat parameter table (DeriveConfig)
+//     and prescribes Timings[ModeDefault] itself. Its device has no SPICE
+//     model behind it, so core.Config.Build runs it as the baseline only.
+//
+// Unknown names return an error wrapping ErrUnknownStandard that lists
+// StandardNames.
+func StandardConfig(name string) (Config, error) {
+	switch name {
+	case "", DefaultStandard:
+		return Standard16Gb(), nil
+	case "lpddr4-3200":
+		return DeriveConfig(lpddr4Params())
 	}
-	if _, dup := standards[name]; dup {
-		panic("dram: RegisterStandard duplicate name " + name)
-	}
-	standards[name] = s
+	return Config{}, fmt.Errorf("%w %q (have %v)", ErrUnknownStandard, name, StandardNames())
 }
 
-// NewStandard resolves a registry name. The empty string resolves to
-// DefaultStandard; unknown names return an error wrapping
-// ErrUnknownStandard that lists the registered names.
-func NewStandard(name string) (Standard, error) {
-	if name == "" {
-		name = DefaultStandard
-	}
-	s, ok := standards[name]
-	if !ok {
-		return nil, fmt.Errorf("%w %q (have %v)", ErrUnknownStandard, name, StandardNames())
-	}
-	return s, nil
-}
-
-// StandardNames returns the registered standard names, sorted.
-func StandardNames() []string {
-	names := make([]string, 0, len(standards))
-	for n := range standards {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// ddr4Standard is the paper's device: Standard16Gb geometry with timings
-// left to the CLR configuration layer (Table 1 baseline / MaxCap / HighPerf
-// columns, or just the baseline column for -baseline runs).
-type ddr4Standard struct{}
-
-func (ddr4Standard) Name() string         { return DefaultStandard }
-func (ddr4Standard) DeviceConfig() Config { return Standard16Gb() }
-func (ddr4Standard) CLRCapable() bool     { return true }
-
-// tableStandard is a fixed-timing standard whose whole device configuration
-// was derived from a flat parameter table (DeriveConfig).
-type tableStandard struct {
-	name string
-	cfg  Config
-}
-
-func (s *tableStandard) Name() string         { return s.name }
-func (s *tableStandard) DeviceConfig() Config { return s.cfg }
-func (s *tableStandard) CLRCapable() bool     { return false }
-
-// NewTableStandard builds (without registering) a fixed-timing standard from
-// a flat parameter table; see DeriveConfig for the key set. Library users
-// register the result with RegisterStandard to make it flag-selectable.
-func NewTableStandard(name string, params map[string]float64) (Standard, error) {
-	if name == "" {
-		return nil, fmt.Errorf("dram: table standard needs a name")
-	}
-	cfg, err := DeriveConfig(params)
-	if err != nil {
-		return nil, fmt.Errorf("dram: standard %q: %w", name, err)
-	}
-	return &tableStandard{name: name, cfg: cfg}, nil
-}
+// StandardNames returns the names StandardConfig accepts, sorted.
+func StandardNames() []string { return []string{DefaultStandard, "lpddr4-3200"} }
 
 // Geometry keys DeriveConfig consumes in addition to the timing keys of
 // TimingSetFromTable. All values are float64 for table uniformity; the
@@ -277,13 +202,4 @@ func lpddr4Params() map[string]float64 {
 		"nCCD_S": 8,
 		"nCCD_L": 8,
 	}
-}
-
-func init() {
-	RegisterStandard(ddr4Standard{})
-	lp, err := NewTableStandard("lpddr4-3200", lpddr4Params())
-	if err != nil {
-		panic(err) // a broken built-in table is a programming error
-	}
-	RegisterStandard(lp)
 }

@@ -7,42 +7,42 @@ import (
 	"testing"
 )
 
-func TestStandardRegistry(t *testing.T) {
-	def, err := NewStandard("")
+// TestStandardConfig checks both standards StandardConfig knows: the empty
+// name is the CLR-capable ddr4-2400 device, whose timings the CLR layer
+// fills, lpddr4-3200 prescribes its own valid timing set, and an unknown
+// name is a typed error listing the known ones.
+func TestStandardConfig(t *testing.T) {
+	def, err := StandardConfig("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if def.Name() != DefaultStandard || !def.CLRCapable() {
-		t.Fatalf("empty name resolved to %q (CLR %v), want %q CLR-capable",
-			def.Name(), def.CLRCapable(), DefaultStandard)
+	if want := Standard16Gb(); def != want {
+		t.Fatalf("empty name resolved to %+v, want Standard16Gb %+v", def, want)
 	}
-	if got, want := def.DeviceConfig(), Standard16Gb(); got != want {
-		t.Fatalf("ddr4-2400 device = %+v, want Standard16Gb %+v", got, want)
+	if named, err := StandardConfig(DefaultStandard); err != nil || named != def {
+		t.Fatalf("StandardConfig(%q) = %+v, %v; want the empty name's device", DefaultStandard, named, err)
 	}
-	if def.DeviceConfig().Timings[ModeDefault] != (TimingSet{}) {
+	if def.Timings[ModeDefault] != (TimingSet{}) {
 		t.Fatal("the CLR-capable default standard must leave timings to the CLR layer")
 	}
 
-	lp, err := NewStandard("lpddr4-3200")
+	lp, err := StandardConfig("lpddr4-3200")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lp.CLRCapable() {
-		t.Fatal("lpddr4-3200 is a fixed-timing standard; it must not claim CLR capability")
-	}
-	if lp.DeviceConfig().Timings[ModeDefault] == (TimingSet{}) {
+	if lp.Timings[ModeDefault] == (TimingSet{}) {
 		t.Fatal("a fixed-timing standard must prescribe Timings[ModeDefault]")
 	}
-	if err := lp.DeviceConfig().Validate(); err != nil {
+	if err := lp.Validate(); err != nil {
 		t.Fatalf("lpddr4-3200 device config invalid: %v", err)
 	}
 
-	_, err = NewStandard("sdram-66")
+	_, err = StandardConfig("sdram-66")
 	if !errors.Is(err, ErrUnknownStandard) {
 		t.Fatalf("unknown name error = %v, want ErrUnknownStandard", err)
 	}
 	if !strings.Contains(err.Error(), DefaultStandard) {
-		t.Fatalf("unknown-name error should list registered names, got %q", err)
+		t.Fatalf("unknown-name error should list the known names, got %q", err)
 	}
 
 	names := StandardNames()
@@ -154,21 +154,5 @@ func TestDeriveConfig(t *testing.T) {
 	delete(p, paramTCK)
 	if _, err := DeriveConfig(p); err == nil {
 		t.Fatal("missing tCK must fail")
-	}
-}
-
-func TestNewTableStandard(t *testing.T) {
-	s, err := NewTableStandard("lpddr4-testonly", lpddr4Params())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Name() != "lpddr4-testonly" || s.CLRCapable() {
-		t.Fatalf("table standard = %q CLR=%v", s.Name(), s.CLRCapable())
-	}
-	if _, err := NewTableStandard("", lpddr4Params()); err == nil {
-		t.Fatal("empty name must fail")
-	}
-	if _, err := NewTableStandard("broken", map[string]float64{}); err == nil {
-		t.Fatal("empty table must fail")
 	}
 }

@@ -159,7 +159,7 @@ func (m clrModeByRow) RowMode(bank, row int) dram.Mode {
 // TestControllerNeverViolatesTimingUnderRandomTraffic drives the controller
 // with randomized mixed traffic over a CLR device (mixed row modes) and
 // audits every accepted command against the timing rules, for every
-// registered scheduler × row-policy pair.
+// scheduler × row-policy pair.
 func TestControllerNeverViolatesTimingUnderRandomTraffic(t *testing.T) {
 	for _, sched := range SchedulerNames() {
 		for _, policy := range RowPolicyNames() {

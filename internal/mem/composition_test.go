@@ -3,13 +3,14 @@ package mem
 import (
 	"errors"
 	"reflect"
+	"sort"
 	"testing"
 
 	"clrdram/internal/dram"
 )
 
-// Composition tests: config validation returns typed errors, the registry
-// resolves every advertised name, and — the load-bearing contract — every
+// Composition tests: config validation returns typed errors, the name
+// lookups resolve every advertised name, and — the load-bearing contract — every
 // scheduler × row-policy pair keeps the fast-forward path bit-identical to
 // the per-cycle reference loop (the horizon hooks each implementation
 // exposes may only ever underestimate).
@@ -48,6 +49,9 @@ func TestConfigValidationTypedErrors(t *testing.T) {
 
 func TestRegistryResolvesEveryName(t *testing.T) {
 	dev := smallCfg()
+	if !sort.StringsAreSorted(SchedulerNames()) || !sort.StringsAreSorted(RowPolicyNames()) {
+		t.Errorf("name lists not sorted: %v, %v", SchedulerNames(), RowPolicyNames())
+	}
 	for _, n := range SchedulerNames() {
 		s, err := NewScheduler(n, Config{})
 		if err != nil || s.Name() != n {

@@ -57,7 +57,7 @@ type Config struct {
 	WriteHigh     int     // write drain start watermark, default 3/4 of cap
 	WriteLow      int     // write drain stop watermark, default 1/4 of cap
 
-	// Registry names for the controller's swappable roles (registry.go).
+	// Names of the controller's swappable roles (registry.go).
 	// Empty strings select the defaults; unknown names are rejected at
 	// NewController time.
 	Scheduler string
@@ -125,8 +125,8 @@ type Stats struct {
 
 // Controller owns a single-rank DRAM device and schedules requests onto it.
 // Its composition — which Scheduler picks commands and which RowPolicy
-// closes rows — is resolved from Config through the registries at
-// construction (see registry.go). Requests arrive decoded to DRAM
+// closes rows — is resolved from Config by name at construction (see
+// registry.go). Requests arrive decoded to DRAM
 // coordinates (EnqueueDecoded).
 type Controller struct {
 	dev *Device

@@ -9,9 +9,9 @@ import (
 // carried inside a *ConfigError, so both errors.Is(err, ErrX) and
 // errors.As(err, *ConfigError) work.
 var (
-	// ErrUnknownScheduler: Config.Scheduler names no registered scheduler.
+	// ErrUnknownScheduler: Config.Scheduler names no known scheduler.
 	ErrUnknownScheduler = errors.New("unknown scheduler")
-	// ErrUnknownRowPolicy: Config.RowPolicy names no registered row policy.
+	// ErrUnknownRowPolicy: Config.RowPolicy names no known row policy.
 	ErrUnknownRowPolicy = errors.New("unknown row policy")
 	// ErrWatermarksInverted: WriteLow >= WriteHigh after defaulting — the
 	// drain hysteresis would never disengage.

@@ -11,12 +11,12 @@ import (
 )
 
 // TestRegistryConstructionLint is a vet-style source lint: the concrete
-// scheduler / row-policy / standard types may be constructed only by their
-// registry factories (and tests). Production code everywhere else must go
-// through NewScheduler / NewRowPolicy / NewStandard, so a registered name is
-// never bypassed — that is what keeps the composition config-driven.
+// scheduler and row-policy types may be constructed only by the name
+// lookups NewScheduler / NewRowPolicy (and tests). Production code
+// everywhere else must go through them, so a name is never bypassed — that
+// is what keeps the composition config-driven.
 func TestRegistryConstructionLint(t *testing.T) {
-	// Restricted composite-literal type names → the one production file
+	// Restricted composite-literal type names → the production files
 	// allowed to construct them (relative to the package directory).
 	cases := []struct {
 		dir        string
@@ -31,11 +31,6 @@ func TestRegistryConstructionLint(t *testing.T) {
 				"timeoutPolicy": true, "openPagePolicy": true,
 				"closedPagePolicy": true, "hitCountPolicy": true,
 			},
-		},
-		{
-			dir:        filepath.Join("..", "dram"),
-			allowed:    map[string]bool{"standard.go": true},
-			restricted: map[string]bool{"ddr4Standard": true, "tableStandard": true},
 		},
 	}
 	for _, tc := range cases {
@@ -61,7 +56,7 @@ func TestRegistryConstructionLint(t *testing.T) {
 					return true
 				}
 				if id, ok := lit.Type.(*ast.Ident); ok && tc.restricted[id.Name] {
-					t.Errorf("%s: direct construction of %s bypasses the registry (use the New* lookup)",
+					t.Errorf("%s: direct construction of %s bypasses the name lookup (use NewScheduler / NewRowPolicy)",
 						fset.Position(lit.Pos()), id.Name)
 				}
 				return true

@@ -15,7 +15,7 @@ import (
 // issued a command, the controller closes the lowest-numbered bank whose
 // close cycle has been reached (at most one row per cycle).
 type RowPolicy interface {
-	// Name returns the registry name, e.g. "timeout".
+	// Name returns the policy's name, e.g. "timeout".
 	Name() string
 
 	// BankCloseCycle returns the first cycle at which the policy closes

@@ -16,10 +16,10 @@ import (
 // Schedule's failed scan is also the horizon hook: its floor and the
 // CapTrips it counted become the schedule memo, which the dead cycles up to
 // that floor replay instead of rescanning, so the fast-forward machinery
-// stays exact for every registered scheduler; see horizon.go's file comment
+// stays exact for every scheduler; see horizon.go's file comment
 // for the underestimate-only contract the floor must honor.
 type Scheduler interface {
-	// Name returns the registry name, e.g. "frfcfs-cap".
+	// Name returns the scheduler's name, e.g. "frfcfs-cap".
 	Name() string
 
 	// Schedule performs one scheduling attempt over the active queue, a

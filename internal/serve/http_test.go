@@ -108,7 +108,7 @@ func TestServerReportMatchesDirectRun(t *testing.T) {
 
 	// Direct reference run through the identical option mapping.
 	simOpts := opts.SimOptions()
-	out, err := sim.Run(context.Background(), spec, sim.WithOptions(simOpts))
+	out, err := sim.Run(context.Background(), spec, simOpts)
 	if err != nil {
 		t.Fatal(err)
 	}

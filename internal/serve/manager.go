@@ -259,7 +259,7 @@ func (m *Manager) simRun(ctx context.Context, j *Job) ([]byte, error) {
 		j.progressDone.Store(int64(done))
 		j.progressTotal.Store(int64(total))
 	}
-	out, err := sim.Run(ctx, j.spec, sim.WithOptions(opts))
+	out, err := sim.Run(ctx, j.spec, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"clrdram/internal/core"
-	"clrdram/internal/dram"
 	"clrdram/internal/workload"
 )
 
@@ -36,7 +35,7 @@ func newClockSystem(t *testing.T, opts Options) (*System, float64) {
 }
 
 // TestDeviceClockDerivation pins the clocks NewSystem derives for the two
-// registered standards at the default 4 GHz core, and checks each one tick
+// standards at the default 4 GHz core, and checks each one tick
 // for tick against the float64 accumulator over 10⁶ CPU cycles: both the
 // controller ticks clockCycle runs and the closed form's one-cycle count.
 func TestDeviceClockDerivation(t *testing.T) {
@@ -51,7 +50,6 @@ func TestDeviceClockDerivation(t *testing.T) {
 		t.Run(tc.standard, func(t *testing.T) {
 			opts := ffDiffOpts()
 			opts.Standard = tc.standard
-			opts.Device = dram.Config{}
 			s, ratio := newClockSystem(t, opts)
 			if c := s.clk; c.num != tc.num || c.den != tc.den || c.rem != tc.rem {
 				t.Fatalf("derived clock %d/%d from %d, want %d/%d from %d",
@@ -82,8 +80,8 @@ func TestDeviceClockDerivation(t *testing.T) {
 	}
 }
 
-// TestDeviceClockOtherRatios covers derivations off the registered
-// standards: a ratio with a small exact fraction (3.3 GHz on ddr4-2400 is
+// TestDeviceClockOtherRatios covers derivations off the two standards: a
+// ratio with a small exact fraction (3.3 GHz on ddr4-2400 is
 // 4/11, its float ratio just below it), a device faster than the core
 // (several ticks per cycle), and a ratio no fraction of den ≤ 2¹⁶
 // quotients to exactly (the nearest is used: the next convergent of

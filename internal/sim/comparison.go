@@ -31,7 +31,10 @@ func runComparison(ctx context.Context, profiles []workload.Profile, clrFraction
 	// snapshot per profile covers all designs.
 	opts.ensureWarmup()
 	pool := opts.pool()
-	store := opts.shardStore(fmt.Sprintf("compare-frac%v", clrFraction))
+	store, err := opts.shardStore(fmt.Sprintf("compare-frac%v", clrFraction))
+	if err != nil {
+		return nil, err
+	}
 
 	// Baselines per profile, fanned out.
 	type baseRes struct {

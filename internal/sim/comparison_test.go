@@ -14,7 +14,7 @@ func TestRunComparisonShape(t *testing.T) {
 		{Name: "c-random", Pattern: workload.PatternRandom, FootprintPages: 8192,
 			BubbleMean: 4, WriteFrac: 0.25, MemIntensive: true},
 	}
-	out, err := Run(context.Background(), ComparisonSpec(profiles, 1.0), WithOptions(opts))
+	out, err := Run(context.Background(), ComparisonSpec(profiles, 1.0), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,17 +13,17 @@ import (
 	"clrdram/internal/workload"
 )
 
-// Composition tests (DESIGN.md §14): the registry-driven construction path
+// Composition tests (DESIGN.md §14): the name-driven construction path
 // must leave the paper's default composition bit-identical, keep every
 // scheduler × row-policy pair bit-identical between the fast-forward and
 // ticked loops on a four-core mix, and surface bad names as typed errors at
 // NewSystem time.
 
 // TestDefaultCompositionUnchanged is the golden gate: a zero configuration
-// (empty registry names) must produce byte-for-byte the same Result and
+// (empty names) must produce byte-for-byte the same Result and
 // canonical RunReport as the same run with every default spelled out
 // explicitly. This pins the empty-string resolution — the seed's behavior —
-// against registry drift.
+// against drift in the name lookups.
 func TestDefaultCompositionUnchanged(t *testing.T) {
 	p := randomProfile()
 	explicit := ffDiffOpts()
@@ -31,12 +31,12 @@ func TestDefaultCompositionUnchanged(t *testing.T) {
 	explicit.Mem.Scheduler = mem.DefaultScheduler
 	explicit.Mem.RowPolicy = mem.DefaultRowPolicy
 
-	out, err := Run(context.Background(), SingleSpec(p, core.CLR(0.5)), WithOptions(ffDiffOpts()))
+	out, err := Run(context.Background(), SingleSpec(p, core.CLR(0.5)), ffDiffOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	zero := out.Single
-	out, err = Run(context.Background(), SingleSpec(p, core.CLR(0.5)), WithOptions(explicit))
+	out, err = Run(context.Background(), SingleSpec(p, core.CLR(0.5)), explicit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestDefaultCompositionFig12CSVIdentity(t *testing.T) {
 			o.Mem.Scheduler = mem.DefaultScheduler
 			o.Mem.RowPolicy = mem.DefaultRowPolicy
 		}
-		out, err := Run(context.Background(), Fig12Spec(profiles), WithOptions(o))
+		out, err := Run(context.Background(), Fig12Spec(profiles), o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,11 +111,11 @@ func TestCompositionIdentityMatrix(t *testing.T) {
 				on, off := opts, opts
 				on.FastForward = FFOn
 				off.FastForward = FFOff
-				ff, err := Run(context.Background(), MixSpec(mix, core.CLR(0.5)), WithOptions(on))
+				ff, err := Run(context.Background(), MixSpec(mix, core.CLR(0.5)), on)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ticked, err := Run(context.Background(), MixSpec(mix, core.CLR(0.5)), WithOptions(off))
+				ticked, err := Run(context.Background(), MixSpec(mix, core.CLR(0.5)), off)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -129,7 +129,7 @@ func TestCompositionIdentityMatrix(t *testing.T) {
 				for _, workers := range []int{1, 4} {
 					o := sweep
 					o.Workers = workers
-					out, err := Run(context.Background(), Fig13Spec(groups), WithOptions(o))
+					out, err := Run(context.Background(), Fig13Spec(groups), o)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -150,19 +150,19 @@ func TestCompositionIdentityMatrix(t *testing.T) {
 	}
 }
 
-// TestStandardLPDDR4 covers the second registered standard end to end: a
-// baseline run on lpddr4-3200 must work, differ from the ddr4-2400 device
-// (different clock, geometry and timing), and stay bit-identical between
-// the fast-forward and ticked loops.
+// TestStandardLPDDR4 covers the second standard end to end, selected by
+// Options.Standard alone on top of the default options: a baseline run on
+// lpddr4-3200 must work, differ from the ddr4-2400 device (different clock,
+// geometry and timing), and stay bit-identical between the fast-forward and
+// ticked loops.
 func TestStandardLPDDR4(t *testing.T) {
 	p := randomProfile()
 	lp := ffDiffOpts()
 	lp.Standard = "lpddr4-3200"
-	lp.Device = dram.Config{} // let the standard prescribe the device
 	ff, ticked := runBothWays(t, p, core.Baseline(), lp)
 	assertIdenticalResults(t, ff, ticked)
 
-	out, err := Run(context.Background(), SingleSpec(p, core.Baseline()), WithOptions(ffDiffOpts()))
+	out, err := Run(context.Background(), SingleSpec(p, core.Baseline()), ffDiffOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestStandardLPDDR4(t *testing.T) {
 }
 
 // TestCompositionErrorsAtNewSystem checks the construction-time rejection
-// paths: unknown registry names and CLR configurations on fixed-timing
+// paths: unknown names and CLR configurations on fixed-timing
 // standards must fail before any simulation work happens.
 func TestCompositionErrorsAtNewSystem(t *testing.T) {
 	p := randomProfile()
@@ -183,7 +183,7 @@ func TestCompositionErrorsAtNewSystem(t *testing.T) {
 		_, err := NewSystem([]workload.Profile{p}, core.Baseline(), opts)
 		return err
 	}
-	if err := newSys(func(o *Options) { o.Standard = "sdram-66"; o.Device = dram.Config{} }); !errors.Is(err, dram.ErrUnknownStandard) {
+	if err := newSys(func(o *Options) { o.Standard = "sdram-66" }); !errors.Is(err, dram.ErrUnknownStandard) {
 		t.Errorf("unknown standard error = %v, want ErrUnknownStandard", err)
 	}
 	if err := newSys(func(o *Options) { o.Mem.Scheduler = "bliss" }); !errors.Is(err, mem.ErrUnknownScheduler) {
@@ -195,55 +195,8 @@ func TestCompositionErrorsAtNewSystem(t *testing.T) {
 
 	opts := ffDiffOpts()
 	opts.Standard = "lpddr4-3200"
-	opts.Device = dram.Config{}
 	_, err := NewSystem([]workload.Profile{p}, core.CLR(0.5), opts)
-	if err == nil || !strings.Contains(err.Error(), "cannot model CLR-DRAM") {
-		t.Errorf("CLR on a fixed-timing standard = %v, want a CLR-capability rejection", err)
-	}
-}
-
-// TestNewSystemRejectsIncompleteDevice checks that a hand-built
-// Options.Device the device model cannot run is a NewSystem error, not a
-// panic: geometry without a clock period (which would also derive the CPU:
-// device clock from an infinite ratio), a non-positive geometry, and a rank
-// of 8 groups × 16 banks, beyond dram.MaxBanks (wrapping
-// dram.ErrTooManyBanks).
-func TestNewSystemRejectsIncompleteDevice(t *testing.T) {
-	negative := dram.Standard16Gb()
-	negative.BanksPerGroup = -4
-	wide := dram.Standard16Gb()
-	wide.BankGroups, wide.BanksPerGroup = 8, 16
-	devices := []struct {
-		name string
-		dev  dram.Config
-		want error // a sentinel the error must wrap, if any
-	}{
-		{"no-clock", dram.Config{BankGroups: 4, BanksPerGroup: 4, Rows: 1 << 17, Columns: 128}, nil},
-		{"negative-geometry", negative, nil},
-		{"too-many-banks", wide, dram.ErrTooManyBanks},
-	}
-	for _, d := range devices {
-		for _, clr := range []core.Config{core.Baseline(), core.CLR(0.5)} {
-			mode := "baseline"
-			if clr.Enabled {
-				mode = "clr"
-			}
-			t.Run(d.name+"/"+mode, func(t *testing.T) {
-				defer func() {
-					if r := recover(); r != nil {
-						t.Fatalf("NewSystem panicked: %v", r)
-					}
-				}()
-				opts := ffDiffOpts()
-				opts.Device = d.dev
-				_, err := NewSystem([]workload.Profile{randomProfile()}, clr, opts)
-				if err == nil || !strings.HasPrefix(err.Error(), "sim: dram: ") {
-					t.Fatalf("NewSystem error = %v, want a sim:-wrapped device config error", err)
-				}
-				if d.want != nil && !errors.Is(err, d.want) {
-					t.Fatalf("NewSystem error = %v, want wrapping %v", err, d.want)
-				}
-			})
-		}
+	if err == nil || !strings.Contains(err.Error(), "cannot model CLR-DRAM") || !strings.Contains(err.Error(), opts.Standard) {
+		t.Errorf("CLR on a fixed-timing standard = %v, want a CLR-capability rejection naming %q", err, opts.Standard)
 	}
 }

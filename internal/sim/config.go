@@ -23,7 +23,9 @@ import (
 	"clrdram/internal/power"
 )
 
-// Options configures one simulation run.
+// Options configures one simulation run. The fields tagged `json:"-"` move
+// only wall-clock, scheduling or what is reported, never a simulated value;
+// every other field namespaces the checkpoint shards (shardStore).
 type Options struct {
 	// TargetInstructions per core (the paper uses 200 M; scale down for
 	// fast experimentation — results are normalized so shapes survive).
@@ -52,16 +54,16 @@ type Options struct {
 	// runtime.GOMAXPROCS(0). Results are bit-identical at every worker
 	// count (every run is internally seeded from Options.Seed; see
 	// internal/engine).
-	Workers int
+	Workers int `json:"-"`
 	// Progress, when non-nil, receives (done, total) after each completed
 	// experiment shard. Calls are serialized; drivers report one shard per
 	// unit of fan-out (a workload row, a mix, a sweep cell).
-	Progress engine.Progress
+	Progress engine.Progress `json:"-"`
 	// Checkpoint, when non-nil, persists completed experiment shards as
 	// JSON so an interrupted sweep resumes instead of restarting. Drivers
-	// namespace their shards by run-shaping parameters, so a store can be
-	// shared across drivers and differently-configured runs.
-	Checkpoint *engine.Store
+	// namespace their shards by every result-shaping option, so a store can
+	// be shared across drivers and differently-configured runs.
+	Checkpoint *engine.Store `json:"-"`
 	// SharedPool, when non-nil, replaces the per-driver pool built from
 	// Workers: every sweep driver of this run fans out on the given pool
 	// instead. Hand the same engine.NewSharedPool to many concurrent Run
@@ -69,7 +71,7 @@ type Options struct {
 	// fan-out with one machine-wide budget. Progress and Timer still attach
 	// per-invocation (the hooks ride on a copy; the concurrency budget is
 	// shared through it).
-	SharedPool *engine.Pool
+	SharedPool *engine.Pool `json:"-"`
 
 	// CollectStats enables the observability layer: every System gets its
 	// own metrics.Registry (queue-occupancy histograms, timing-stall
@@ -78,7 +80,7 @@ type Options struct {
 	// (row-buffer outcomes, command counts, Result.BankUtil) are collected
 	// regardless. Reports are deterministic — identical at any Workers
 	// count for the same Seed — except for their Timing section.
-	CollectStats bool
+	CollectStats bool `json:"-"`
 	// StatsEpochCycles is the per-epoch IPC series interval in CPU cycles
 	// (default 100 000). Only meaningful with CollectStats.
 	StatsEpochCycles int64
@@ -87,38 +89,31 @@ type Options struct {
 	// measurements (engine.TimerSummary). Wall-clock readings are the one
 	// deliberately non-deterministic output; report canonicalization
 	// strips them.
-	Timer *engine.Timer
+	Timer *engine.Timer `json:"-"`
 
 	// FastForward selects the next-event fast-forward policy: FFOn (the
 	// zero value) plans skips on every eligible cycle, FFOff forces the
 	// per-cycle reference loop. Both are bit-identical by contract (enforced
 	// by the differential test suite) — the mode only moves wall-clock.
-	FastForward FFMode
-	// Warmup, when non-nil, shares profiled rankings and warmed LLC state
+	FastForward FFMode `json:"-"`
+	// warmup, when non-nil, shares profiled rankings and warmed LLC state
 	// across the NewSystem calls of a sweep (checkpoint-and-fork warmup,
-	// DESIGN.md §13). Sweep drivers install one automatically unless
-	// DisableWarmupFork is set; single runs never need it. Forked runs are
-	// byte-identical to cold ones by contract.
-	Warmup *WarmupCache
-	// DisableWarmupFork keeps sweep drivers from installing a WarmupCache,
-	// so every configuration re-profiles and re-warms from scratch
-	// (-warmup-fork=false in the CLIs; also the cold reference for the
-	// fork-identity tests).
-	DisableWarmupFork bool
+	// DESIGN.md §13). The sweep drivers install one (ensureWarmup); single
+	// runs warm up cold. Forked runs are byte-identical to cold ones by
+	// contract.
+	warmup *warmupCache
 
-	// Standard selects the DRAM standard (geometry + timing package) by
-	// registry name (dram.StandardNames; "" means dram.DefaultStandard, the
-	// paper's ddr4-2400 device). It is honored only while Device is zero —
-	// an explicitly-set Device wins, preserving callers that hand-build
-	// geometry. Non-CLR-capable standards (fixed timing tables like
-	// lpddr4-3200) reject CLR-enabled configurations at NewSystem time.
+	// Standard selects the DRAM device — geometry, clock and timing package
+	// — by name (dram.StandardNames; "" means dram.DefaultStandard, the
+	// paper's ddr4-2400 device). It is the only device selector.
+	// Fixed-timing standards (lpddr4-3200) reject CLR-enabled
+	// configurations at NewSystem time.
 	Standard string
 
-	CPU    cpu.Config
-	LLC    cache.Config
-	Mem    mem.Config
-	Device dram.Config
-	IDD    power.IDD
+	CPU cpu.Config
+	LLC cache.Config
+	Mem mem.Config
+	IDD power.IDD
 }
 
 // FFMode selects the fast-forward planning policy (Options.FastForward).
@@ -167,7 +162,6 @@ func DefaultOptions() Options {
 		CPU:                cpu.Config{}.Defaults(),
 		LLC:                cache.Config{}.Defaults(),
 		Mem:                mem.Config{},
-		Device:             dram.Standard16Gb(),
 		IDD:                power.Default16Gb(),
 	}
 }
@@ -193,8 +187,8 @@ func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = d.Seed
 	}
-	if o.Device.BankGroups == 0 {
-		o.Device = d.Device
+	if o.Standard == "" {
+		o.Standard = dram.DefaultStandard
 	}
 	if o.IDD.VDD == 0 {
 		o.IDD = d.IDD

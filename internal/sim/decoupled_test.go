@@ -49,11 +49,11 @@ func TestFastForwardIdentityHeterogeneousMixes(t *testing.T) {
 			on, off := ffDiffOpts(), ffDiffOpts()
 			on.FastForward = FFOn
 			off.FastForward = FFOff
-			ff, err := Run(context.Background(), MixSpec(m, core.CLR(0.5)), WithOptions(on))
+			ff, err := Run(context.Background(), MixSpec(m, core.CLR(0.5)), on)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ticked, err := Run(context.Background(), MixSpec(m, core.CLR(0.5)), WithOptions(off))
+			ticked, err := Run(context.Background(), MixSpec(m, core.CLR(0.5)), off)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -205,7 +205,7 @@ func TestFastForwardIdentityHetMixWorkers(t *testing.T) {
 		o := opts
 		o.FastForward = cfg.ff
 		o.Workers = cfg.workers
-		out, err := Run(context.Background(), Fig13Spec(groups), WithOptions(o))
+		out, err := Run(context.Background(), Fig13Spec(groups), o)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -62,8 +62,11 @@ type Fig12Result struct {
 
 func runFig12(ctx context.Context, profiles []workload.Profile, opts Options) (Fig12Result, error) {
 	var out Fig12Result
-	rows, err := engine.MapCheckpointed(ctx, opts.pool(), opts.shardStore("fig12"),
-		profiles,
+	store, err := opts.shardStore("fig12")
+	if err != nil {
+		return out, err
+	}
+	rows, err := engine.MapCheckpointed(ctx, opts.pool(), store, profiles,
 		func(_ int, p workload.Profile) string { return p.Name },
 		func(ctx context.Context, _ int, p workload.Profile) (SingleRow, error) {
 			return fig12Row(ctx, p, opts)
@@ -221,8 +224,11 @@ func runFig13(ctx context.Context, groups map[string][]workload.Mix, opts Option
 			tasks = append(tasks, mixTask{Group: g, Mix: m})
 		}
 	}
-	rows, err := engine.MapCheckpointed(ctx, opts.pool(), opts.shardStore("fig13"),
-		tasks,
+	store, err := opts.shardStore("fig13")
+	if err != nil {
+		return out, err
+	}
+	rows, err := engine.MapCheckpointed(ctx, opts.pool(), store, tasks,
 		func(_ int, t mixTask) string { return t.Group + "-" + t.Mix.Name },
 		func(ctx context.Context, _ int, t mixTask) (MixRow, error) {
 			m := t.Mix
@@ -311,7 +317,10 @@ func runFig15(ctx context.Context, profiles []workload.Profile, fractions []floa
 	// Unlike the per-workload and per-mix drivers, a Figure 15 shard
 	// aggregates over the whole profile set, so the checkpoint namespace
 	// must pin the set's identity.
-	store := opts.shardStore("fig15-" + profileSetID(profiles))
+	store, err := opts.shardStore("fig15-" + profileSetID(profiles))
+	if err != nil {
+		return nil, err
+	}
 
 	// Baselines per profile, fanned out (one shard each).
 	type baseRes struct {

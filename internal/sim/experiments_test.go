@@ -30,7 +30,7 @@ func tinyProfiles() []workload.Profile {
 }
 
 func TestRunFig12Shape(t *testing.T) {
-	out, err := Run(context.Background(), Fig12Spec(tinyProfiles()), WithOptions(tinyOpts()))
+	out, err := Run(context.Background(), Fig12Spec(tinyProfiles()), tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestRunFig13Shape(t *testing.T) {
 		"H": {{Name: "H00", Profiles: [4]workload.Profile{ps[0], ps[1], ps[2], ps[0]}}},
 		"L": {{Name: "L00", Profiles: [4]workload.Profile{light, light, light, light}}},
 	}
-	out, err := Run(context.Background(), Fig13Spec(groups), WithOptions(opts))
+	out, err := Run(context.Background(), Fig13Spec(groups), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestRunFig13Shape(t *testing.T) {
 func TestRunFig15Shape(t *testing.T) {
 	opts := tinyOpts()
 	profiles := tinyProfiles()[:2]
-	out, err := Run(context.Background(), Fig15Spec(profiles, []float64{1.0}), WithOptions(opts))
+	out, err := Run(context.Background(), Fig15Spec(profiles, []float64{1.0}), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

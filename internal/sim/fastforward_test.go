@@ -61,11 +61,11 @@ func runBothWays(t *testing.T, p workload.Profile, clr core.Config, opts Options
 	on, off := opts, opts
 	on.FastForward = FFOn
 	off.FastForward = FFOff
-	ffOut, err := Run(context.Background(), SingleSpec(p, clr), WithOptions(on))
+	ffOut, err := Run(context.Background(), SingleSpec(p, clr), on)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tickedOut, err := Run(context.Background(), SingleSpec(p, clr), WithOptions(off))
+	tickedOut, err := Run(context.Background(), SingleSpec(p, clr), off)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,11 +79,11 @@ func runMixBothWays(t *testing.T, mix workload.Mix, opts Options) (ff, ticked Re
 	on, off := opts, opts
 	on.FastForward = FFOn
 	off.FastForward = FFOff
-	ffOut, err := Run(context.Background(), MixSpec(mix, core.CLR(0.5)), WithOptions(on))
+	ffOut, err := Run(context.Background(), MixSpec(mix, core.CLR(0.5)), on)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tickedOut, err := Run(context.Background(), MixSpec(mix, core.CLR(0.5)), WithOptions(off))
+	tickedOut, err := Run(context.Background(), MixSpec(mix, core.CLR(0.5)), off)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestFastForwardIdentityFig12CSV(t *testing.T) {
 		o := opts
 		o.FastForward = cfg.ff
 		o.Workers = cfg.workers
-		out, err := Run(context.Background(), Fig12Spec(profiles), WithOptions(o))
+		out, err := Run(context.Background(), Fig12Spec(profiles), o)
 		if err != nil {
 			t.Fatal(err)
 		}

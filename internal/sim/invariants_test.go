@@ -64,7 +64,7 @@ func TestFlowConservation(t *testing.T) {
 func TestMaxCyclesTimeout(t *testing.T) {
 	opts := fastOpts()
 	opts.MaxCPUCycles = 1000 // far too small to retire the target
-	out, err := Run(context.Background(), SingleSpec(randomProfile(), core.Baseline()), WithOptions(opts))
+	out, err := Run(context.Background(), SingleSpec(randomProfile(), core.Baseline()), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,14 +82,14 @@ func TestMaxCyclesTimeout(t *testing.T) {
 // and should not hurt performance.
 func TestRefreshPostponementAtSystemLevel(t *testing.T) {
 	opts := fastOpts()
-	out, err := Run(context.Background(), SingleSpec(randomProfile(), core.CLR(1.0)), WithOptions(opts))
+	out, err := Run(context.Background(), SingleSpec(randomProfile(), core.CLR(1.0)), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := out.Single
 	opts2 := opts
 	opts2.Mem.MaxPostponedRefresh = 2 // small budget so the short run must catch up
-	out, err = Run(context.Background(), SingleSpec(randomProfile(), core.CLR(1.0)), WithOptions(opts2))
+	out, err = Run(context.Background(), SingleSpec(randomProfile(), core.CLR(1.0)), opts2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 func TestMultiChannelRunCompletes(t *testing.T) {
 	opts := fastOpts()
 	opts.Channels = 2
-	out, err := Run(context.Background(), SingleSpec(randomProfile(), core.CLR(0.5)), WithOptions(opts))
+	out, err := Run(context.Background(), SingleSpec(randomProfile(), core.CLR(0.5)), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,14 +33,14 @@ func TestTwoChannelsRelieveBandwidthBoundMixes(t *testing.T) {
 	opts := fastOpts()
 	opts.TargetInstructions = 30_000
 
-	out, err := Run(context.Background(), MixSpec(mix, core.Baseline()), WithOptions(opts))
+	out, err := Run(context.Background(), MixSpec(mix, core.Baseline()), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	one := out.Single
 	opts2 := opts
 	opts2.Channels = 2
-	out, err = Run(context.Background(), MixSpec(mix, core.Baseline()), WithOptions(opts2))
+	out, err = Run(context.Background(), MixSpec(mix, core.Baseline()), opts2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,13 +87,13 @@ func TestMultiChannelDistributesTraffic(t *testing.T) {
 
 func TestMultiChannelEnergyAggregates(t *testing.T) {
 	opts := fastOpts()
-	out, err := Run(context.Background(), SingleSpec(randomProfile(), core.Baseline()), WithOptions(opts))
+	out, err := Run(context.Background(), SingleSpec(randomProfile(), core.Baseline()), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := out.Single
 	opts.Channels = 2
-	out, err = Run(context.Background(), SingleSpec(randomProfile(), core.Baseline()), WithOptions(opts))
+	out, err = Run(context.Background(), SingleSpec(randomProfile(), core.Baseline()), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 
 	"clrdram/internal/engine"
@@ -23,13 +25,21 @@ func (o Options) pool() *engine.Pool {
 	return p
 }
 
-// shardStore namespaces the optional checkpoint store for one driver. The
-// namespace encodes every run-shaping option plus a shard-schema tag ("s2"
-// since row types gained measured hit-rate/utilization fields), so shards
-// persisted by a differently-configured run — or by an older binary with a
-// different row layout — are never reused. Nil when checkpointing is off.
-func (o Options) shardStore(driver string) *engine.Store {
-	d := o.withDefaults()
-	return o.Checkpoint.Sub(fmt.Sprintf("%s-s2-seed%d-n%d-w%d-p%d-ch%d",
-		driver, d.Seed, d.TargetInstructions, d.WarmupRecords, d.ProfileRecords, d.Channels))
+// shardStore namespaces the optional checkpoint store for one driver by a
+// hash of every option that can change a shard's value — all but the
+// `json:"-"` fields of Options — hashed the way warmKey hashes a warm-up,
+// plus a shard-schema tag ("s3" since the hash covers the memory system),
+// so shards persisted by a differently-configured run, or by an older
+// binary with a different row layout, are never reused. Nil when
+// checkpointing is off.
+func (o Options) shardStore(driver string) (*engine.Store, error) {
+	if o.Checkpoint == nil {
+		return nil, nil
+	}
+	b, err := json.Marshal(o.withDefaults())
+	if err != nil {
+		return nil, fmt.Errorf("sim: checkpoint namespace: %w", err)
+	}
+	sum := sha256.Sum256(b)
+	return o.Checkpoint.Sub(fmt.Sprintf("%s-s3-%x", driver, sum[:8])), nil
 }

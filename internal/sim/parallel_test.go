@@ -20,12 +20,12 @@ func TestFig12ParallelMatchesSerial(t *testing.T) {
 	// Acceptance: workers=1 and workers=8 produce identical results for the
 	// same seed — the engine's determinism contract at the driver level.
 	profiles := tinyProfiles()[:2]
-	out, err := Run(context.Background(), Fig12Spec(profiles), WithOptions(withWorkers(tinyOpts(), 1)))
+	out, err := Run(context.Background(), Fig12Spec(profiles), withWorkers(tinyOpts(), 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	serial := *out.Fig12
-	out, err = Run(context.Background(), Fig12Spec(profiles), WithOptions(withWorkers(tinyOpts(), 8)))
+	out, err = Run(context.Background(), Fig12Spec(profiles), withWorkers(tinyOpts(), 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,12 +45,12 @@ func TestFig13ParallelMatchesSerial(t *testing.T) {
 		"H": {{Name: "H00", Profiles: [4]workload.Profile{ps[0], ps[1], ps[2], ps[0]}}},
 		"L": {{Name: "L00", Profiles: [4]workload.Profile{light, light, light, light}}},
 	}
-	out, err := Run(context.Background(), Fig13Spec(groups), WithOptions(withWorkers(opts, 1)))
+	out, err := Run(context.Background(), Fig13Spec(groups), withWorkers(opts, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	serial := *out.Fig13
-	out, err = Run(context.Background(), Fig13Spec(groups), WithOptions(withWorkers(opts, 8)))
+	out, err = Run(context.Background(), Fig13Spec(groups), withWorkers(opts, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestFig12CheckpointRoundTrip(t *testing.T) {
 	opts := withWorkers(tinyOpts(), 4)
 	opts.Checkpoint = store
 
-	out, err := Run(context.Background(), Fig12Spec(profiles), WithOptions(opts))
+	out, err := Run(context.Background(), Fig12Spec(profiles), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,10 +103,14 @@ func TestFig12CheckpointRoundTrip(t *testing.T) {
 	// (instead of recomputing), the poisoned row must surface verbatim.
 	poisoned := first.Rows[0]
 	poisoned.MPKI = 12345
-	if err := opts.shardStore("fig12").Save(profiles[0].Name, poisoned); err != nil {
+	fig12Store, err := opts.shardStore("fig12")
+	if err != nil {
 		t.Fatal(err)
 	}
-	out, err = Run(context.Background(), Fig12Spec(profiles), WithOptions(opts))
+	if err := fig12Store.Save(profiles[0].Name, poisoned); err != nil {
+		t.Fatal(err)
+	}
+	out, err = Run(context.Background(), Fig12Spec(profiles), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,13 +125,62 @@ func TestFig12CheckpointRoundTrip(t *testing.T) {
 	// A different seed must not reuse the poisoned shard (namespace pins
 	// the run-shaping options).
 	opts.Seed = 99
-	out, err = Run(context.Background(), Fig12Spec(profiles), WithOptions(opts))
+	out, err = Run(context.Background(), Fig12Spec(profiles), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	other := *out.Fig12
 	if other.Rows[0].MPKI == 12345 {
 		t.Error("checkpoint namespace leaked across seeds")
+	}
+}
+
+// TestCheckpointNamespaceCoversComposition runs a default Fig. 12 sweep into
+// a store, then an fcfs/closed sweep into the same store: the second must
+// equal the same sweep run without a store, so no shard of the default run
+// leaks into it. Options that move no simulated value (workers, fast-forward,
+// stats) keep the namespace, so a rerun under them still resumes.
+func TestCheckpointNamespaceCoversComposition(t *testing.T) {
+	store, err := engine.NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	profiles := tinyProfiles()[:2]
+	def := withWorkers(tinyOpts(), 2)
+	def.Checkpoint = store
+	if _, err := Run(context.Background(), Fig12Spec(profiles), def); err != nil {
+		t.Fatal(err)
+	}
+
+	alt := def
+	alt.Mem.Scheduler, alt.Mem.RowPolicy = "fcfs", "closed"
+	out, err := Run(context.Background(), Fig12Spec(profiles), alt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := *out.Fig12
+	alt.Checkpoint = nil
+	out, err = Run(context.Background(), Fig12Spec(profiles), alt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := *out.Fig12; !reflect.DeepEqual(got, want) {
+		t.Fatalf("fcfs/closed sweep differs from its store-free run: it resumed from the default run's shards (first row baseline IPC %v, want %v)",
+			got.Rows[0].BaselineIPC, want.Rows[0].BaselineIPC)
+	}
+
+	same := def
+	same.Workers, same.FastForward, same.CollectStats = 1, FFOff, true
+	a, err := def.shardStore("fig12")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := same.shardStore("fig12")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Dir() != b.Dir() {
+		t.Errorf("workers, fast-forward and stats moved the namespace: %s vs %s", a.Dir(), b.Dir())
 	}
 }
 
@@ -141,7 +194,7 @@ func TestProgressReportedFromDriver(t *testing.T) {
 		last, total = d, tot
 		mu.Unlock()
 	}
-	if _, err := Run(context.Background(), Fig12Spec(tinyProfiles()[:2]), WithOptions(opts)); err != nil {
+	if _, err := Run(context.Background(), Fig12Spec(tinyProfiles()[:2]), opts); err != nil {
 		t.Fatal(err)
 	}
 	if last != 2 || total != 2 {

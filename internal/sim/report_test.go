@@ -24,7 +24,7 @@ func reportOpts() Options {
 
 func TestRunReportPopulated(t *testing.T) {
 	p, _ := workload.ByName("random_00")
-	out, err := Run(context.Background(), SingleSpec(p, core.CLR(0.5)), WithOptions(reportOpts()))
+	out, err := Run(context.Background(), SingleSpec(p, core.CLR(0.5)), reportOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestRunReportDisabledByDefault(t *testing.T) {
 	p, _ := workload.ByName("random_00")
 	o := reportOpts()
 	o.CollectStats = false
-	out, err := Run(context.Background(), SingleSpec(p, core.CLR(0.5)), WithOptions(o))
+	out, err := Run(context.Background(), SingleSpec(p, core.CLR(0.5)), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestRunReportDisabledByDefault(t *testing.T) {
 func TestRunReportDeterministic(t *testing.T) {
 	p, _ := workload.ByName("429.mcf-like")
 	run := func() []byte {
-		out, err := Run(context.Background(), SingleSpec(p, core.CLR(0.25)), WithOptions(reportOpts()))
+		out, err := Run(context.Background(), SingleSpec(p, core.CLR(0.25)), reportOpts())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +156,7 @@ func TestSweepReportDeterministicAcrossWorkers(t *testing.T) {
 		o := reportOpts()
 		o.Workers = workers
 		o.Timer = &engine.Timer{}
-		out, err := Run(context.Background(), Fig12Spec(profiles), WithOptions(o))
+		out, err := Run(context.Background(), Fig12Spec(profiles), o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +191,7 @@ func TestFig12RowsCarryMeasuredSeries(t *testing.T) {
 	p, _ := workload.ByName("random_00")
 	o := reportOpts()
 	o.CollectStats = false // measured series must not require the registry
-	out, err := Run(context.Background(), Fig12Spec([]workload.Profile{p}), WithOptions(o))
+	out, err := Run(context.Background(), Fig12Spec([]workload.Profile{p}), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestFig12RowsCarryMeasuredSeries(t *testing.T) {
 
 func TestRunReportWriteFormats(t *testing.T) {
 	p, _ := workload.ByName("random_00")
-	out, err := Run(context.Background(), SingleSpec(p, core.CLR(1.0)), WithOptions(reportOpts()))
+	out, err := Run(context.Background(), SingleSpec(p, core.CLR(1.0)), reportOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

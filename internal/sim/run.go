@@ -52,8 +52,11 @@ func aloneIPCs(ctx context.Context, mixes []workload.Mix, opts Options) (map[str
 			}
 		}
 	}
-	ipcs, err := engine.MapCheckpointed(ctx, opts.pool(), opts.shardStore("alone"),
-		unique,
+	store, err := opts.shardStore("alone")
+	if err != nil {
+		return nil, err
+	}
+	ipcs, err := engine.MapCheckpointed(ctx, opts.pool(), store, unique,
 		func(_ int, p workload.Profile) string { return p.Name },
 		func(ctx context.Context, _ int, p workload.Profile) (float64, error) {
 			res, err := runSingle(ctx, p, core.Baseline(), opts)

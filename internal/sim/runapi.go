@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"clrdram/internal/core"
-	"clrdram/internal/engine"
 	"clrdram/internal/workload"
 )
 
@@ -109,58 +108,12 @@ type Outcome struct {
 	Comparison []ComparisonRow
 }
 
-// Option adjusts the run's Options functionally. Options compose left to
-// right; WithOptions replaces the whole set and is conventionally first.
-type Option func(*Options)
-
-// WithOptions replaces the run's entire option set (zero fields are
-// normalised as usual). Use it to carry a pre-built Options value into Run;
-// later Option values still apply on top.
-func WithOptions(o Options) Option {
-	return func(dst *Options) { *dst = o }
-}
-
-// WithWorkers bounds the experiment-level fan-out (0 = GOMAXPROCS).
-func WithWorkers(n int) Option {
-	return func(o *Options) { o.Workers = n }
-}
-
-// WithStats toggles the observability layer (Result.Report).
-func WithStats(on bool) Option {
-	return func(o *Options) { o.CollectStats = on }
-}
-
-// WithFastForward toggles the next-event fast-forward path (on by default;
-// results are bit-identical either way).
-func WithFastForward(on bool) Option {
-	return func(o *Options) {
-		o.FastForward = FFOn
-		if !on {
-			o.FastForward = FFOff
-		}
-	}
-}
-
-// WithProgress attaches a progress sink for sweep drivers.
-func WithProgress(p engine.Progress) Option {
-	return func(o *Options) { o.Progress = p }
-}
-
-// WithTimer attaches a wall-clock timer to the experiment pool.
-func WithTimer(t *engine.Timer) Option {
-	return func(o *Options) { o.Timer = t }
-}
-
 // Run is the single entry point behind every simulation driver: it executes
-// spec under ctx with the composed options and returns the matching Outcome
-// field. Cancellation is uniform — every inner loop (single systems and
-// engine-fanned sweeps alike) observes ctx — and every failure is a
-// *RunError carrying the run's identity.
-func Run(ctx context.Context, spec Spec, optFns ...Option) (Outcome, error) {
-	opts := DefaultOptions()
-	for _, fn := range optFns {
-		fn(&opts)
-	}
+// spec under ctx with opts (zero fields normalised to DefaultOptions) and
+// returns the matching Outcome field. Cancellation is uniform — every inner
+// loop (single systems and engine-fanned sweeps alike) observes ctx — and
+// every failure is a *RunError carrying the run's identity.
+func Run(ctx context.Context, spec Spec, opts Options) (Outcome, error) {
 	var out Outcome
 	switch spec.kind {
 	case specSingle:

@@ -13,8 +13,9 @@ import (
 // cores' worth of results.
 func TestRunMixSpec(t *testing.T) {
 	mix := workload.MixGroups(1, 1)[workload.GroupL][0]
-	out, err := Run(context.Background(), MixSpec(mix, core.Baseline()),
-		WithOptions(ffDiffOpts()), WithStats(false))
+	opts := ffDiffOpts()
+	opts.CollectStats = false
+	out, err := Run(context.Background(), MixSpec(mix, core.Baseline()), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,31 +23,7 @@ func TestRunMixSpec(t *testing.T) {
 		t.Fatalf("Run(MixSpec) = %+v, want four-core Single outcome", out)
 	}
 	if out.Single.Report != nil {
-		t.Error("WithStats(false) should suppress the report")
-	}
-}
-
-// TestRunOptionsCompose checks functional options apply left to right on top
-// of the defaults (and on top of a WithOptions base).
-func TestRunOptionsCompose(t *testing.T) {
-	base := ffDiffOpts()
-	base.Workers = 7
-	var got Options
-	probe := func(o *Options) { got = *o }
-	_, _ = Run(context.Background(), SingleSpec(cachedProfile(), core.Baseline()),
-		WithOptions(base), WithWorkers(2), WithFastForward(false), WithStats(false),
-		Option(probe))
-	if got.Workers != 2 {
-		t.Errorf("Workers = %d, want 2 (later option wins)", got.Workers)
-	}
-	if got.FastForward != FFOff {
-		t.Error("WithFastForward(false) should select FFOff")
-	}
-	if got.CollectStats {
-		t.Error("WithStats(false) should clear CollectStats")
-	}
-	if got.TargetInstructions != base.TargetInstructions {
-		t.Error("WithOptions base not carried through")
+		t.Error("CollectStats=false should suppress the report")
 	}
 }
 
@@ -90,7 +67,7 @@ func TestParseFFMode(t *testing.T) {
 
 // TestRunInvalidSpec checks the zero Spec is rejected with a typed error.
 func TestRunInvalidSpec(t *testing.T) {
-	_, err := Run(context.Background(), Spec{})
+	_, err := Run(context.Background(), Spec{}, Options{})
 	var re *RunError
 	if !errors.As(err, &re) {
 		t.Fatalf("err = %v, want *RunError", err)
@@ -110,7 +87,7 @@ func TestRunCancelled(t *testing.T) {
 		SingleSpec(randomProfile(), core.Baseline()),
 		Fig12Spec([]workload.Profile{randomProfile()}),
 	} {
-		_, err := Run(ctx, spec, WithOptions(ffDiffOpts()))
+		_, err := Run(ctx, spec, ffDiffOpts())
 		var re *RunError
 		if !errors.As(err, &re) {
 			t.Fatalf("%s: err = %v, want *RunError", spec.kind, err)
@@ -126,7 +103,7 @@ func TestRunCancelled(t *testing.T) {
 func TestRunErrorIdentity(t *testing.T) {
 	p := randomProfile()
 	_, err := Run(context.Background(), SingleSpec(p, core.CLR(1.5)), // HPFraction > 1
-		WithOptions(ffDiffOpts()))
+		ffDiffOpts())
 	var re *RunError
 	if !errors.As(err, &re) {
 		t.Fatalf("err = %v, want *RunError", err)

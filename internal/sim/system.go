@@ -136,18 +136,6 @@ func (s *System) FFLagStats() (lagFlushes, laggedCoreCycles int64) {
 // under the given CLR-DRAM configuration. All profiles use Options.Seed
 // (offset per core) so runs are reproducible.
 func NewSystem(profiles []workload.Profile, clr core.Config, opts Options) (*System, error) {
-	if opts.Standard != "" || opts.Device.BankGroups == 0 {
-		std, err := dram.NewStandard(opts.Standard)
-		if err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
-		if clr.Enabled && !std.CLRCapable() {
-			return nil, fmt.Errorf("sim: standard %q has a fixed timing table and cannot model CLR-DRAM row modes; run it with the baseline configuration", std.Name())
-		}
-		if opts.Device.BankGroups == 0 {
-			opts.Device = std.DeviceConfig()
-		}
-	}
 	opts = opts.withDefaults()
 	if len(profiles) == 0 {
 		return nil, fmt.Errorf("sim: no workloads")
@@ -155,16 +143,13 @@ func NewSystem(profiles []workload.Profile, clr core.Config, opts Options) (*Sys
 	if err := clr.Validate(); err != nil {
 		return nil, err
 	}
-
-	devCfg, refresh, err := clr.Build(opts.Device)
+	dev, err := dram.StandardConfig(opts.Standard)
 	if err != nil {
-		return nil, err
-	}
-	// A hand-built Options.Device may lack a clock or carry an impossible
-	// geometry: reject it here, before the clock ratio and the devices are
-	// derived from it.
-	if err := devCfg.Validate(); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
+	}
+	devCfg, refresh, err := clr.Build(dev)
+	if err != nil {
+		return nil, fmt.Errorf("sim: standard %q: %w", opts.Standard, err)
 	}
 	// Replace the static threshold with a mutable one so the system can be
 	// reconfigured at run time (Reconfigure); the device consults it at
@@ -176,15 +161,15 @@ func NewSystem(profiles []workload.Profile, clr core.Config, opts Options) (*Sys
 	}
 
 	// Pre-measurement: layout, profiling and LLC warm-up (prewarm). With a
-	// WarmupCache installed they run once per workload set and are forked
+	// warmup cache installed they run once per workload set and are forked
 	// across every configuration of the sweep (§13): they depend only on
 	// (profiles, seed, record budgets, LLC geometry), never on the CLR
 	// configuration under test. The global hot-page ranking takes each
 	// workload's top HPFraction pages, interleaved by rank across cores
 	// (§8.1).
 	var ws *warmState
-	if opts.Warmup != nil {
-		if ws, err = opts.Warmup.fork(profiles, opts); err != nil {
+	if opts.warmup != nil {
+		if ws, err = opts.warmup.fork(profiles, opts); err != nil {
 			return nil, err
 		}
 	} else {

@@ -39,7 +39,7 @@ func cachedProfile() workload.Profile {
 }
 
 func TestBaselineRunCompletes(t *testing.T) {
-	out, err := Run(context.Background(), SingleSpec(randomProfile(), core.Baseline()), WithOptions(fastOpts()))
+	out, err := Run(context.Background(), SingleSpec(randomProfile(), core.Baseline()), fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,12 +65,12 @@ func TestBaselineRunCompletes(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	out, err := Run(context.Background(), SingleSpec(randomProfile(), core.CLR(0.5)), WithOptions(fastOpts()))
+	out, err := Run(context.Background(), SingleSpec(randomProfile(), core.CLR(0.5)), fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := out.Single
-	out, err = Run(context.Background(), SingleSpec(randomProfile(), core.CLR(0.5)), WithOptions(fastOpts()))
+	out, err = Run(context.Background(), SingleSpec(randomProfile(), core.CLR(0.5)), fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,12 +85,12 @@ func TestCLRFullHPBeatsBaselineOnRandom(t *testing.T) {
 	// The paper's headline: memory-intensive random-access workloads gain
 	// from high-performance rows (shorter tRCD/tRAS/tRP).
 	opts := fastOpts()
-	out, err := Run(context.Background(), SingleSpec(randomProfile(), core.Baseline()), WithOptions(opts))
+	out, err := Run(context.Background(), SingleSpec(randomProfile(), core.Baseline()), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := out.Single
-	out, err = Run(context.Background(), SingleSpec(randomProfile(), core.CLR(1.0)), WithOptions(opts))
+	out, err = Run(context.Background(), SingleSpec(randomProfile(), core.CLR(1.0)), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestCLRSpeedupGrowsWithHPFraction(t *testing.T) {
 	opts := fastOpts()
 	prev := 0.0
 	for _, frac := range []float64{0.25, 1.0} {
-		out, err := Run(context.Background(), SingleSpec(randomProfile(), core.CLR(frac)), WithOptions(opts))
+		out, err := Run(context.Background(), SingleSpec(randomProfile(), core.CLR(frac)), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,12 +121,12 @@ func TestCLRSpeedupGrowsWithHPFraction(t *testing.T) {
 func TestNonIntensiveWorkloadInsensitive(t *testing.T) {
 	// A cache-resident workload barely touches DRAM: CLR gain must be small.
 	opts := fastOpts()
-	out, err := Run(context.Background(), SingleSpec(cachedProfile(), core.Baseline()), WithOptions(opts))
+	out, err := Run(context.Background(), SingleSpec(cachedProfile(), core.Baseline()), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := out.Single
-	out, err = Run(context.Background(), SingleSpec(cachedProfile(), core.CLR(1.0)), WithOptions(opts))
+	out, err = Run(context.Background(), SingleSpec(cachedProfile(), core.CLR(1.0)), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestMultiCoreMixRuns(t *testing.T) {
 	mix := workload.Mix{Name: "t", Profiles: [4]workload.Profile{
 		randomProfile(), streamProfile(), cachedProfile(), randomProfile(),
 	}}
-	out, err := Run(context.Background(), MixSpec(mix, core.CLR(0.25)), WithOptions(opts))
+	out, err := Run(context.Background(), MixSpec(mix, core.CLR(0.25)), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,12 +211,12 @@ func TestHotPageMappingUsesProfile(t *testing.T) {
 
 func TestStreamBenefitsFromCLR(t *testing.T) {
 	opts := fastOpts()
-	out, err := Run(context.Background(), SingleSpec(streamProfile(), core.Baseline()), WithOptions(opts))
+	out, err := Run(context.Background(), SingleSpec(streamProfile(), core.Baseline()), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := out.Single
-	out, err = Run(context.Background(), SingleSpec(streamProfile(), core.CLR(1.0)), WithOptions(opts))
+	out, err = Run(context.Background(), SingleSpec(streamProfile(), core.CLR(1.0)), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,12 +229,12 @@ func TestStreamBenefitsFromCLR(t *testing.T) {
 
 func TestRefreshEnergyDropsWithCLR(t *testing.T) {
 	opts := fastOpts()
-	out, err := Run(context.Background(), SingleSpec(randomProfile(), core.Baseline()), WithOptions(opts))
+	out, err := Run(context.Background(), SingleSpec(randomProfile(), core.Baseline()), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := out.Single
-	out, err = Run(context.Background(), SingleSpec(randomProfile(), core.CLR(1.0)), WithOptions(opts))
+	out, err = Run(context.Background(), SingleSpec(randomProfile(), core.CLR(1.0)), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

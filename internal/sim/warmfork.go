@@ -26,18 +26,14 @@ import (
 // are byte-identical to cold ones by contract — enforced by the warmfork
 // differential tests next to ffdiff.
 
-// WarmupCache shares warmed architectural state across the NewSystem calls
-// of a sweep. Install one via Options.Warmup (the sweep drivers do this
-// automatically unless Options.DisableWarmupFork is set); it is safe for
-// concurrent use by the experiment engine's workers, building each distinct
-// warmup state exactly once (engine.KeyedOnce). Drop the cache to release
-// the master snapshots.
-type WarmupCache struct {
+// warmupCache shares warmed architectural state across the NewSystem calls
+// of a sweep. The sweep drivers always install one (ensureWarmup); it is
+// safe for concurrent use by the experiment engine's workers, building each
+// distinct warmup state exactly once (engine.KeyedOnce). Drop the cache to
+// release the master snapshots.
+type warmupCache struct {
 	once engine.KeyedOnce[string, *warmState]
 }
-
-// NewWarmupCache returns an empty cache.
-func NewWarmupCache() *WarmupCache { return &WarmupCache{} }
 
 // warmState is the outcome of the pre-measurement sequence (prewarm):
 // everything NewSystem computes before the measured phase that does not
@@ -95,7 +91,7 @@ func prewarm(profiles []workload.Profile, opts Options) *warmState {
 // read-only, the LLC is deep-copied, and the readers are cloned at their
 // post-warmup positions (every reader Profile.NewReader returns is a
 // trace.CloneableReader).
-func (w *WarmupCache) fork(profiles []workload.Profile, opts Options) (*warmState, error) {
+func (w *warmupCache) fork(profiles []workload.Profile, opts Options) (*warmState, error) {
 	key, err := warmKey(profiles, opts)
 	if err != nil {
 		return nil, err
@@ -134,12 +130,11 @@ func warmKey(profiles []workload.Profile, opts Options) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// ensureWarmup installs a fresh WarmupCache for a sweep driver's scope when
-// fork-warmup is enabled and the caller has not supplied one. Drivers call
-// it on their own Options copy, so the cache's lifetime is the sweep (or
-// row) that shares it.
+// ensureWarmup installs a fresh warmup cache for a sweep driver's scope
+// unless one is installed already. Drivers call it on their own Options
+// copy, so the cache's lifetime is the sweep (or row) that shares it.
 func (o *Options) ensureWarmup() {
-	if o.Warmup == nil && !o.DisableWarmupFork {
-		o.Warmup = NewWarmupCache()
+	if o.warmup == nil {
+		o.warmup = &warmupCache{}
 	}
 }

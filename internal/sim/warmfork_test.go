@@ -10,7 +10,7 @@ import (
 )
 
 // The warmfork differential tests enforce the checkpoint-and-fork warmup
-// contract stated in warmfork.go: a run forked from a shared WarmupCache is
+// contract stated in warmfork.go: a run forked from a shared warmup cache is
 // byte-identical to the same run warmed up cold, and repeated forks from one
 // snapshot do not contaminate each other.
 
@@ -20,21 +20,20 @@ import (
 // snapshot must be CLR-independent, and each fork's LLC copy and reader
 // clones must replay the cold pre-measurement state bit for bit.
 func TestWarmupForkIdentitySingle(t *testing.T) {
-	cache := NewWarmupCache()
+	cache := &warmupCache{}
 	for _, p := range []workload.Profile{streamProfile(), randomProfile(), cachedProfile()} {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
 			t.Parallel()
 			for _, frac := range []float64{0.0, 0.5, 1.0} {
 				forked, cold := ffDiffOpts(), ffDiffOpts()
-				forked.Warmup = cache
-				cold.DisableWarmupFork = true
-				out, err := Run(context.Background(), SingleSpec(p, core.CLR(frac)), WithOptions(forked))
+				forked.warmup = cache
+				out, err := Run(context.Background(), SingleSpec(p, core.CLR(frac)), forked)
 				if err != nil {
 					t.Fatal(err)
 				}
 				got := out.Single
-				out, err = Run(context.Background(), SingleSpec(p, core.CLR(frac)), WithOptions(cold))
+				out, err = Run(context.Background(), SingleSpec(p, core.CLR(frac)), cold)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -50,14 +49,14 @@ func TestWarmupForkIdentitySingle(t *testing.T) {
 // mutates the master snapshot (LLC deep copy, reader clone discipline).
 func TestWarmupForkRepeatable(t *testing.T) {
 	opts := ffDiffOpts()
-	opts.Warmup = NewWarmupCache()
+	opts.warmup = &warmupCache{}
 	p := randomProfile()
-	out, err := Run(context.Background(), SingleSpec(p, core.CLR(0.5)), WithOptions(opts))
+	out, err := Run(context.Background(), SingleSpec(p, core.CLR(0.5)), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	first := out.Single
-	out, err = Run(context.Background(), SingleSpec(p, core.CLR(0.5)), WithOptions(opts))
+	out, err = Run(context.Background(), SingleSpec(p, core.CLR(0.5)), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,40 +65,57 @@ func TestWarmupForkRepeatable(t *testing.T) {
 }
 
 // TestWarmupForkIdentityFig12CSV checks the artifact end to end: a Figure 12
-// sweep (which installs a WarmupCache via ensureWarmup by default) must
-// serialise to the same CSV bytes as one with fork-warmup disabled, at both
-// worker counts. This is the ffdiff-style gate named in warmfork.go.
+// sweep, which always forks its warm-up (ensureWarmup), must serialise to
+// the same CSV bytes at both worker counts as a reference assembled from
+// per-cell single runs. Single runs never fork, so the reference warms every
+// cell cold and shares no code with the sweep's row driver.
 func TestWarmupForkIdentityFig12CSV(t *testing.T) {
 	profiles := []workload.Profile{streamProfile(), cachedProfile()}
 	opts := ffDiffOpts()
 	opts.CollectStats = false
-
-	var want []byte
-	for _, cfg := range []struct {
-		fork    bool
-		workers int
-	}{
-		{true, 1}, {true, 4}, {false, 1}, {false, 4},
-	} {
-		o := opts
-		o.DisableWarmupFork = !cfg.fork
-		o.Workers = cfg.workers
-		out, err := Run(context.Background(), Fig12Spec(profiles), WithOptions(o))
+	single := func(p workload.Profile, clr core.Config) Result {
+		out, err := Run(context.Background(), SingleSpec(p, clr), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := *out.Fig12
-		var buf bytes.Buffer
-		if err := WriteFig12CSV(&buf, res); err != nil {
+		return *out.Single
+	}
+
+	var cold Fig12Result
+	for _, p := range profiles {
+		base := single(p, core.Baseline())
+		row := SingleRow{Name: p.Name, MemIntensive: p.MemIntensive, Synthetic: p.Synthetic,
+			Pattern: p.Pattern, BaselineIPC: base.PerCore[0].IPC(), MPKI: base.PerCore[0].MPKI()}
+		for _, frac := range HPFractions {
+			res := single(p, core.CLR(frac))
+			row.NormIPC = append(row.NormIPC, res.PerCore[0].IPC()/row.BaselineIPC)
+			row.NormEnergy = append(row.NormEnergy, res.Energy.Total()/base.Energy.Total())
+			row.NormPower = append(row.NormPower, res.PowerMW/base.PowerMW)
+			row.RowHitRate = append(row.RowHitRate, res.Mem.RowBuffer.HitRate())
+			row.BankUtil = append(row.BankUtil, res.BankUtil)
+		}
+		cold.Rows = append(cold.Rows, row)
+	}
+	cold.aggregate()
+	var want bytes.Buffer
+	if err := WriteFig12CSV(&want, cold); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, workers := range []int{1, 4} {
+		o := opts
+		o.Workers = workers
+		out, err := Run(context.Background(), Fig12Spec(profiles), o)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if want == nil {
-			want = buf.Bytes()
-			continue
+		var got bytes.Buffer
+		if err := WriteFig12CSV(&got, *out.Fig12); err != nil {
+			t.Fatal(err)
 		}
-		if !bytes.Equal(want, buf.Bytes()) {
-			t.Errorf("Fig12 CSV diverges at fork=%v workers=%d:\n want: %s\n got:  %s",
-				cfg.fork, cfg.workers, want, buf.Bytes())
+		if !bytes.Equal(want.Bytes(), got.Bytes()) {
+			t.Errorf("forked Fig12 CSV diverges from the cold per-cell reference at workers=%d:\n want: %s\n got:  %s",
+				workers, want.Bytes(), got.Bytes())
 		}
 	}
 }

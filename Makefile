@@ -119,7 +119,16 @@ serve-smoke:
 # gate also checks that the composition reaches the checkpoint namespace:
 # TestCheckpointNamespaceCoversComposition runs an fcfs/closed Fig. 12
 # sweep into a store holding a default sweep's shards and requires the
-# result of the same sweep without a store (DESIGN.md §7). The
+# result of the same sweep without a store (DESIGN.md §7). The gate also
+# checks that each figure equals per-run references under content-keyed
+# shards: TestSweepShardKeyCoversProfile sweeps a profile edited under an
+# unchanged name into a store holding the original's shards and requires
+# its store-free result, TestFig13AloneIPCPerProfile requires each mix's
+# weighted speedup to divide by its own profiles' alone runs when two
+# profiles share a name, and TestWarmupForkIdentityFig12CSV and the three
+# *MatchesPerRunReference tests compare Figures 12, 13 and 15 and the §9
+# comparison against references assembled from independent per-run Run
+# calls, at workers 1 and 4. The
 # second line runs the FR-FCFS(-Cap) scan over the per-bank candidate index
 # in lockstep with the two-pass age-order reference (DESIGN.md §16), plus
 # its fuzz seed corpus, and TestQueueIndexInvariant, which recounts the
@@ -129,7 +138,7 @@ serve-smoke:
 # mask) and requires the bank lists merged by sequence number to equal the
 # queues' arrival order. Also part of `go test ./...`.
 compdiff:
-	go test ./internal/sim -run 'TestDefaultComposition|TestCompositionIdentityMatrix|TestCheckpointNamespaceCoversComposition' -count=1
+	go test ./internal/sim -run 'TestDefaultComposition|TestCompositionIdentityMatrix|TestCheckpointNamespaceCoversComposition|TestSweepShardKeyCoversProfile|TestFig13AloneIPCPerProfile|TestWarmupForkIdentityFig12CSV|MatchesPerRunReference' -count=1
 	go test ./internal/mem -run 'TestScheduleWalkMatchesTwoPass|FuzzScheduleWalkMatchesTwoPass|TestQueueIndexInvariant' -count=1
 
 # ffbench-smoke is the fast-forward performance gate: five short rounds on

@@ -38,7 +38,7 @@ import (
 func main() {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:8080", "listen address")
-		ckptDir  = flag.String("checkpoint", "", "checkpoint directory: sweep shards and memoised baselines persist here across restarts")
+		ckptDir  = flag.String("checkpoint", "", "checkpoint directory: sweep shards (figure rows and alone baselines) persist here across restarts")
 		workers  = flag.Int("workers", 0, "total simulation fan-out across all jobs (0 = GOMAXPROCS)")
 		maxJobs  = flag.Int("max-jobs", 2, "jobs simulated concurrently (each fans out on the shared pool)")
 		queueCap = flag.Int("queue", 64, "admission backlog bound; overflow is rejected with 429")

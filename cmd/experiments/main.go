@@ -326,6 +326,7 @@ func main() {
 		fmt.Println()
 	}
 
+	var cmp []sim.ComparisonRow
 	if *compare {
 		fmt.Println("==================== §9 Related-design comparison ====================")
 		fmt.Println("Circuit-level timings (this repo's comparison topologies):")
@@ -357,9 +358,9 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		rows := out.Comparison
+		cmp = out.Comparison
 		fmt.Printf("%-24s %8s %8s %10s %8s\n", "design", "IPC", "energy", "capacity", "dynamic")
-		for _, r := range rows {
+		for _, r := range cmp {
 			fmt.Printf("%-24s %8.3f %8.3f %9.0f%% %8v\n", r.Name, r.NormIPC, r.NormEnergy, r.CapacityFactor*100, r.Dynamic)
 		}
 		fmt.Println("§9: only CLR-DRAM couples SAs and precharge units (tRP/tWR wins) while")
@@ -416,6 +417,7 @@ func main() {
 			TargetInstructions: *instrs,
 			Fig15:              f15,
 			Fig15Fractions:     f15Fracs,
+			Comparison:         cmp,
 			Timing:             timer.Summary(),
 		}
 		if haveF12 {

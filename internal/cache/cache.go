@@ -248,8 +248,8 @@ func (c *Cache) reconstruct(set, tag uint64) uint64 {
 // Clone returns an independent deep copy of the cache: same configuration,
 // line array, LRU clock, and statistics, sharing no mutable state with the
 // original (the clone starts with an empty MSHR free list). It exists for
-// checkpoint-and-fork warmup (sim's warmup cache), which snapshots the
-// warmed LLC once and forks it across every configuration of a sweep — so
+// checkpoint-and-fork warmup (sim's warmState.fork), which warms the LLC
+// once per sweep row and forks it into every configuration of the row — so
 // the statistics travel too (warmup hits and misses are part of a run's
 // reported LLC counters). Cloning with misses in flight panics: an MSHR's
 // waiters are closures over the original system.

@@ -1,8 +1,7 @@
 // Package engine is the experiment-execution subsystem: a deterministic
 // parallel job engine for the embarrassingly-parallel workloads of the
-// evaluation — Monte Carlo circuit sweeps (§7.1), the 71-workload
-// single-core sweep (Figure 12), the multiprogrammed-mix sweep (Figure 13)
-// and the refresh-fraction sweep (Figure 15).
+// evaluation — Monte Carlo circuit sweeps (§7.1) and the system-level
+// sweeps of Figures 12, 13 and 15 and §9, one workload row per task.
 //
 // Determinism contract: a task's result may depend only on its input item,
 // its index, and a seed derived from (baseSeed, index) via DeriveSeed —
@@ -23,6 +22,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -94,11 +94,11 @@ func (p *Pool) WithProgress(fn Progress) *Pool {
 }
 
 // Map runs fn over every item on the pool and returns the results in input
-// order. On failure it returns the error of the lowest-indexed task that
-// was observed to fail (task panics are captured and surfaced as errors),
-// after cancelling the task context and waiting for in-flight tasks to
-// drain; tasks not yet started are skipped. If ctx is cancelled mid-run,
-// Map stops promptly and returns ctx.Err().
+// order. On failure it cancels the task context, waits for in-flight tasks
+// to drain (tasks not yet started are skipped) and returns the error of the
+// lowest-indexed task observed to fail; a task that failed only with that
+// cancellation never displaces a real failure, and panics surface as errors.
+// If ctx is cancelled mid-run, Map stops promptly and returns ctx.Err().
 func Map[I, O any](ctx context.Context, pool *Pool, items []I, fn func(ctx context.Context, index int, item I) (O, error)) ([]O, error) {
 	out := make([]O, len(items))
 	if len(items) == 0 {
@@ -124,6 +124,7 @@ func Map[I, O any](ctx context.Context, pool *Pool, items []I, fn func(ctx conte
 		done     int
 		firstErr error
 		errIndex = -1
+		errEcho  bool // firstErr only echoes the cancellation of tctx
 		wg       sync.WaitGroup
 	)
 	for w := 0; w < workers; w++ {
@@ -155,8 +156,9 @@ func Map[I, O any](ctx context.Context, pool *Pool, items []I, fn func(ctx conte
 				}
 				mu.Lock()
 				if err != nil {
-					if errIndex < 0 || i < errIndex {
-						errIndex, firstErr = i, err
+					echo := tctx.Err() != nil && errors.Is(err, context.Canceled)
+					if errIndex < 0 || errEcho && !echo || echo == errEcho && i < errIndex {
+						errIndex, firstErr, errEcho = i, err, echo
 					}
 					mu.Unlock()
 					cancel()

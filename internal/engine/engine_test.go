@@ -66,6 +66,26 @@ func TestMapFirstErrorPropagates(t *testing.T) {
 	}
 }
 
+// TestMapReportsCauseNotCancellation fails task 1 while task 0 only waits
+// for the cancellation that failure triggers: Map must report the failure,
+// not the lower-indexed task's context.Canceled.
+func TestMapReportsCauseNotCancellation(t *testing.T) {
+	boom := errors.New("boom")
+	for run := 0; run < 20; run++ {
+		_, err := Map(context.Background(), NewPool(2), []int{0, 1},
+			func(ctx context.Context, i int, _ int) (int, error) {
+				if i == 1 {
+					return 0, boom
+				}
+				<-ctx.Done()
+				return 0, ctx.Err()
+			})
+		if !errors.Is(err, boom) {
+			t.Fatalf("run %d: err = %v, want the failure that caused the cancellation", run, err)
+		}
+	}
+}
+
 func TestMapCancellationStopsPromptly(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	items := make([]int, 1000)

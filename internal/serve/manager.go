@@ -13,10 +13,11 @@
 //     completed jobs are retained as a bounded result cache;
 //   - all jobs share one engine.NewSharedPool, so total simulation
 //     fan-out is one machine-wide budget no matter how many jobs run;
-//   - with a checkpoint store attached, completed experiment shards and
-//     the memoised cross-job baselines (alone-IPC runs, per-workload
-//     baseline rows) persist across jobs and daemon restarts, so a sweep
-//     resubmitted after a restart reloads every shard it completed.
+//   - with a checkpoint store attached, completed sweep rows (one shard
+//     each, keyed by the row's content: a Figure 12 workload row, a
+//     Figure 13 alone-IPC baseline) persist across jobs and daemon
+//     restarts, so a later job reuses every row it shares with an earlier
+//     one and a resubmitted sweep reloads every row it completed.
 //
 // SERVING.md documents the HTTP surface, job lifecycle and semantics.
 package serve
@@ -48,8 +49,8 @@ type Config struct {
 	CacheEntries int
 	// Store, when non-nil, persists the sweep shard checkpoints shared by
 	// every job under "shards/..." in its root: the memoised cross-job
-	// cache for alone-IPC baselines and figure rows, which outlives a
-	// daemon restart.
+	// cache of sweep rows (alone-IPC baselines and figure rows alike),
+	// which outlives a daemon restart.
 	Store *engine.Store
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)

@@ -56,17 +56,18 @@ type Options struct {
 	// internal/engine).
 	Workers int `json:"-"`
 	// Progress, when non-nil, receives (done, total) after each completed
-	// experiment shard. Calls are serialized; drivers report one shard per
-	// unit of fan-out (a workload row, a mix, a sweep cell).
+	// experiment shard. Calls are serialized; a sweep reports one shard per
+	// distinct row (a workload set run under every configuration it needs:
+	// a profile, a mix, or a profile's alone baseline).
 	Progress engine.Progress `json:"-"`
 	// Checkpoint, when non-nil, persists completed experiment shards as
-	// JSON so an interrupted sweep resumes instead of restarting. Drivers
-	// namespace their shards by every result-shaping option, so a store can
-	// be shared across drivers and differently-configured runs.
+	// JSON so an interrupted sweep resumes instead of restarting. A shard is
+	// keyed by its row's content inside a namespace of every result-shaping
+	// option, so a store can be shared across sweeps and differently-
+	// configured runs.
 	Checkpoint *engine.Store `json:"-"`
-	// SharedPool, when non-nil, replaces the per-driver pool built from
-	// Workers: every sweep driver of this run fans out on the given pool
-	// instead. Hand the same engine.NewSharedPool to many concurrent Run
+	// SharedPool, when non-nil, replaces the per-sweep pool built from
+	// Workers: the sweep's rows fan out on the given pool instead. Hand the same engine.NewSharedPool to many concurrent Run
 	// calls — as the clrserve job server does — to bound their total
 	// fan-out with one machine-wide budget. Progress and Timer still attach
 	// per-invocation (the hooks ride on a copy; the concurrency budget is
@@ -96,12 +97,6 @@ type Options struct {
 	// per-cycle reference loop. Both are bit-identical by contract (enforced
 	// by the differential test suite) — the mode only moves wall-clock.
 	FastForward FFMode `json:"-"`
-	// warmup, when non-nil, shares profiled rankings and warmed LLC state
-	// across the NewSystem calls of a sweep (checkpoint-and-fork warmup,
-	// DESIGN.md §13). The sweep drivers install one (ensureWarmup); single
-	// runs warm up cold. Forked runs are byte-identical to cold ones by
-	// contract.
-	warmup *warmupCache
 
 	// Standard selects the DRAM device — geometry, clock and timing package
 	// — by name (dram.StandardNames; "" means dram.DefaultStandard, the

@@ -3,11 +3,9 @@ package sim
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"sort"
 
 	"clrdram/internal/core"
-	"clrdram/internal/engine"
 	"clrdram/internal/stats"
 	"clrdram/internal/workload"
 )
@@ -60,60 +58,42 @@ type Fig12Result struct {
 	IntensiveIPC                         []float64
 }
 
-func runFig12(ctx context.Context, profiles []workload.Profile, opts Options) (Fig12Result, error) {
-	var out Fig12Result
-	store, err := opts.shardStore("fig12")
-	if err != nil {
-		return out, err
+// sweepConfigs is a Figure 12/13 row's configurations: the DDR4 baseline,
+// then CLR-DRAM at each HPFractions point.
+func sweepConfigs() []core.Config {
+	cfgs := []core.Config{core.Baseline()}
+	for _, frac := range HPFractions {
+		cfgs = append(cfgs, configFor(frac, 64))
 	}
-	rows, err := engine.MapCheckpointed(ctx, opts.pool(), store, profiles,
-		func(_ int, p workload.Profile) string { return p.Name },
-		func(ctx context.Context, _ int, p workload.Profile) (SingleRow, error) {
-			return fig12Row(ctx, p, opts)
-		})
-	if err != nil {
-		return out, err
-	}
-	out.Rows = rows
-	out.aggregate()
-	return out, nil
+	return cfgs
 }
 
-// fig12Row runs one workload's baseline plus the full HP-fraction sweep.
-func fig12Row(ctx context.Context, p workload.Profile, opts Options) (SingleRow, error) {
-	// One warmup snapshot serves the baseline and every HP fraction of the
-	// row (DESIGN.md §13); opts is this row's copy, so the cache dies with it.
-	opts.ensureWarmup()
-	n := len(HPFractions)
-	base, err := runSingle(ctx, p, core.Baseline(), opts)
+func runFig12(ctx context.Context, profiles []workload.Profile, opts Options) (Fig12Result, error) {
+	var out Fig12Result
+	cfgs := sweepConfigs()
+	rows := make([]row, len(profiles))
+	for i, p := range profiles {
+		rows[i] = singleRow(p, cfgs...)
+	}
+	recs, err := runRows(ctx, rows, opts)
 	if err != nil {
-		return SingleRow{}, err
+		return out, err
 	}
-	row := SingleRow{
-		Name:         p.Name,
-		MemIntensive: p.MemIntensive,
-		Synthetic:    p.Synthetic,
-		Pattern:      p.Pattern,
-		BaselineIPC:  base.PerCore[0].IPC(),
-		MPKI:         base.PerCore[0].MPKI(),
-		NormIPC:      make([]float64, n),
-		NormEnergy:   make([]float64, n),
-		NormPower:    make([]float64, n),
-		RowHitRate:   make([]float64, n),
-		BankUtil:     make([]float64, n),
-	}
-	for i, frac := range HPFractions {
-		res, err := runSingle(ctx, p, configFor(frac, 64), opts)
-		if err != nil {
-			return SingleRow{}, err
+	for i, p := range profiles {
+		base := recs[i][0]
+		r := SingleRow{Name: p.Name, MemIntensive: p.MemIntensive, Synthetic: p.Synthetic,
+			Pattern: p.Pattern, BaselineIPC: base.IPC[0], MPKI: base.MPKI}
+		for _, res := range recs[i][1:] {
+			r.NormIPC = append(r.NormIPC, res.IPC[0]/r.BaselineIPC)
+			r.NormEnergy = append(r.NormEnergy, res.Energy/base.Energy)
+			r.NormPower = append(r.NormPower, res.PowerMW/base.PowerMW)
+			r.RowHitRate = append(r.RowHitRate, res.RowHitRate)
+			r.BankUtil = append(r.BankUtil, res.BankUtil)
 		}
-		row.NormIPC[i] = res.PerCore[0].IPC() / row.BaselineIPC
-		row.NormEnergy[i] = res.Energy.Total() / base.Energy.Total()
-		row.NormPower[i] = res.PowerMW / base.PowerMW
-		row.RowHitRate[i] = res.Mem.RowBuffer.HitRate()
-		row.BankUtil[i] = res.BankUtil
+		out.Rows = append(out.Rows, r)
 	}
-	return row, nil
+	out.aggregate()
+	return out, nil
 }
 
 // aggregate fills the geometric-mean series.
@@ -193,80 +173,61 @@ type Fig13Result struct {
 	GMeanPower  []float64
 }
 
+// runFig13 runs one row per mix and one baseline row per profile of each
+// mix (runRows runs each distinct profile once): the alone-run IPCs that
+// weighted speedup divides by.
 func runFig13(ctx context.Context, groups map[string][]workload.Mix, opts Options) (Fig13Result, error) {
 	out := Fig13Result{
 		GroupWS:     map[string][]float64{},
 		GroupEnergy: map[string][]float64{},
 	}
-	var allMixes []workload.Mix
 	groupNames := make([]string, 0, len(groups))
 	for g := range groups {
 		groupNames = append(groupNames, g)
 	}
 	sort.Strings(groupNames)
-	for _, g := range groupNames {
-		allMixes = append(allMixes, groups[g]...)
-	}
-	alone, err := aloneIPCs(ctx, allMixes, opts)
-	if err != nil {
-		return out, err
-	}
-	n := len(HPFractions)
-	// One shard per mix, fanned out on the engine; `alone` is read-only
-	// from here on, so sharing it across shards is safe.
-	type mixTask struct {
-		Group string
-		Mix   workload.Mix
-	}
-	var tasks []mixTask
+	var mixes []workload.Mix
+	var mixGroups []string
 	for _, g := range groupNames {
 		for _, m := range groups[g] {
-			tasks = append(tasks, mixTask{Group: g, Mix: m})
+			mixes, mixGroups = append(mixes, m), append(mixGroups, g)
 		}
 	}
-	store, err := opts.shardStore("fig13")
+	cfgs := sweepConfigs()
+	var rows []row
+	for _, m := range mixes {
+		rows = append(rows, mixRow(m, cfgs...))
+	}
+	for _, m := range mixes {
+		for _, p := range m.Profiles {
+			rows = append(rows, singleRow(p, core.Baseline()))
+		}
+	}
+	recs, err := runRows(ctx, rows, opts)
 	if err != nil {
 		return out, err
 	}
-	rows, err := engine.MapCheckpointed(ctx, opts.pool(), store, tasks,
-		func(_ int, t mixTask) string { return t.Group + "-" + t.Mix.Name },
-		func(ctx context.Context, _ int, t mixTask) (MixRow, error) {
-			m := t.Mix
-			// Shadow the captured opts: shards run concurrently, and the
-			// warmup snapshot is per-mix (baseline + every HP fraction of
-			// this mix share it; other mixes have different profile sets).
-			opts := opts
-			opts.ensureWarmup()
-			base, err := runMix(ctx, m, core.Baseline(), opts)
-			if err != nil {
-				return MixRow{}, err
+	for mi, m := range mixes {
+		alone := make([]float64, len(m.Profiles))
+		for c, p := range m.Profiles {
+			alone[c] = recs[len(mixes)+mi*len(m.Profiles)+c][0].IPC[0]
+			if alone[c] <= 0 {
+				return out, runErr("alone", p.Name, core.Baseline(), fmt.Errorf("alone IPC is %v", alone[c]))
 			}
-			baseWS := WeightedSpeedup(base, m, alone)
-			row := MixRow{
-				Name: m.Name, Group: t.Group,
-				NormWS:     make([]float64, n),
-				NormEnergy: make([]float64, n),
-				NormPower:  make([]float64, n),
-				RowHitRate: make([]float64, n),
-				BankUtil:   make([]float64, n),
-			}
-			for i, frac := range HPFractions {
-				res, err := runMix(ctx, m, configFor(frac, 64), opts)
-				if err != nil {
-					return MixRow{}, err
-				}
-				row.NormWS[i] = WeightedSpeedup(res, m, alone) / baseWS
-				row.NormEnergy[i] = res.Energy.Total() / base.Energy.Total()
-				row.NormPower[i] = res.PowerMW / base.PowerMW
-				row.RowHitRate[i] = res.Mem.RowBuffer.HitRate()
-				row.BankUtil[i] = res.BankUtil
-			}
-			return row, nil
-		})
-	if err != nil {
-		return out, err
+		}
+		base := recs[mi][0]
+		baseWS := stats.WeightedSpeedup(base.IPC, alone)
+		r := MixRow{Name: m.Name, Group: mixGroups[mi]}
+		for _, res := range recs[mi][1:] {
+			r.NormWS = append(r.NormWS, stats.WeightedSpeedup(res.IPC, alone)/baseWS)
+			r.NormEnergy = append(r.NormEnergy, res.Energy/base.Energy)
+			r.NormPower = append(r.NormPower, res.PowerMW/base.PowerMW)
+			r.RowHitRate = append(r.RowHitRate, res.RowHitRate)
+			r.BankUtil = append(r.BankUtil, res.BankUtil)
+		}
+		out.Rows = append(out.Rows, r)
 	}
-	out.Rows = rows
+	n := len(HPFractions)
 	// Aggregate.
 	out.GMeanWS = make([]float64, n)
 	out.GMeanEnergy = make([]float64, n)
@@ -307,82 +268,23 @@ type Fig15Row struct {
 	NormRefresh []float64
 }
 
+// runFig15 runs one row per profile: the baseline, then every (tREFW,
+// fraction) cell, REFWSettings-major.
 func runFig15(ctx context.Context, profiles []workload.Profile, fractions []float64, opts Options) ([]Fig15Row, error) {
-	// Driver-scoped warmup cache (installed before the fan-out, so no shard
-	// races on the field): every baseline shard and every (tREFW, fraction)
-	// cell runs the same single-profile workload sets, so one snapshot per
-	// profile covers the whole figure.
-	opts.ensureWarmup()
-	pool := opts.pool()
-	// Unlike the per-workload and per-mix drivers, a Figure 15 shard
-	// aggregates over the whole profile set, so the checkpoint namespace
-	// must pin the set's identity.
-	store, err := opts.shardStore("fig15-" + profileSetID(profiles))
-	if err != nil {
-		return nil, err
-	}
-
-	// Baselines per profile, fanned out (one shard each).
-	type baseRes struct {
-		IPC     float64
-		Energy  float64
-		Refresh float64
-	}
-	bases, err := engine.MapCheckpointed(ctx, pool, store, profiles,
-		func(_ int, p workload.Profile) string { return "base-" + p.Name },
-		func(ctx context.Context, _ int, p workload.Profile) (baseRes, error) {
-			b, err := runSingle(ctx, p, core.Baseline(), opts)
-			if err != nil {
-				return baseRes{}, err
-			}
-			return baseRes{b.PerCore[0].IPC(), b.Energy.Total(), b.Energy.Refresh}, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-
-	// One shard per (tREFW, fraction) cell; each cell sweeps the profiles
-	// serially and reduces to the figure's normalized aggregates.
-	type cellKey struct {
-		ri, fi int
-	}
-	type cell struct {
-		Perf, Energy, Refresh float64
-	}
-	var keys []cellKey
-	for ri := range REFWSettings {
-		for fi := range fractions {
-			keys = append(keys, cellKey{ri, fi})
+	cfgs := []core.Config{core.Baseline()}
+	for _, refw := range REFWSettings {
+		for _, frac := range fractions {
+			cfgs = append(cfgs, configFor(frac, refw))
 		}
 	}
-	cells, err := engine.MapCheckpointed(ctx, pool, store, keys,
-		func(_ int, k cellKey) string {
-			return fmt.Sprintf("refw%v-frac%v", REFWSettings[k.ri], fractions[k.fi])
-		},
-		func(ctx context.Context, _ int, k cellKey) (cell, error) {
-			refw, frac := REFWSettings[k.ri], fractions[k.fi]
-			var perf, energy []float64
-			var refSum, refBaseSum float64
-			for i, p := range profiles {
-				res, err := runSingle(ctx, p, configFor(frac, refw), opts)
-				if err != nil {
-					return cell{}, err
-				}
-				perf = append(perf, res.PerCore[0].IPC()/bases[i].IPC)
-				energy = append(energy, res.Energy.Total()/bases[i].Energy)
-				refSum += res.Energy.Refresh
-				refBaseSum += bases[i].Refresh
-			}
-			c := cell{Perf: safeGeo(perf), Energy: safeGeo(energy)}
-			if refBaseSum > 0 {
-				c.Refresh = refSum / refBaseSum
-			}
-			return c, nil
-		})
+	rows := make([]row, len(profiles))
+	for i, p := range profiles {
+		rows[i] = singleRow(p, cfgs...)
+	}
+	recs, err := runRows(ctx, rows, opts)
 	if err != nil {
 		return nil, err
 	}
-
 	out := make([]Fig15Row, len(REFWSettings))
 	for ri, refw := range REFWSettings {
 		out[ri] = Fig15Row{
@@ -391,24 +293,24 @@ func runFig15(ctx context.Context, profiles []workload.Profile, fractions []floa
 			NormEnergy:  make([]float64, len(fractions)),
 			NormRefresh: make([]float64, len(fractions)),
 		}
-	}
-	for ki, k := range keys {
-		out[k.ri].NormPerf[k.fi] = cells[ki].Perf
-		out[k.ri].NormEnergy[k.fi] = cells[ki].Energy
-		out[k.ri].NormRefresh[k.fi] = cells[ki].Refresh
+		for fi := range fractions {
+			var perf, energy []float64
+			var refSum, refBaseSum float64
+			for _, rec := range recs {
+				base, res := rec[0], rec[1+ri*len(fractions)+fi]
+				perf = append(perf, res.IPC[0]/base.IPC[0])
+				energy = append(energy, res.Energy/base.Energy)
+				refSum += res.Refresh
+				refBaseSum += base.Refresh
+			}
+			out[ri].NormPerf[fi] = safeGeo(perf)
+			out[ri].NormEnergy[fi] = safeGeo(energy)
+			if refBaseSum > 0 {
+				out[ri].NormRefresh[fi] = refSum / refBaseSum
+			}
+		}
 	}
 	return out, nil
-}
-
-// profileSetID fingerprints an ordered profile set for checkpoint
-// namespacing.
-func profileSetID(profiles []workload.Profile) string {
-	h := fnv.New64a()
-	for _, p := range profiles {
-		h.Write([]byte(p.Name))
-		h.Write([]byte{0})
-	}
-	return fmt.Sprintf("%x", h.Sum64())
 }
 
 // Table1 returns the timing-parameter table (paper Table 1) from the given

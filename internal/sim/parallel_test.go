@@ -60,31 +60,6 @@ func TestFig13ParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestAloneIPCsParallelMatchesSerial(t *testing.T) {
-	ps := tinyProfiles()
-	// Duplicated profiles across mixes exercise the memoisation dedup.
-	mixes := []workload.Mix{
-		{Name: "m0", Profiles: [4]workload.Profile{ps[0], ps[1], ps[0], ps[1]}},
-		{Name: "m1", Profiles: [4]workload.Profile{ps[2], ps[0], ps[1], ps[2]}},
-	}
-	opts := tinyOpts()
-	opts.TargetInstructions = 15_000
-	serial, err := aloneIPCs(context.Background(), mixes, withWorkers(opts, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := aloneIPCs(context.Background(), mixes, withWorkers(opts, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("AloneIPCs differs between workers=1 and workers=8:\n%v\nvs\n%v", serial, parallel)
-	}
-	if len(serial) != 3 {
-		t.Fatalf("memoisation broken: %d unique profiles, want 3", len(serial))
-	}
-}
-
 func TestFig12CheckpointRoundTrip(t *testing.T) {
 	store, err := engine.NewStore(t.TempDir())
 	if err != nil {
@@ -99,15 +74,23 @@ func TestFig12CheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := *out.Fig12
-	// Poison one persisted shard: if the second run resumes from the store
-	// (instead of recomputing), the poisoned row must surface verbatim.
-	poisoned := first.Rows[0]
-	poisoned.MPKI = 12345
-	fig12Store, err := opts.shardStore("fig12")
+	// Poison one persisted shard under its content key: if the second run
+	// resumes from the store (instead of recomputing), the poisoned baseline
+	// record must surface verbatim.
+	rowStore, err := opts.shardStore()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fig12Store.Save(profiles[0].Name, poisoned); err != nil {
+	key, err := contentKey(singleRow(profiles[0], sweepConfigs()...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []runRecord
+	if ok, err := rowStore.Load(key, &recs); !ok || err != nil {
+		t.Fatalf("row shard %s not persisted (err %v)", key, err)
+	}
+	recs[0].MPKI = 12345
+	if err := rowStore.Save(key, recs); err != nil {
 		t.Fatal(err)
 	}
 	out, err = Run(context.Background(), Fig12Spec(profiles), opts)
@@ -171,16 +154,50 @@ func TestCheckpointNamespaceCoversComposition(t *testing.T) {
 
 	same := def
 	same.Workers, same.FastForward, same.CollectStats = 1, FFOff, true
-	a, err := def.shardStore("fig12")
+	a, err := def.shardStore()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := same.shardStore("fig12")
+	b, err := same.shardStore()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Dir() != b.Dir() {
 		t.Errorf("workers, fast-forward and stats moved the namespace: %s vs %s", a.Dir(), b.Dir())
+	}
+}
+
+// TestSweepShardKeyCoversProfile runs a Fig. 12 sweep of one profile into a
+// store, then a sweep of a differently-parameterised profile under the same
+// name: the second must equal its store-free run, so a shard is keyed by the
+// row's content, not by a profile name.
+func TestSweepShardKeyCoversProfile(t *testing.T) {
+	store, err := engine.NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := withWorkers(tinyOpts(), 2)
+	opts.Checkpoint = store
+	p := tinyProfiles()[0]
+	if _, err := Run(context.Background(), Fig12Spec([]workload.Profile{p}), opts); err != nil {
+		t.Fatal(err)
+	}
+	q := p
+	q.FootprintPages *= 4
+	q.BubbleMean += 7
+	out, err := Run(context.Background(), Fig12Spec([]workload.Profile{q}), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := *out.Fig12
+	opts.Checkpoint = nil
+	out, err = Run(context.Background(), Fig12Spec([]workload.Profile{q}), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := *out.Fig12; !reflect.DeepEqual(got, want) {
+		t.Fatalf("same-name profile resumed another profile's shard: baseline IPC %v, store-free run %v",
+			got.Rows[0].BaselineIPC, want.Rows[0].BaselineIPC)
 	}
 }
 

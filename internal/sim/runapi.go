@@ -116,14 +116,12 @@ type Outcome struct {
 func Run(ctx context.Context, spec Spec, opts Options) (Outcome, error) {
 	var out Outcome
 	switch spec.kind {
-	case specSingle:
-		res, err := runSingle(ctx, spec.profile, spec.clr, opts)
-		if err != nil {
-			return out, err
+	case specSingle, specMix:
+		r := singleRow(spec.profile)
+		if spec.kind == specMix {
+			r = mixRow(spec.mix)
 		}
-		out.Single = &res
-	case specMix:
-		res, err := runMix(ctx, spec.mix, spec.clr, opts)
+		res, err := runSystem(ctx, r, spec.clr, opts, nil)
 		if err != nil {
 			return out, err
 		}

@@ -136,6 +136,12 @@ func (s *System) FFLagStats() (lagFlushes, laggedCoreCycles int64) {
 // under the given CLR-DRAM configuration. All profiles use Options.Seed
 // (offset per core) so runs are reproducible.
 func NewSystem(profiles []workload.Profile, clr core.Config, opts Options) (*System, error) {
+	return newSystem(profiles, clr, opts, nil)
+}
+
+// newSystem is NewSystem starting from ws, a fork of prewarm(profiles, opts)
+// that the system takes over, or warming up cold when ws is nil.
+func newSystem(profiles []workload.Profile, clr core.Config, opts Options, ws *warmState) (*System, error) {
 	opts = opts.withDefaults()
 	if len(profiles) == 0 {
 		return nil, fmt.Errorf("sim: no workloads")
@@ -160,19 +166,13 @@ func NewSystem(profiles []workload.Profile, clr core.Config, opts Options) (*Sys
 		devCfg.ModeOf = threshold
 	}
 
-	// Pre-measurement: layout, profiling and LLC warm-up (prewarm). With a
-	// warmup cache installed they run once per workload set and are forked
-	// across every configuration of the sweep (§13): they depend only on
-	// (profiles, seed, record budgets, LLC geometry), never on the CLR
-	// configuration under test. The global hot-page ranking takes each
-	// workload's top HPFraction pages, interleaved by rank across cores
-	// (§8.1).
-	var ws *warmState
-	if opts.warmup != nil {
-		if ws, err = opts.warmup.fork(profiles, opts); err != nil {
-			return nil, err
-		}
-	} else {
+	// Pre-measurement: layout, profiling and LLC warm-up (prewarm). A sweep
+	// row runs them once per workload set and forks them into every
+	// configuration (§13): they depend only on (profiles, seed, record
+	// budgets, LLC geometry), never on the CLR configuration under test.
+	// The global hot-page ranking takes each workload's top HPFraction
+	// pages, interleaved by rank across cores (§8.1).
+	if ws == nil {
 		ws = prewarm(profiles, opts)
 	}
 	ranking := combineRankings(ws.rankings, ws.bases, clr.HPFraction)

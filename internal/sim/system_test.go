@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"clrdram/internal/core"
+	"clrdram/internal/stats"
 	"clrdram/internal/workload"
 )
 
@@ -144,19 +145,17 @@ func TestNonIntensiveWorkloadInsensitive(t *testing.T) {
 }
 
 func TestMPKIClassification(t *testing.T) {
-	opts := fastOpts()
-	hi, err := MeasureMPKI(randomProfile(), opts)
-	if err != nil {
-		t.Fatal(err)
+	mpki := func(p workload.Profile) float64 {
+		out, err := Run(context.Background(), SingleSpec(p, core.Baseline()), fastOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out.Single.PerCore[0].MPKI()
 	}
-	if hi < 2 {
+	if hi := mpki(randomProfile()); hi < 2 {
 		t.Fatalf("random 32 MiB footprint MPKI = %v, want > 2 (memory-intensive)", hi)
 	}
-	lo, err := MeasureMPKI(cachedProfile(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo > 2 {
+	if lo := mpki(cachedProfile()); lo > 2 {
 		t.Fatalf("cache-resident MPKI = %v, want < 2", lo)
 	}
 }
@@ -183,11 +182,15 @@ func TestMultiCoreMixRuns(t *testing.T) {
 			t.Fatalf("core %d retired %d", i, c.Instructions)
 		}
 	}
-	alone, err := aloneIPCs(context.Background(), []workload.Mix{mix}, opts)
-	if err != nil {
-		t.Fatal(err)
+	var alone []float64
+	for _, p := range mix.Profiles {
+		out, err := Run(context.Background(), SingleSpec(p, core.Baseline()), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone = append(alone, out.Single.PerCore[0].IPC())
 	}
-	ws := WeightedSpeedup(*res, mix, alone)
+	ws := stats.WeightedSpeedup(res.IPC(), alone)
 	if ws <= 0 || ws > 4 {
 		t.Fatalf("weighted speedup = %v outside (0,4]", ws)
 	}

@@ -1,39 +1,24 @@
 package sim
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-	"fmt"
-
 	"clrdram/internal/cache"
 	"clrdram/internal/core"
-	"clrdram/internal/engine"
 	"clrdram/internal/trace"
 	"clrdram/internal/workload"
 )
 
-// Checkpoint-and-fork warmup (DESIGN.md §13). Every run of a Fig. 12/13/15
-// style sweep repeats the same pre-measurement work for each configuration:
-// profile the workloads for the hot-page ranking, then stream warmup records
-// through the LLC. None of it depends on the CLR configuration under test —
-// only on (profiles, seed, record budgets, LLC geometry) — so a sweep row
-// can snapshot the warmed architectural state once and fork it into every
-// cell: the rankings are shared read-only, the LLC is deep-copied, and the
-// per-core trace readers are cloned at their post-warmup positions
+// Checkpoint-and-fork warmup (DESIGN.md §13). Every run of a sweep row
+// repeats the same pre-measurement work for each configuration: profile the
+// workloads for the hot-page ranking, then stream warmup records through the
+// LLC. None of it depends on the CLR configuration under test — only on
+// (profiles, seed, record budgets, LLC geometry) — so a row (row.run) warms
+// its workload set up once and forks that master state into every
+// configuration: the rankings are shared read-only, the LLC is deep-copied,
+// and the per-core trace readers are cloned at their post-warmup positions
 // (trace.CloneableReader; the synthetic generators replay their PRNG draw
-// count, so a forked stream is the cold stream, bit for bit). Forked sweeps
+// count, so a forked stream is the cold stream, bit for bit). Forked runs
 // are byte-identical to cold ones by contract — enforced by the warmfork
 // differential tests next to ffdiff.
-
-// warmupCache shares warmed architectural state across the NewSystem calls
-// of a sweep. The sweep drivers always install one (ensureWarmup); it is
-// safe for concurrent use by the experiment engine's workers, building each
-// distinct warmup state exactly once (engine.KeyedOnce). Drop the cache to
-// release the master snapshots.
-type warmupCache struct {
-	once engine.KeyedOnce[string, *warmState]
-}
 
 // warmState is the outcome of the pre-measurement sequence (prewarm):
 // everything NewSystem computes before the measured phase that does not
@@ -86,55 +71,16 @@ func prewarm(profiles []workload.Profile, opts Options) *warmState {
 	return ws
 }
 
-// fork returns one run's copy of the snapshot for the given workload set,
-// building the snapshot on first use: the layout and rankings are shared
-// read-only, the LLC is deep-copied, and the readers are cloned at their
-// post-warmup positions (every reader Profile.NewReader returns is a
-// trace.CloneableReader).
-func (w *warmupCache) fork(profiles []workload.Profile, opts Options) (*warmState, error) {
-	key, err := warmKey(profiles, opts)
-	if err != nil {
-		return nil, err
-	}
-	master, err := w.once.Do(key, func() (*warmState, error) {
-		return prewarm(profiles, opts), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	ws := *master
-	ws.llc = master.llc.Clone()
-	ws.readers = make([]trace.Reader, len(master.readers))
-	for i, rd := range master.readers {
+// fork returns one run's copy of the master state w: the layout and
+// rankings are shared read-only, the LLC is deep-copied, and the readers are
+// cloned at their post-warmup positions (every reader Profile.NewReader
+// returns is a trace.CloneableReader).
+func (w *warmState) fork() *warmState {
+	ws := *w
+	ws.llc = w.llc.Clone()
+	ws.readers = make([]trace.Reader, len(w.readers))
+	for i, rd := range w.readers {
 		ws.readers[i] = rd.(trace.CloneableReader).CloneReader()
 	}
-	return &ws, nil
-}
-
-// warmKey fingerprints everything a warmState depends on. Profiles are
-// hashed in full (order matters: each index is a core), so two sweeps with
-// differently-parameterised same-name profiles never collide.
-func warmKey(profiles []workload.Profile, opts Options) (string, error) {
-	env := struct {
-		Profiles       []workload.Profile `json:"profiles"`
-		Seed           int64              `json:"seed"`
-		ProfileRecords int                `json:"profile_records"`
-		WarmupRecords  int                `json:"warmup_records"`
-		LLC            cache.Config       `json:"llc"`
-	}{profiles, opts.Seed, opts.ProfileRecords, opts.WarmupRecords, opts.LLC}
-	b, err := json.Marshal(env)
-	if err != nil {
-		return "", fmt.Errorf("sim: warmup fork key: %w", err)
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
-}
-
-// ensureWarmup installs a fresh warmup cache for a sweep driver's scope
-// unless one is installed already. Drivers call it on their own Options
-// copy, so the cache's lifetime is the sweep (or row) that shares it.
-func (o *Options) ensureWarmup() {
-	if o.warmup == nil {
-		o.warmup = &warmupCache{}
-	}
+	return &ws
 }

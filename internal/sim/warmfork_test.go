@@ -10,65 +10,61 @@ import (
 )
 
 // The warmfork differential tests enforce the checkpoint-and-fork warmup
-// contract stated in warmfork.go: a run forked from a shared warmup cache is
-// byte-identical to the same run warmed up cold, and repeated forks from one
-// snapshot do not contaminate each other.
+// contract stated in warmfork.go: a run forked from a row's warm master state
+// is byte-identical to the same run warmed up cold, and repeated forks from
+// one master do not contaminate each other.
 
 // TestWarmupForkIdentitySingle forks three CLR configurations from one
-// shared cache and compares each against its cold twin. Three fractions from
-// one snapshot is exactly the sweep-row shape the cache exists for: the
-// snapshot must be CLR-independent, and each fork's LLC copy and reader
-// clones must replay the cold pre-measurement state bit for bit.
+// master state per profile and compares each against its cold twin. Three
+// fractions from one master is exactly the sweep-row shape the fork exists
+// for: the master must be CLR-independent, and each fork's LLC copy and
+// reader clones must replay the cold pre-measurement state bit for bit.
 func TestWarmupForkIdentitySingle(t *testing.T) {
-	cache := &warmupCache{}
 	for _, p := range []workload.Profile{streamProfile(), randomProfile(), cachedProfile()} {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
 			t.Parallel()
+			opts := ffDiffOpts()
+			r := singleRow(p)
+			master := prewarm(r.Profiles, opts.withDefaults())
 			for _, frac := range []float64{0.0, 0.5, 1.0} {
-				forked, cold := ffDiffOpts(), ffDiffOpts()
-				forked.warmup = cache
-				out, err := Run(context.Background(), SingleSpec(p, core.CLR(frac)), forked)
+				forked, err := runSystem(context.Background(), r, core.CLR(frac), opts, master.fork())
 				if err != nil {
 					t.Fatal(err)
 				}
-				got := out.Single
-				out, err = Run(context.Background(), SingleSpec(p, core.CLR(frac)), cold)
+				out, err := Run(context.Background(), SingleSpec(p, core.CLR(frac)), opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := out.Single
-				assertIdenticalResults(t, *got, *want)
+				assertIdenticalResults(t, forked, *out.Single)
 			}
 		})
 	}
 }
 
-// TestWarmupForkRepeatable runs the same configuration twice from the same
-// cache entry: the second fork must equal the first, proving a fork never
-// mutates the master snapshot (LLC deep copy, reader clone discipline).
+// TestWarmupForkRepeatable runs the same configuration twice from forks of
+// one master: the second fork must equal the first, proving a fork never
+// mutates the master state (LLC deep copy, reader clone discipline).
 func TestWarmupForkRepeatable(t *testing.T) {
 	opts := ffDiffOpts()
-	opts.warmup = &warmupCache{}
-	p := randomProfile()
-	out, err := Run(context.Background(), SingleSpec(p, core.CLR(0.5)), opts)
+	r := singleRow(randomProfile())
+	master := prewarm(r.Profiles, opts.withDefaults())
+	first, err := runSystem(context.Background(), r, core.CLR(0.5), opts, master.fork())
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := out.Single
-	out, err = Run(context.Background(), SingleSpec(p, core.CLR(0.5)), opts)
+	second, err := runSystem(context.Background(), r, core.CLR(0.5), opts, master.fork())
 	if err != nil {
 		t.Fatal(err)
 	}
-	second := out.Single
-	assertIdenticalResults(t, *first, *second)
+	assertIdenticalResults(t, first, second)
 }
 
 // TestWarmupForkIdentityFig12CSV checks the artifact end to end: a Figure 12
-// sweep, which always forks its warm-up (ensureWarmup), must serialise to
+// sweep, whose rows always fork their warm-up (row.run), must serialise to
 // the same CSV bytes at both worker counts as a reference assembled from
 // per-cell single runs. Single runs never fork, so the reference warms every
-// cell cold and shares no code with the sweep's row driver.
+// cell cold and shares no code with the sweep runner.
 func TestWarmupForkIdentityFig12CSV(t *testing.T) {
 	profiles := []workload.Profile{streamProfile(), cachedProfile()}
 	opts := ffDiffOpts()

@@ -307,6 +307,35 @@ func BenchmarkTraceGeneration(b *testing.B) {
 	}
 }
 
+// BenchmarkNewSystem times a system's set-up: profiling each workload for
+// its hot pages, building the page mapping and warming the LLC with
+// 200,000 records per core (the standing benchmark's warm-up), for one
+// memory-bound core and for the four-core mcf+lbm+gamess×2 mix.
+func BenchmarkNewSystem(b *testing.B) {
+	for _, set := range []struct {
+		name     string
+		profiles []string
+	}{
+		{"mcf", []string{"429.mcf-like"}},
+		{"mix4", []string{"429.mcf-like", "470.lbm-like", "416.gamess-like", "416.gamess-like"}},
+	} {
+		b.Run(set.name, func(b *testing.B) {
+			var profiles []workload.Profile
+			for _, name := range set.profiles {
+				profiles = append(profiles, benchProfile(name))
+			}
+			opts := sim.DefaultOptions()
+			opts.WarmupRecords = 200_000
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := sim.NewSystem(profiles, core.CLR(0.5), opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkCircuitStep(b *testing.B) {
 	p := spice.Default()
 	s, err := spice.Build(p, spice.ModeHighPerf)

@@ -9,6 +9,7 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Config describes the cache geometry and behaviour.
@@ -52,6 +53,11 @@ func (c Config) Validate() error {
 	if c.LineBytes&(c.LineBytes-1) != 0 {
 		return fmt.Errorf("cache: line size %d must be a power of two", c.LineBytes)
 	}
+	if sets*c.LineBytes < 2 {
+		// A tag then spans all 64 address bits, leaving none for the
+		// dirty bit packed beside it (line.key).
+		return fmt.Errorf("cache: one set of 1-byte lines leaves no spare address bit")
+	}
 	return nil
 }
 
@@ -86,12 +92,16 @@ type Stats struct {
 	Writebacks uint64
 }
 
+// line is one way of a set: key holds tag<<1 | dirty (Validate leaves the
+// tag at most 63 bits), used the LRU timestamp of the last access, 0 for an
+// invalid way (the clock is ≥ 1 at every access).
 type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	used  uint64 // LRU timestamp
+	key  uint64
+	used uint64
 }
+
+// lineDirty is the dirty bit of line.key.
+const lineDirty = 1
 
 type mshr struct {
 	lineAddr uint64
@@ -102,8 +112,9 @@ type mshr struct {
 // Cache is the LLC model.
 type Cache struct {
 	cfg      Config
-	sets     [][]line
+	lines    []line // set s holds lines[s*Ways : (s+1)*Ways]
 	setMask  uint64
+	setBits  uint
 	lineBits uint
 	tick     uint64
 	mshrs    map[uint64]*mshr
@@ -118,15 +129,11 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	nsets := cfg.SizeBytes / (cfg.Ways * cfg.LineBytes)
-	sets := make([][]line, nsets)
-	backing := make([]line, nsets*cfg.Ways)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways]
-	}
 	return &Cache{
 		cfg:      cfg,
-		sets:     sets,
+		lines:    make([]line, nsets*cfg.Ways),
 		setMask:  uint64(nsets - 1),
+		setBits:  uint(bits.TrailingZeros(uint(nsets))),
 		lineBits: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 		mshrs:    make(map[uint64]*mshr),
 	}
@@ -143,7 +150,13 @@ func (c *Cache) LineAddr(addr uint64) uint64 { return addr &^ (uint64(c.cfg.Line
 
 func (c *Cache) locate(lineAddr uint64) (set uint64, tag uint64) {
 	idx := lineAddr >> c.lineBits
-	return idx & c.setMask, idx >> uint(bits.TrailingZeros(uint(len(c.sets))))
+	return idx & c.setMask, idx >> c.setBits
+}
+
+// set returns the ways of set s.
+func (c *Cache) set(s uint64) []line {
+	ways := c.cfg.Ways
+	return c.lines[int(s)*ways : (int(s)+1)*ways]
 }
 
 // InflightMisses returns the number of allocated MSHRs.
@@ -158,12 +171,13 @@ func (c *Cache) Access(addr uint64, write bool, onFill func()) Outcome {
 	c.tick++
 	lineAddr := c.LineAddr(addr)
 	set, tag := c.locate(lineAddr)
-	for i := range c.sets[set] {
-		ln := &c.sets[set][i]
-		if ln.valid && ln.tag == tag {
+	ways := c.set(set)
+	for i := range ways {
+		ln := &ways[i]
+		if ln.key>>1 == tag && ln.used != 0 {
 			ln.used = c.tick
 			if write {
-				ln.dirty = true
+				ln.key |= lineDirty
 			}
 			c.st.Hits++
 			return Hit
@@ -210,26 +224,27 @@ func (c *Cache) Fill(lineAddr uint64) (victim uint64, needsWriteback bool) {
 	delete(c.mshrs, lineAddr)
 
 	set, tag := c.locate(lineAddr)
-	// Choose victim: invalid way first, else LRU.
+	// Choose victim: the first invalid way (used 0), else the first least
+	// recently used one.
+	ways := c.set(set)
 	vi := 0
-	for i := range c.sets[set] {
-		ln := &c.sets[set][i]
-		if !ln.valid {
-			vi = i
-			break
-		}
-		if ln.used < c.sets[set][vi].used {
+	for i := 1; i < len(ways) && ways[vi].used != 0; i++ {
+		if ways[i].used < ways[vi].used {
 			vi = i
 		}
 	}
-	v := &c.sets[set][vi]
-	if v.valid && v.dirty {
+	v := &ways[vi]
+	if v.used != 0 && v.key&lineDirty != 0 {
 		needsWriteback = true
-		victim = c.reconstruct(set, v.tag)
+		victim = c.reconstruct(set, v.key>>1)
 		c.st.Writebacks++
 	}
 	c.tick++
-	*v = line{tag: tag, valid: true, dirty: m.dirty, used: c.tick}
+	key := tag << 1
+	if m.dirty {
+		key |= lineDirty
+	}
+	*v = line{key: key, used: c.tick}
 	for _, w := range m.waiters {
 		w()
 	}
@@ -241,7 +256,7 @@ func (c *Cache) Fill(lineAddr uint64) (victim uint64, needsWriteback bool) {
 
 // reconstruct rebuilds a line address from set index and tag.
 func (c *Cache) reconstruct(set, tag uint64) uint64 {
-	idx := tag<<uint(bits.TrailingZeros(uint(len(c.sets)))) | set
+	idx := tag<<c.setBits | set
 	return idx << c.lineBits
 }
 
@@ -258,13 +273,7 @@ func (c *Cache) Clone() *Cache {
 		panic(fmt.Sprintf("cache: Clone with %d misses in flight", len(c.mshrs)))
 	}
 	nc := *c
-	backing := make([]line, len(c.sets)*c.cfg.Ways)
-	nc.sets = make([][]line, len(c.sets))
-	for i := range nc.sets {
-		dst := backing[i*c.cfg.Ways : (i+1)*c.cfg.Ways]
-		copy(dst, c.sets[i])
-		nc.sets[i] = dst
-	}
+	nc.lines = slices.Clone(c.lines)
 	nc.mshrs = make(map[uint64]*mshr)
 	nc.free = nil
 	return &nc
@@ -273,9 +282,8 @@ func (c *Cache) Clone() *Cache {
 // Contains reports whether the line holding addr is resident (for tests).
 func (c *Cache) Contains(addr uint64) bool {
 	set, tag := c.locate(c.LineAddr(addr))
-	for i := range c.sets[set] {
-		ln := &c.sets[set][i]
-		if ln.valid && ln.tag == tag {
+	for _, ln := range c.set(set) {
+		if ln.key>>1 == tag && ln.used != 0 {
 			return true
 		}
 	}

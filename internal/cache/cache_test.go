@@ -139,8 +139,8 @@ func TestDefaultsMatchPaperTable2(t *testing.T) {
 		t.Fatalf("defaults %+v do not match Table 2 (8 MiB, 8-way, 64 B)", cfg)
 	}
 	c := New(Config{})
-	if len(c.sets) != (8<<20)/(8*64) {
-		t.Fatalf("set count = %d", len(c.sets))
+	if sets := len(c.lines) / c.cfg.Ways; sets != (8<<20)/(8*64) {
+		t.Fatalf("set count = %d", sets)
 	}
 }
 

@@ -2,7 +2,7 @@ package core
 
 import (
 	"io"
-	"sort"
+	"slices"
 
 	"clrdram/internal/trace"
 )
@@ -11,20 +11,65 @@ import (
 // paper's profiling-based hot-page identification (§8.1: "a profiling-based
 // approach (similar to prior works) to assign a workload's X% of the most
 // frequently-accessed pages to high-performance rows").
+//
+// Counts live in a slice indexed by page, grown to the highest page seen.
+// A page at or beyond denseLimit (a trace record far outside any footprint
+// a system could map) is counted in a map instead, so one stray address
+// cannot make the slice huge; Ranking folds those pages into the slice when
+// its range covers them.
 type Profiler struct {
-	counts map[uint64]uint64
+	counts []uint64          // accesses per page, indexed by page
+	far    map[uint64]uint64 // accesses to pages ≥ len(counts) and ≥ denseLimit
 	total  uint64
 }
 
+// denseLimit bounds how far Record grows the count slice on its own (2^22
+// pages, a 16 GiB footprint, 32 MiB of counters).
+const denseLimit = 1 << 22
+
 // NewProfiler creates an empty profiler.
 func NewProfiler() *Profiler {
-	return &Profiler{counts: make(map[uint64]uint64)}
+	return &Profiler{}
 }
 
 // Record notes one access to addr.
 func (p *Profiler) Record(addr uint64) {
-	p.counts[addr/PageBytes]++
+	pg := addr / PageBytes
+	if pg < uint64(len(p.counts)) {
+		p.counts[pg]++
+	} else {
+		p.recordBeyond(pg)
+	}
 	p.total++
+}
+
+// recordBeyond counts an access to a page the slice does not cover yet:
+// it grows the slice (at least doubling it) below denseLimit, and counts
+// the page in the far map above it.
+func (p *Profiler) recordBeyond(pg uint64) {
+	if pg >= denseLimit {
+		if p.far == nil {
+			p.far = make(map[uint64]uint64)
+		}
+		p.far[pg]++
+		return
+	}
+	p.grow(min(max(int(pg)+1, 2*len(p.counts)), denseLimit))
+	p.counts[pg]++
+}
+
+// grow extends the count slice to n pages, moving in the far pages it now
+// covers.
+func (p *Profiler) grow(n int) {
+	counts := make([]uint64, n)
+	copy(counts, p.counts)
+	for pg, c := range p.far {
+		if pg < uint64(n) {
+			counts[pg] += c
+			delete(p.far, pg)
+		}
+	}
+	p.counts = counts
 }
 
 // Sample profiles up to n records from a trace reader (stopping early at
@@ -45,7 +90,8 @@ func (p *Profiler) Sample(rd trace.Reader, n int) int {
 	return consumed
 }
 
-// Accesses returns the total recorded access count.
+// Accesses returns the total recorded access count, pages beyond any
+// ranking's range included.
 func (p *Profiler) Accesses() uint64 { return p.total }
 
 // Ranking returns every page in [0, totalPages) ordered from most to least
@@ -53,12 +99,25 @@ func (p *Profiler) Accesses() uint64 { return p.total }
 // result is deterministic and covers the whole footprint (as BuildMapping
 // requires).
 func (p *Profiler) Ranking(totalPages int) []int {
+	if totalPages > len(p.counts) {
+		p.grow(totalPages)
+	}
+	counts := p.counts
 	pages := make([]int, totalPages)
 	for i := range pages {
 		pages[i] = i
 	}
-	sort.SliceStable(pages, func(a, b int) bool {
-		return p.counts[uint64(pages[a])] > p.counts[uint64(pages[b])]
+	// (count descending, page ascending) is a total order, so the unstable
+	// sort yields the one stable-by-page answer.
+	slices.SortFunc(pages, func(a, b int) int {
+		ca, cb := counts[a], counts[b]
+		switch {
+		case ca > cb:
+			return -1
+		case ca < cb:
+			return 1
+		}
+		return a - b
 	})
 	return pages
 }
@@ -76,7 +135,7 @@ func (p *Profiler) CoverageOfTop(totalPages, n int) float64 {
 	}
 	var sum uint64
 	for _, pg := range rank[:n] {
-		sum += p.counts[uint64(pg)]
+		sum += p.counts[pg]
 	}
 	return float64(sum) / float64(p.total)
 }

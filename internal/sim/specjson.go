@@ -77,14 +77,15 @@ func (s Spec) MarshalJSON() ([]byte, error) {
 // resolveProfile completes a name-only profile from the workload registry:
 // a hand-written spec may carry just {"Name": "429.mcf-like"} instead of
 // the full profile data. Full profiles (a footprint or trace records) pass
-// through untouched; a name-only profile that the registry does not know
-// is an error at decode time rather than a broken run later. Resolution
+// through untouched if they validate (a *workload.ProfileError if not); a
+// name-only profile that the registry does not know is an error at decode
+// time rather than a broken run later. Resolution
 // also canonicalizes: name-only and full-profile encodings of a registered
 // workload decode to the same Spec, so they re-marshal identically and
 // share one clrserve dedup key.
 func resolveProfile(p workload.Profile) (workload.Profile, error) {
 	if p.FootprintPages > 0 || p.Records != nil {
-		return p, nil
+		return p, p.Validate()
 	}
 	if reg, ok := workload.ByName(p.Name); ok {
 		return reg, nil

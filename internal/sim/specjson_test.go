@@ -2,7 +2,9 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -256,5 +258,40 @@ func TestSpecKindAccessors(t *testing.T) {
 	var zero Spec
 	if zero.Kind() != "invalid" || zero.IsSweep() {
 		t.Fatalf("zero Spec: Kind=%q IsSweep=%v", zero.Kind(), zero.IsSweep())
+	}
+}
+
+// TestBadProfileTypedError feeds two bad profiles — an empty footprint,
+// which used to panic in NewSystem, and a θ whose page weights overflow,
+// which used to run to a degenerate result — to NewSystem, to a sweep and
+// (as a full spec profile) to spec decoding: each returns a
+// *workload.ProfileError naming the field.
+func TestBadProfileTypedError(t *testing.T) {
+	opts := DefaultOptions()
+	opts.TargetInstructions = 2_000
+	for _, c := range []struct {
+		field string
+		p     workload.Profile
+	}{
+		{"FootprintPages", workload.Profile{Name: "x"}},
+		{"ZipfTheta", workload.Profile{Name: "steep", Pattern: workload.PatternRandom, FootprintPages: 4096, ZipfTheta: -200}},
+	} {
+		var pe *workload.ProfileError
+		if _, err := NewSystem([]workload.Profile{c.p}, core.CLR(0.5), opts); !errors.As(err, &pe) || pe.Field != c.field {
+			t.Errorf("%s: NewSystem error %v, want a *workload.ProfileError on %s", c.p.Name, err, c.field)
+		}
+		if _, err := Run(context.Background(), Fig12Spec([]workload.Profile{c.p}), opts); !errors.As(err, &pe) || pe.Field != c.field {
+			t.Errorf("%s: Fig. 12 sweep error %v, want a *workload.ProfileError on %s", c.p.Name, err, c.field)
+		}
+	}
+	for _, doc := range []string{
+		`{"version":1,"kind":"single","profile":{"Name":"steep","Pattern":1,"FootprintPages":4096,"ZipfTheta":-200}}`,
+		`{"version":1,"kind":"fig12","profiles":[{"name":"429.mcf-like"},{"Name":"w","FootprintPages":64,"WriteFrac":2}]}`,
+	} {
+		var s Spec
+		var pe *workload.ProfileError
+		if err := json.Unmarshal([]byte(doc), &s); !errors.As(err, &pe) {
+			t.Errorf("decoding %s: error %v, want a *workload.ProfileError", doc, err)
+		}
 	}
 }

@@ -63,7 +63,10 @@ func runSystem(ctx context.Context, r row, clr core.Config, opts Options, ws *wa
 // run per configuration.
 func (r row) run(ctx context.Context, opts Options) ([]runRecord, error) {
 	opts = opts.withDefaults()
-	master := prewarm(r.Profiles, opts)
+	master, err := prewarm(r.Profiles, opts)
+	if err != nil { // a bad profile fails the row's first run
+		return nil, runErr(r.driver, r.name, r.Configs[0], err)
+	}
 	out := make([]runRecord, len(r.Configs))
 	for i, clr := range r.Configs {
 		res, err := runSystem(ctx, r, clr, opts, master.fork())

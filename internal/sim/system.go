@@ -173,7 +173,9 @@ func newSystem(profiles []workload.Profile, clr core.Config, opts Options, ws *w
 	// The global hot-page ranking takes each workload's top HPFraction
 	// pages, interleaved by rank across cores (§8.1).
 	if ws == nil {
-		ws = prewarm(profiles, opts)
+		if ws, err = prewarm(profiles, opts); err != nil {
+			return nil, err
+		}
 	}
 	ranking := combineRankings(ws.rankings, ws.bases, clr.HPFraction)
 	mapper, err := core.BuildMappingMulti(devCfg, clr, ranking, ws.totalPages, opts.Channels)
@@ -265,14 +267,15 @@ func timingNSTable(clr core.Config) [dram.NumModes]dram.TimingNS {
 
 // combineRankings merges per-core page rankings into one global ranking:
 // first every core's top `frac` pages round-robin by rank position, then all
-// remaining pages in ascending global page order.
+// remaining pages in ascending global page order. The cores' regions tile
+// the global space (prewarm), so taken pages are marked by global page.
 func combineRankings(rankings [][]int, bases []uint64, frac float64) []int {
 	total := 0
 	for _, r := range rankings {
 		total += len(r)
 	}
 	out := make([]int, 0, total)
-	taken := make([]map[int]bool, len(rankings))
+	taken := make([]bool, total)
 	hotN := make([]int, len(rankings))
 	maxHot := 0
 	for i, r := range rankings {
@@ -280,22 +283,21 @@ func combineRankings(rankings [][]int, bases []uint64, frac float64) []int {
 		if hotN[i] > maxHot {
 			maxHot = hotN[i]
 		}
-		taken[i] = make(map[int]bool, hotN[i])
 	}
 	for pos := 0; pos < maxHot; pos++ {
 		for i, r := range rankings {
 			if pos < hotN[i] {
-				page := r[pos]
-				taken[i][page] = true
-				out = append(out, int(bases[i]/core.PageBytes)+page)
+				page := int(bases[i]/core.PageBytes) + r[pos]
+				taken[page] = true
+				out = append(out, page)
 			}
 		}
 	}
 	for i, r := range rankings {
 		base := int(bases[i] / core.PageBytes)
-		for page := 0; page < len(r); page++ {
-			if !taken[i][page] {
-				out = append(out, base+page)
+		for page := base; page < base+len(r); page++ {
+			if !taken[page] {
+				out = append(out, page)
 			}
 		}
 	}

@@ -31,14 +31,15 @@ type warmState struct {
 	readers    []trace.Reader // positioned just past warmup
 }
 
-// prewarm runs a system's pre-measurement sequence. Each core gets a
-// private page-aligned region of the global address space, packed
-// contiguously. Each workload is profiled with a fresh reader (same seed as
-// the run) for its hot-page ranking (§8.1). Then WarmupRecords per core
-// stream through a fresh LLC with no timing, core-major — the LLC's state,
-// LRU clock included, depends on the interleaving — so the measured phase
-// starts with realistic cache state; the run's readers continue from there.
-func prewarm(profiles []workload.Profile, opts Options) *warmState {
+// prewarm validates the profiles and runs a system's pre-measurement
+// sequence. Each core gets a private page-aligned region of the global
+// address space, packed contiguously. Each workload is profiled for its
+// hot-page ranking (§8.1) from a clone of the run's own fresh reader.
+// Then WarmupRecords per core stream through a fresh LLC with no timing,
+// core-major — the LLC's state, LRU clock included, depends on the
+// interleaving — so the measured phase starts with realistic cache state;
+// the run's readers continue from there.
+func prewarm(profiles []workload.Profile, opts Options) (*warmState, error) {
 	ws := &warmState{
 		bases:    make([]uint64, len(profiles)),
 		rankings: make([][]int, len(profiles)),
@@ -46,16 +47,17 @@ func prewarm(profiles []workload.Profile, opts Options) *warmState {
 		readers:  make([]trace.Reader, len(profiles)),
 	}
 	for i, p := range profiles {
+		if err := p.Validate(); err != nil {
+			return nil, err
+		}
 		ws.bases[i] = uint64(ws.totalPages) * core.PageBytes
 		ws.totalPages += p.FootprintPages
 	}
 	for i, p := range profiles {
-		prof := core.NewProfiler()
-		prof.Sample(p.NewReader(opts.Seed+int64(i)), opts.ProfileRecords)
-		ws.rankings[i] = prof.Ranking(p.FootprintPages)
-	}
-	for i, p := range profiles {
 		rd := p.NewReader(opts.Seed + int64(i))
+		prof := core.NewProfiler()
+		prof.Sample(rd.(trace.CloneableReader).CloneReader(), opts.ProfileRecords)
+		ws.rankings[i] = prof.Ranking(p.FootprintPages)
 		for n := 0; n < opts.WarmupRecords; n++ {
 			rec, err := rd.Next()
 			if err != nil {
@@ -68,7 +70,7 @@ func prewarm(profiles []workload.Profile, opts Options) *warmState {
 		}
 		ws.readers[i] = rd
 	}
-	return ws
+	return ws, nil
 }
 
 // fork returns one run's copy of the master state w: the layout and

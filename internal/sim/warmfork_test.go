@@ -26,7 +26,10 @@ func TestWarmupForkIdentitySingle(t *testing.T) {
 			t.Parallel()
 			opts := ffDiffOpts()
 			r := singleRow(p)
-			master := prewarm(r.Profiles, opts.withDefaults())
+			master, err := prewarm(r.Profiles, opts.withDefaults())
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, frac := range []float64{0.0, 0.5, 1.0} {
 				forked, err := runSystem(context.Background(), r, core.CLR(frac), opts, master.fork())
 				if err != nil {
@@ -48,7 +51,10 @@ func TestWarmupForkIdentitySingle(t *testing.T) {
 func TestWarmupForkRepeatable(t *testing.T) {
 	opts := ffDiffOpts()
 	r := singleRow(randomProfile())
-	master := prewarm(r.Profiles, opts.withDefaults())
+	master, err := prewarm(r.Profiles, opts.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
 	first, err := runSystem(context.Background(), r, core.CLR(0.5), opts, master.fork())
 	if err != nil {
 		t.Fatal(err)

@@ -114,6 +114,51 @@ func (p Profile) FootprintBytes() uint64 {
 	return uint64(p.FootprintPages) * PageBytes
 }
 
+// ProfileError is the typed error Profile.Validate returns: Field names the
+// offending Profile field and Detail spells out the rejected value.
+type ProfileError struct {
+	Profile string // the profile's Name
+	Field   string
+	Detail  string
+}
+
+func (e *ProfileError) Error() string {
+	return fmt.Sprintf("workload: profile %q: field %s: %s", e.Profile, e.Field, e.Detail)
+}
+
+// Validate checks that the profile describes a stream NewReader can
+// generate: a footprint of 1 to math.MaxInt32 pages (record-backed profiles
+// may leave it 0), a known Pattern, WriteFrac and StreamFrac in [0, 1], a
+// non-negative BubbleMean, and a finite ZipfTheta whose page weights and
+// their sum stay finite. The weight of rank r is (r+1)^−θ, so no weight
+// exceeds max(1, n^−θ) for n pages and their sum is below n·max(1, n^−θ):
+// the check is that closed form, not a pass over the weights.
+func (p Profile) Validate() error {
+	bad := func(field, format string, args ...any) error {
+		return &ProfileError{Profile: p.Name, Field: field, Detail: fmt.Sprintf(format, args...)}
+	}
+	n := p.FootprintPages
+	switch {
+	case n < 0 || n == 0 && p.Records == nil:
+		return bad("FootprintPages", "%d, want > 0", n)
+	case n > math.MaxInt32:
+		return bad("FootprintPages", "%d, want ≤ %d", n, math.MaxInt32)
+	case p.Pattern < PatternStream || p.Pattern > PatternMixed:
+		return bad("Pattern", "unknown pattern %d", int(p.Pattern))
+	case !(p.WriteFrac >= 0 && p.WriteFrac <= 1):
+		return bad("WriteFrac", "%v, want in [0, 1]", p.WriteFrac)
+	case !(p.StreamFrac >= 0 && p.StreamFrac <= 1):
+		return bad("StreamFrac", "%v, want in [0, 1]", p.StreamFrac)
+	case p.BubbleMean < 0:
+		return bad("BubbleMean", "%d, want ≥ 0", p.BubbleMean)
+	case math.IsNaN(p.ZipfTheta) || math.IsInf(p.ZipfTheta, 0):
+		return bad("ZipfTheta", "%v, want a finite value", p.ZipfTheta)
+	case math.IsInf(float64(n)*math.Pow(float64(n), -p.ZipfTheta), 0):
+		return bad("ZipfTheta", "%v: the page weights of %d pages overflow float64", p.ZipfTheta, n)
+	}
+	return nil
+}
+
 // permutation returns the deterministic rank→page scattering for this
 // profile. Popularity rank r (0 = hottest) maps to page perm[r], so that hot
 // pages are spread across the footprint instead of clustering at low
@@ -208,8 +253,10 @@ type generator struct {
 	src    *countingSource
 	rng    *rand.Rand
 	cum    []float64 // cumulative page weights for Zipf sampling
-	total  float64
-	pos    uint64 // current line index for sequential runs
+	total  float64   // cum's last entry
+	guide  []int32   // guide table over cum (newGuide); shared by clones
+	scale  float64   // buckets per unit of cumulative weight
+	pos    uint64    // current line index for sequential runs
 	stride uint64
 }
 
@@ -218,7 +265,7 @@ type generator struct {
 // repositioned by replaying the consumed draw count against a fresh source
 // (both Int63 and Uint64 advance the standard source exactly one step, so
 // the count pins the state regardless of which methods consumed it); the
-// popularity table is shared (it is immutable after construction).
+// popularity and guide tables are shared (immutable after construction).
 func (g *generator) CloneReader() trace.Reader {
 	src := newCountingSource(g.seed)
 	for i := uint64(0); i < g.src.n; i++ {
@@ -233,13 +280,16 @@ func (g *generator) CloneReader() trace.Reader {
 
 // NewReader returns an infinite trace.Reader for the profile. Readers with
 // the same profile and seed produce identical streams. Record-backed
-// profiles replay their records in a loop (the seed is ignored).
+// profiles replay their records in a loop (the seed is ignored). It panics
+// with Validate's error on a synthetic profile Validate rejects; code that
+// takes profiles from outside the program validates them first, as
+// sim.NewSystem and spec decoding do.
 func (p Profile) NewReader(seed int64) trace.Reader {
 	if p.Records != nil {
 		return &trace.SliceReader{Records: p.Records, Loop: true}
 	}
-	if p.FootprintPages <= 0 {
-		panic("workload: profile with empty footprint: " + p.Name)
+	if err := p.Validate(); err != nil {
+		panic(err)
 	}
 	src := newCountingSource(seed ^ int64(nameHash(p.Name)))
 	g := &generator{
@@ -253,14 +303,14 @@ func (p Profile) NewReader(seed int64) trace.Reader {
 		g.stride = uint64(p.StrideLines)
 	}
 	if p.Pattern != PatternStream {
-		w := p.PageWeights()
-		g.cum = make([]float64, len(w))
+		g.cum = p.PageWeights()
 		sum := 0.0
-		for i, x := range w {
+		for i, x := range g.cum {
 			sum += x
 			g.cum[i] = sum
 		}
 		g.total = sum
+		g.guide, g.scale = newGuide(g.cum)
 	}
 	return g
 }
@@ -271,11 +321,40 @@ func nameHash(s string) uint64 {
 	return h.Sum64()
 }
 
+// newGuide builds the guide table of the cumulative weights cum (Chen &
+// Asau, 1974): one bucket per page, bucket(x) = int(x·scale) with scale =
+// n/total, and guide[j] = the first page whose bucket is ≥ j, clamped to
+// n−1, for j = 0 … n+1. A draw r ∈ [0, total] lands in bucket(r) ≤ n (the
+// product may round up to n). Multiplying by a positive constant and
+// truncating never decrease, so every page before guide[bucket(r)] has
+// cum < r and the page at guide[bucket(r)+1], if below n−1, has cum > r:
+// the first page with cum ≥ r lies between the two (DESIGN.md §17).
+func newGuide(cum []float64) (guide []int32, scale float64) {
+	n := len(cum)
+	scale = float64(n) / cum[n-1]
+	guide = make([]int32, n+2)
+	j := 0
+	for i, c := range cum {
+		for b := int(c * scale); j <= b && j < len(guide); j++ {
+			guide[j] = int32(i)
+		}
+	}
+	for ; j < len(guide); j++ {
+		guide[j] = int32(n - 1)
+	}
+	return guide, scale
+}
+
 // samplePage draws a page according to the popularity distribution.
 func (g *generator) samplePage() int {
-	r := g.rng.Float64() * g.total
-	// First cumulative value ≥ r.
-	lo, hi := 0, len(g.cum)-1
+	return g.pageAt(g.rng.Float64() * g.total)
+}
+
+// pageAt returns the first page whose cumulative weight is ≥ r (the last
+// page if none is), binary-searching only the guide table's bracket of r.
+func (g *generator) pageAt(r float64) int {
+	j := int(r * g.scale)
+	lo, hi := int(g.guide[j]), int(g.guide[j+1])
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if g.cum[mid] < r {

@@ -1,16 +1,17 @@
 # Tiered checks. tier1 is the seed gate (ROADMAP.md); race adds the race
 # detector over the full suite — required on every PR now that the
 # experiment engine fans simulations out across goroutines. check adds a
-# gofmt cleanliness gate, a docs gate, and five explicit end-to-end gates
+# gofmt cleanliness gate, a docs gate, and six explicit end-to-end gates
 # on top of both tiers: ffdiff (fast-forward vs ticked simulation), ckdiff
 # (compiled + batched circuit kernels vs interpreted loop), serve-smoke
 # (clrserve daemon report vs direct sim.Run, byte-identical), compdiff
 # (name-composed default memory system vs the seed, bit-identical),
+# recdiff (record streams and LLC vs their references, bit-identical),
 # and ffbench-smoke (fast-forward must not lose to planner-off on the
 # memory-intensive profile) — plus bench-check, which builds and tests the
 # standing benchmark's own module.
 
-.PHONY: all tier1 race check fmt docs-check ffdiff ckdiff serve-smoke compdiff ffbench-smoke bench-check bench bench-ff bench-circuit report
+.PHONY: all tier1 race check fmt docs-check ffdiff ckdiff serve-smoke compdiff recdiff ffbench-smoke bench-check bench bench-ff bench-circuit report
 
 all: check
 
@@ -141,6 +142,25 @@ compdiff:
 	go test ./internal/sim -run 'TestDefaultComposition|TestCompositionIdentityMatrix|TestCheckpointNamespaceCoversComposition|TestSweepShardKeyCoversProfile|TestFig13AloneIPCPerProfile|TestWarmupForkIdentityFig12CSV|MatchesPerRunReference' -count=1
 	go test ./internal/mem -run 'TestScheduleWalkMatchesTwoPass|FuzzScheduleWalkMatchesTwoPass|TestQueueIndexInvariant' -count=1
 
+# recdiff proves the record and warm-up path bit-identical to the code it
+# replaced (DESIGN.md §17): every record stream and every LLC outcome,
+# victim, waiter call and counter is the same. TestRecordStreamGoldens pins
+# the first 100,000 records of all 71 built-in profiles to digests recorded
+# before the by-value PRNG; TestLagFibMatchesMathRand draws a million
+# interleaved Float64/Intn values per seed against math/rand itself (every
+# Intn path: mask, Int31n's rejection loop, the Int63n branch), and
+# TestCloneReaderContinuesStream forks generators around the source's
+# 607-word lag and after 100,000 records. TestCacheMatchesReference runs
+# the recency-ordered tag store in lockstep with the per-set timestamp
+# model over five geometries with a mid-stream Clone,
+# TestPackedKeyKeepsEveryTagBit writes back a dirty line at the largest tag
+# (2^63−1), and FuzzCacheMatchesReference's seed corpus replays decoded
+# operation streams on the same five geometries. Also part of
+# `go test ./...`.
+recdiff:
+	go test ./internal/workload -run 'TestRecordStreamGoldens|TestLagFib|TestCloneReaderContinuesStream' -count=1
+	go test ./internal/cache -run 'TestCacheMatchesReference|TestPackedKeyKeepsEveryTagBit|FuzzCacheMatchesReference' -count=1
+
 # ffbench-smoke is the fast-forward performance gate: five short rounds on
 # the memory-intensive profile, each running planner-off then fast-forward
 # and printing their throughput ratio, asserting that the median ratio shows
@@ -157,7 +177,7 @@ ffbench-smoke:
 bench-check:
 	cd clrbench && go vet ./... && go test ./...
 
-check: tier1 race fmt docs-check ffdiff ckdiff serve-smoke compdiff ffbench-smoke bench-check
+check: tier1 race fmt docs-check ffdiff ckdiff serve-smoke compdiff recdiff ffbench-smoke bench-check
 
 bench:
 	go test -bench=. -benchmem -run=^$$ .

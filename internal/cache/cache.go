@@ -41,22 +41,43 @@ func (c Config) Defaults() Config {
 	return c
 }
 
-// Validate checks the geometry.
+// ConfigError is the typed error Config.Validate returns: Field names the
+// offending Config field and Detail spells out the rejected value.
+type ConfigError struct {
+	Field  string
+	Detail string
+}
+
+func (e *ConfigError) Error() string {
+	return fmt.Sprintf("cache: config field %s: %s", e.Field, e.Detail)
+}
+
+// Validate checks the geometry and the MSHR count: positive sizes, a
+// power-of-two line size and set count, a spare address bit above the tag
+// for the dirty bit, and at least one MSHR.
 func (c Config) Validate() error {
-	if c.SizeBytes <= 0 || c.Ways <= 0 || c.LineBytes <= 0 {
-		return fmt.Errorf("cache: non-positive geometry %+v", c)
+	bad := func(field, format string, args ...any) error {
+		return &ConfigError{Field: field, Detail: fmt.Sprintf(format, args...)}
+	}
+	switch {
+	case c.SizeBytes <= 0:
+		return bad("SizeBytes", "%d, want > 0", c.SizeBytes)
+	case c.Ways <= 0:
+		return bad("Ways", "%d, want > 0", c.Ways)
+	case c.LineBytes <= 0 || c.LineBytes&(c.LineBytes-1) != 0:
+		return bad("LineBytes", "%d, want a positive power of two", c.LineBytes)
 	}
 	sets := c.SizeBytes / (c.Ways * c.LineBytes)
-	if sets <= 0 || sets&(sets-1) != 0 {
-		return fmt.Errorf("cache: set count %d must be a positive power of two", sets)
-	}
-	if c.LineBytes&(c.LineBytes-1) != 0 {
-		return fmt.Errorf("cache: line size %d must be a power of two", c.LineBytes)
-	}
-	if sets*c.LineBytes < 2 {
+	switch {
+	case sets <= 0 || sets&(sets-1) != 0:
+		return bad("SizeBytes", "%d B in %d ways of %d B lines is %d sets, want a positive power of two",
+			c.SizeBytes, c.Ways, c.LineBytes, sets)
+	case sets*c.LineBytes < 2:
 		// A tag then spans all 64 address bits, leaving none for the
-		// dirty bit packed beside it (line.key).
-		return fmt.Errorf("cache: one set of 1-byte lines leaves no spare address bit")
+		// dirty bit packed beside it (lineDirty).
+		return bad("LineBytes", "one set of 1-byte lines leaves no spare address bit")
+	case c.MSHRs < 1:
+		return bad("MSHRs", "%d, want ≥ 1", c.MSHRs)
 	}
 	return nil
 }
@@ -92,33 +113,33 @@ type Stats struct {
 	Writebacks uint64
 }
 
-// line is one way of a set: key holds tag<<1 | dirty (Validate leaves the
-// tag at most 63 bits), used the LRU timestamp of the last access, 0 for an
-// invalid way (the clock is ≥ 1 at every access).
-type line struct {
-	key  uint64
-	used uint64
-}
-
-// lineDirty is the dirty bit of line.key.
+// A way's key packs its line's tag and dirty bit as tag<<1 | dirty
+// (Validate leaves the tag at most 63 bits).
 const lineDirty = 1
 
+// mshr is the pending state of one in-flight miss.
 type mshr struct {
-	lineAddr uint64
-	waiters  []func()
-	dirty    bool // a store merged into this miss: mark dirty on fill
+	waiters []func()
+	dirty   bool // a store merged into this miss: mark dirty on fill
 }
 
-// Cache is the LLC model.
+// Cache is the LLC model. Each set keeps its valid ways first, in recency
+// order, most recently used first: a hit moves its way to the front, a fill
+// shifts the valid ways down one and writes the front, dropping the last
+// way, the least recently used, when the set is full. No line is ever
+// invalidated, so the valid ways are always a prefix and a per-set count
+// marks where it ends; a key needs no valid bit, and an 8-way set of 8-byte
+// keys is one 64-byte host cache line (DESIGN.md §17).
 type Cache struct {
 	cfg      Config
-	lines    []line // set s holds lines[s*Ways : (s+1)*Ways]
+	keys     []uint64 // set s holds keys[s*Ways : (s+1)*Ways]
+	valid    []int32  // valid ways of each set, a prefix of its keys
 	setMask  uint64
 	setBits  uint
 	lineBits uint
-	tick     uint64
-	mshrs    map[uint64]*mshr
-	free     []*mshr // MSHRs released by Fill, reused by later misses
+	inflight []uint64   // line addresses of the misses in flight
+	pending  []mshr     // pending[i] is the miss of inflight[i]
+	spare    [][]func() // waiter lists emptied by Fill, reused by later misses
 	st       Stats
 }
 
@@ -131,11 +152,11 @@ func New(cfg Config) *Cache {
 	nsets := cfg.SizeBytes / (cfg.Ways * cfg.LineBytes)
 	return &Cache{
 		cfg:      cfg,
-		lines:    make([]line, nsets*cfg.Ways),
+		keys:     make([]uint64, nsets*cfg.Ways),
+		valid:    make([]int32, nsets),
 		setMask:  uint64(nsets - 1),
 		setBits:  uint(bits.TrailingZeros(uint(nsets))),
 		lineBits: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
-		mshrs:    make(map[uint64]*mshr),
 	}
 }
 
@@ -153,14 +174,14 @@ func (c *Cache) locate(lineAddr uint64) (set uint64, tag uint64) {
 	return idx & c.setMask, idx >> c.setBits
 }
 
-// set returns the ways of set s.
-func (c *Cache) set(s uint64) []line {
-	ways := c.cfg.Ways
-	return c.lines[int(s)*ways : (int(s)+1)*ways]
+// set returns the valid ways of set s, most recently used first.
+func (c *Cache) set(s uint64) []uint64 {
+	at := int(s) * c.cfg.Ways
+	return c.keys[at : at+int(c.valid[s])]
 }
 
 // InflightMisses returns the number of allocated MSHRs.
-func (c *Cache) InflightMisses() int { return len(c.mshrs) }
+func (c *Cache) InflightMisses() int { return len(c.inflight) }
 
 // Access looks up addr. For Miss the caller must fetch c.LineAddr(addr) from
 // memory and call Fill when the data returns; onFill (if non-nil) is
@@ -168,47 +189,47 @@ func (c *Cache) InflightMisses() int { return len(c.mshrs) }
 // the data is available after HitLatency CPU cycles (the caller schedules
 // that delay). write marks the line dirty (write-allocate on miss).
 func (c *Cache) Access(addr uint64, write bool, onFill func()) Outcome {
-	c.tick++
 	lineAddr := c.LineAddr(addr)
 	set, tag := c.locate(lineAddr)
 	ways := c.set(set)
-	for i := range ways {
-		ln := &ways[i]
-		if ln.key>>1 == tag && ln.used != 0 {
-			ln.used = c.tick
+	for i, key := range ways {
+		if key>>1 == tag {
 			if write {
-				ln.key |= lineDirty
+				key |= lineDirty
 			}
+			copy(ways[1:i+1], ways[:i])
+			ways[0] = key
 			c.st.Hits++
 			return Hit
 		}
 	}
-	if m, ok := c.mshrs[lineAddr]; ok {
-		if onFill != nil {
-			m.waiters = append(m.waiters, onFill)
+	for i, la := range c.inflight {
+		if la == lineAddr {
+			m := &c.pending[i]
+			if onFill != nil {
+				m.waiters = append(m.waiters, onFill)
+			}
+			if write {
+				m.dirty = true
+			}
+			c.st.Merged++
+			return MergedMiss
 		}
-		if write {
-			m.dirty = true
-		}
-		c.st.Merged++
-		return MergedMiss
 	}
-	if len(c.mshrs) >= c.cfg.MSHRs {
+	if len(c.inflight) >= c.cfg.MSHRs {
 		c.st.Rejected++
 		return Rejected
 	}
-	var m *mshr
-	if n := len(c.free); n > 0 {
-		m = c.free[n-1]
-		c.free = c.free[:n-1]
-		m.lineAddr, m.dirty = lineAddr, write
-	} else {
-		m = &mshr{lineAddr: lineAddr, dirty: write}
+	var waiters []func()
+	if n := len(c.spare); n > 0 {
+		waiters = c.spare[n-1]
+		c.spare = c.spare[:n-1]
 	}
 	if onFill != nil {
-		m.waiters = append(m.waiters, onFill)
+		waiters = append(waiters, onFill)
 	}
-	c.mshrs[lineAddr] = m
+	c.inflight = append(c.inflight, lineAddr)
+	c.pending = append(c.pending, mshr{waiters: waiters, dirty: write})
 	c.st.Misses++
 	return Miss
 }
@@ -217,40 +238,35 @@ func (c *Cache) Access(addr uint64, write bool, onFill func()) Outcome {
 // evicted victim's line address if it was dirty (the caller must write it
 // back to memory). ok=false means no victim writeback is needed.
 func (c *Cache) Fill(lineAddr uint64) (victim uint64, needsWriteback bool) {
-	m, okm := c.mshrs[lineAddr]
-	if !okm {
+	i := slices.Index(c.inflight, lineAddr)
+	if i < 0 {
 		panic(fmt.Sprintf("cache: Fill(%#x) without a matching MSHR", lineAddr))
 	}
-	delete(c.mshrs, lineAddr)
+	m := c.pending[i]
+	last := len(c.inflight) - 1
+	c.inflight[i], c.pending[i] = c.inflight[last], c.pending[last]
+	c.inflight, c.pending = c.inflight[:last], c.pending[:last]
 
 	set, tag := c.locate(lineAddr)
-	// Choose victim: the first invalid way (used 0), else the first least
-	// recently used one.
 	ways := c.set(set)
-	vi := 0
-	for i := 1; i < len(ways) && ways[vi].used != 0; i++ {
-		if ways[i].used < ways[vi].used {
-			vi = i
-		}
-	}
-	v := &ways[vi]
-	if v.used != 0 && v.key&lineDirty != 0 {
+	if len(ways) < c.cfg.Ways {
+		c.valid[set]++
+		ways = ways[:len(ways)+1]
+	} else if v := ways[len(ways)-1]; v&lineDirty != 0 {
 		needsWriteback = true
-		victim = c.reconstruct(set, v.key>>1)
+		victim = c.reconstruct(set, v>>1)
 		c.st.Writebacks++
 	}
-	c.tick++
-	key := tag << 1
+	copy(ways[1:], ways)
+	ways[0] = tag << 1
 	if m.dirty {
-		key |= lineDirty
+		ways[0] |= lineDirty
 	}
-	*v = line{key: key, used: c.tick}
 	for _, w := range m.waiters {
 		w()
 	}
 	clear(m.waiters)
-	m.waiters = m.waiters[:0]
-	c.free = append(c.free, m)
+	c.spare = append(c.spare, m.waiters[:0])
 	return victim, needsWriteback
 }
 
@@ -261,31 +277,26 @@ func (c *Cache) reconstruct(set, tag uint64) uint64 {
 }
 
 // Clone returns an independent deep copy of the cache: same configuration,
-// line array, LRU clock, and statistics, sharing no mutable state with the
-// original (the clone starts with an empty MSHR free list). It exists for
+// tag store and statistics, sharing no mutable state with the original (the
+// clone starts with no spare waiter lists). It exists for
 // checkpoint-and-fork warmup (sim's warmState.fork), which warms the LLC
 // once per sweep row and forks it into every configuration of the row — so
 // the statistics travel too (warmup hits and misses are part of a run's
 // reported LLC counters). Cloning with misses in flight panics: an MSHR's
 // waiters are closures over the original system.
 func (c *Cache) Clone() *Cache {
-	if len(c.mshrs) != 0 {
-		panic(fmt.Sprintf("cache: Clone with %d misses in flight", len(c.mshrs)))
+	if len(c.inflight) != 0 {
+		panic(fmt.Sprintf("cache: Clone with %d misses in flight", len(c.inflight)))
 	}
 	nc := *c
-	nc.lines = slices.Clone(c.lines)
-	nc.mshrs = make(map[uint64]*mshr)
-	nc.free = nil
+	nc.keys = slices.Clone(c.keys)
+	nc.valid = slices.Clone(c.valid)
+	nc.inflight, nc.pending, nc.spare = nil, nil, nil
 	return &nc
 }
 
 // Contains reports whether the line holding addr is resident (for tests).
 func (c *Cache) Contains(addr uint64) bool {
 	set, tag := c.locate(c.LineAddr(addr))
-	for _, ln := range c.set(set) {
-		if ln.key>>1 == tag && ln.used != 0 {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(c.set(set), func(key uint64) bool { return key>>1 == tag })
 }

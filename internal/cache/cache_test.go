@@ -139,7 +139,7 @@ func TestDefaultsMatchPaperTable2(t *testing.T) {
 		t.Fatalf("defaults %+v do not match Table 2 (8 MiB, 8-way, 64 B)", cfg)
 	}
 	c := New(Config{})
-	if sets := len(c.lines) / c.cfg.Ways; sets != (8<<20)/(8*64) {
+	if sets := len(c.keys) / c.cfg.Ways; sets != (8<<20)/(8*64) {
 		t.Fatalf("set count = %d", sets)
 	}
 }

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/bits"
 	"math/rand"
@@ -224,21 +226,26 @@ func (l *lockstep) drain() {
 	}
 }
 
-// TestCacheMatchesReference drives the flat tag store and the per-set
-// reference through one random stream per geometry, with a Clone of both
-// in mid-stream. The clones continue the stream in lockstep, and so do the
-// originals afterwards, which shows the clone shares no lines with them.
+// referenceGeometries are Table 2 and four small geometries: few sets and
+// MSHRs, 32-byte lines, and the two smallest address splits a valid
+// geometry allows (one set of 2-byte lines leaves a 63-bit tag).
+var referenceGeometries = []struct {
+	name string
+	cfg  Config
+}{
+	{"table2", Config{}},
+	{"16KiB-4way", Config{SizeBytes: 16 << 10, Ways: 4, LineBytes: 64, MSHRs: 8}},
+	{"4KiB-8way-32B", Config{SizeBytes: 4 << 10, Ways: 8, LineBytes: 32, MSHRs: 3}},
+	{"1set-2B", Config{SizeBytes: 4, Ways: 2, LineBytes: 2, MSHRs: 2}},
+	{"2way-1B", Config{SizeBytes: 256, Ways: 2, LineBytes: 1, MSHRs: 2}},
+}
+
+// TestCacheMatchesReference drives the recency-ordered tag store and the
+// per-set reference through one random stream per geometry, with a Clone of
+// both in mid-stream. The clones continue the stream in lockstep, and so do
+// the originals afterwards, which shows the clone shares no lines with them.
 func TestCacheMatchesReference(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"table2", Config{}},
-		{"16KiB-4way", Config{SizeBytes: 16 << 10, Ways: 4, LineBytes: 64, MSHRs: 8}},
-		{"4KiB-8way-32B", Config{SizeBytes: 4 << 10, Ways: 8, LineBytes: 32, MSHRs: 3}},
-		{"1set-2B", Config{SizeBytes: 4, Ways: 2, LineBytes: 2, MSHRs: 2}},
-		{"2way-1B", Config{SizeBytes: 256, Ways: 2, LineBytes: 1, MSHRs: 2}},
-	} {
+	for _, tc := range referenceGeometries {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(len(tc.name))))
 			l := &lockstep{t: t, c: New(tc.cfg), ref: newRef(tc.cfg)}
@@ -291,4 +298,88 @@ func TestPackedKeyKeepsEveryTagBit(t *testing.T) {
 	if err := (Config{SizeBytes: 2, Ways: 2, LineBytes: 1}).Validate(); err == nil {
 		t.Fatal("one set of 1-byte lines leaves a 64-bit tag and must be rejected")
 	}
+}
+
+// FuzzCacheMatchesReference decodes a geometry and an operation stream and
+// requires either a Validate rejection (a *ConfigError, and New panicking
+// with it) or a Cache that runs in lockstep with the per-set reference:
+// same outcomes, victims, waiter calls and Stats. Each operation is one
+// byte, some followed by operand bytes:
+//
+//   - 0x00–0x7f: an access, a store if bit 6 is set, to set (bits 0–5)
+//     mod the set count, with a tag (next byte, mod 4·Ways) and a byte
+//     offset (the byte after, mod the line size);
+//   - 0x80–0xbf: a fill of in-flight miss (bits 0–5) mod their number;
+//   - 0xc0–0xef: an access, a store if bit 0 is set, to the 64-bit address
+//     of the next eight bytes (the high tag bits);
+//   - 0xf0–0xff: drain the misses in flight and Clone; later operations
+//     alternate between the original and the clones (at most four caches
+//     run at once), each in lockstep with its own reference clone.
+//
+// A missing operand byte reads as 0. To bound the time and memory one
+// input takes (every operation scans a set in both models, and the
+// reference allocates a slice per set and clone), geometries of more than
+// 256 ways or more lines than Table 2's 2^17 are only validated, and only
+// the first 16 KiB of a stream is decoded.
+func FuzzCacheMatchesReference(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for _, g := range referenceGeometries {
+		ops := make([]byte, 4096)
+		rng.Read(ops)
+		f.Add(int32(g.cfg.SizeBytes), int16(g.cfg.Ways), int16(g.cfg.LineBytes), int8(g.cfg.MSHRs), ops)
+	}
+	f.Fuzz(func(t *testing.T, size int32, ways, lineBytes int16, mshrs int8, ops []byte) {
+		cfg := Config{SizeBytes: int(size), Ways: int(ways), LineBytes: int(lineBytes), MSHRs: int(mshrs)}.Defaults()
+		if err := cfg.Validate(); err != nil {
+			var ce *ConfigError
+			if !errors.As(err, &ce) {
+				t.Fatalf("Validate returned %T, want *ConfigError", err)
+			}
+			defer func() {
+				if recover() == nil {
+					t.Fatal("New accepted a geometry Validate rejects")
+				}
+			}()
+			New(cfg)
+			return
+		}
+		if cfg.Ways > 256 || cfg.SizeBytes/cfg.LineBytes > 1<<17 {
+			return
+		}
+		ops = ops[:min(len(ops), 16<<10)]
+		next := func() byte {
+			if len(ops) == 0 {
+				return 0
+			}
+			b := ops[0]
+			ops = ops[1:]
+			return b
+		}
+		sets := cfg.SizeBytes / (cfg.Ways * cfg.LineBytes)
+		running := []*lockstep{{t: t, c: New(cfg), ref: newRef(cfg)}}
+		for k := 0; len(ops) > 0; k++ {
+			l := running[k%len(running)]
+			switch op := next(); {
+			case op < 0x80:
+				tag, off := int(next())%(4*cfg.Ways), int(next())%cfg.LineBytes
+				l.access(uint64((tag*sets+int(op&63)%sets)*cfg.LineBytes+off), op&0x40 != 0)
+			case op < 0xc0:
+				if len(l.inflight) > 0 {
+					l.fill(int(op&63) % len(l.inflight))
+				}
+			case op < 0xf0:
+				var addr [8]byte
+				for i := range addr {
+					addr[i] = next()
+				}
+				l.access(binary.LittleEndian.Uint64(addr[:]), op&1 != 0)
+			case len(running) < 4:
+				l.drain()
+				running = append(running, &lockstep{t: t, c: l.c.Clone(), ref: l.ref.clone(), ops: l.ops})
+			}
+		}
+		for _, l := range running {
+			l.drain()
+		}
+	})
 }

@@ -13,7 +13,9 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
+	"math"
 
 	"clrdram/internal/cache"
 	"clrdram/internal/cpu"
@@ -205,4 +207,36 @@ func (o Options) withDefaults() Options {
 		}
 	}
 	return o
+}
+
+// validate checks defaulted options before prewarm builds anything from
+// them: a finite, positive core clock, at least one channel, core widths,
+// window and MSHR count of at least 1, and an LLC cache.Config.Validate
+// accepts. Each rejection is an *OptionsError naming the field.
+func (o Options) validate() error {
+	bad := func(field, format string, args ...any) error {
+		return &OptionsError{Field: field, Detail: fmt.Sprintf(format, args...)}
+	}
+	if !(o.CPUClockGHz > 0) || math.IsInf(o.CPUClockGHz, 1) {
+		return bad("CPUClockGHz", "%v, want a finite value > 0", o.CPUClockGHz)
+	}
+	if o.Channels < 1 {
+		return bad("Channels", "%d, want ≥ 1", o.Channels)
+	}
+	for _, f := range [...]struct {
+		name string
+		v    int
+	}{
+		{"IssueWidth", o.CPU.IssueWidth}, {"RetireWidth", o.CPU.RetireWidth},
+		{"WindowSize", o.CPU.WindowSize}, {"MSHRs", o.CPU.MSHRs},
+	} {
+		if f.v < 1 {
+			return bad("CPU."+f.name, "%d, want ≥ 1", f.v)
+		}
+	}
+	var ce *cache.ConfigError
+	if errors.As(o.LLC.Validate(), &ce) {
+		return bad("LLC."+ce.Field, "%s", ce.Detail)
+	}
+	return nil
 }

@@ -40,3 +40,16 @@ func runErr(driver, workload string, cfg core.Config, err error) error {
 	}
 	return &RunError{Driver: driver, Workload: workload, Config: cfg, Err: err}
 }
+
+// OptionsError is the typed error NewSystem, Run and every sweep row return
+// for Options no system can be built from: Field names the offending field
+// as a path ("CPUClockGHz", "CPU.WindowSize", "LLC.SizeBytes") and Detail
+// spells out the rejected value.
+type OptionsError struct {
+	Field  string
+	Detail string
+}
+
+func (e *OptionsError) Error() string {
+	return fmt.Sprintf("sim: option %s: %s", e.Field, e.Detail)
+}

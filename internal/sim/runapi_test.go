@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 
 	"clrdram/internal/core"
@@ -110,5 +111,42 @@ func TestRunErrorIdentity(t *testing.T) {
 	}
 	if re.Driver != "single" || re.Workload != p.Name {
 		t.Errorf("RunError identity = (%q, %q), want (single, %s)", re.Driver, re.Workload, p.Name)
+	}
+}
+
+// TestBadOptionsTypedError feeds options no system can be built from to
+// NewSystem, to a single run and to a Fig. 12 sweep row: each returns an
+// *OptionsError naming the field, before prewarm builds anything. The LLC
+// and core sizes used to panic in cache.New or in makeslice; the clock, the
+// issue width and the LLC MSHR count used to run to MaxCPUCycles and time
+// out.
+func TestBadOptionsTypedError(t *testing.T) {
+	mcf, _ := workload.ByName("429.mcf-like")
+	for _, c := range []struct {
+		field string
+		edit  func(*Options)
+	}{
+		{"LLC.SizeBytes", func(o *Options) { o.LLC.SizeBytes = 3 << 20 }},
+		{"LLC.Ways", func(o *Options) { o.LLC.Ways = -1 }},
+		{"LLC.MSHRs", func(o *Options) { o.LLC.MSHRs = -1 }},
+		{"CPU.WindowSize", func(o *Options) { o.CPU.WindowSize = -1 }},
+		{"CPU.MSHRs", func(o *Options) { o.CPU.MSHRs = -1 }},
+		{"CPU.IssueWidth", func(o *Options) { o.CPU.IssueWidth = -1 }},
+		{"CPUClockGHz", func(o *Options) { o.CPUClockGHz = -4 }},
+		{"CPUClockGHz", func(o *Options) { o.CPUClockGHz = math.NaN() }},
+	} {
+		opts := DefaultOptions()
+		opts.TargetInstructions = 2_000
+		c.edit(&opts)
+		var oe *OptionsError
+		if _, err := NewSystem([]workload.Profile{mcf}, core.CLR(0.5), opts); !errors.As(err, &oe) || oe.Field != c.field {
+			t.Errorf("%s: NewSystem error %v, want an *OptionsError on it", c.field, err)
+		}
+		if _, err := Run(context.Background(), SingleSpec(mcf, core.Baseline()), opts); !errors.As(err, &oe) || oe.Field != c.field {
+			t.Errorf("%s: single run error %v, want an *OptionsError on it", c.field, err)
+		}
+		if _, err := Run(context.Background(), Fig12Spec([]workload.Profile{mcf}), opts); !errors.As(err, &oe) || oe.Field != c.field {
+			t.Errorf("%s: Fig. 12 sweep error %v, want an *OptionsError on it", c.field, err)
+		}
 	}
 }

@@ -15,8 +15,9 @@ import (
 // its workload set up once and forks that master state into every
 // configuration: the rankings are shared read-only, the LLC is deep-copied,
 // and the per-core trace readers are cloned at their post-warmup positions
-// (trace.CloneableReader; the synthetic generators replay their PRNG draw
-// count, so a forked stream is the cold stream, bit for bit). Forked runs
+// (trace.CloneableReader; a synthetic generator holds its PRNG by value, so
+// a fork is a copy and nothing replays: a forked stream is the cold stream,
+// bit for bit). Forked runs
 // are byte-identical to cold ones by contract — enforced by the warmfork
 // differential tests next to ffdiff.
 
@@ -31,15 +32,18 @@ type warmState struct {
 	readers    []trace.Reader // positioned just past warmup
 }
 
-// prewarm validates the profiles and runs a system's pre-measurement
-// sequence. Each core gets a private page-aligned region of the global
-// address space, packed contiguously. Each workload is profiled for its
-// hot-page ranking (§8.1) from a clone of the run's own fresh reader.
-// Then WarmupRecords per core stream through a fresh LLC with no timing,
-// core-major — the LLC's state, LRU clock included, depends on the
+// prewarm validates the defaulted options and the profiles, then runs a
+// system's pre-measurement sequence. Each core gets a private page-aligned
+// region of the global address space, packed contiguously. Each workload is
+// profiled for its hot-page ranking (§8.1) from a clone of the run's own
+// fresh reader. Then WarmupRecords per core stream through a fresh LLC with
+// no timing, core-major — the LLC's recency order depends on the
 // interleaving — so the measured phase starts with realistic cache state;
 // the run's readers continue from there.
 func prewarm(profiles []workload.Profile, opts Options) (*warmState, error) {
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
 	ws := &warmState{
 		bases:    make([]uint64, len(profiles)),
 		rankings: make([][]int, len(profiles)),

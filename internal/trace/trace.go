@@ -66,13 +66,15 @@ func (s *SliceReader) Reset() { s.pos = 0 }
 // from the current position, leaving the original untouched. The
 // checkpoint-and-fork warmup path (internal/sim) clones every per-core
 // reader it snapshots; every reader a workload profile builds
-// (workload.Profile.NewReader) implements it.
+// (workload.Profile.NewReader) implements it, as a copy of the reader's
+// state that shares its immutable tables: a clone costs the same at any
+// position, and nothing is replayed.
 type CloneableReader interface {
 	Reader
 	CloneReader() Reader
 }
 
-// CloneReader implements CloneableReader: the copy replays from the current
+// CloneReader implements CloneableReader: the copy continues from the current
 // position and shares the (immutable) record slice.
 func (s *SliceReader) CloneReader() Reader {
 	c := *s

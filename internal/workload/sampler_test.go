@@ -3,7 +3,6 @@ package workload
 import (
 	"errors"
 	"math"
-	"math/rand"
 	"testing"
 
 	"clrdram/internal/trace"
@@ -38,7 +37,7 @@ func newGen(t testing.TB, p Profile, seed int64) *generator {
 // same draw, taken from a twin of g's PRNG.
 func checkDraws(t testing.TB, g *generator, n int) {
 	t.Helper()
-	twin := rand.New(rand.NewSource(g.seed))
+	twin := g.rng
 	for i := 0; i < n; i++ {
 		got := g.samplePage()
 		r := twin.Float64() * g.total

@@ -223,35 +223,10 @@ func (p Profile) HottestPages() []int {
 	return pages
 }
 
-// countingSource wraps the standard PRNG source, counting primitive draws so
-// a generator's position in its random stream can be snapshotted and
-// replayed (CloneReader). It must implement rand.Source64: rand.New routes
-// its Uint64-based methods through the Source64 interface when the source
-// offers it, so a wrapper hiding Uint64 would change every generated stream.
-type countingSource struct {
-	src rand.Source64
-	n   uint64 // primitive draws consumed (each advances src one step)
-}
-
-func newCountingSource(seed int64) *countingSource {
-	return &countingSource{src: rand.NewSource(seed).(rand.Source64)}
-}
-
-// Int63 implements rand.Source.
-func (s *countingSource) Int63() int64 { s.n++; return s.src.Int63() }
-
-// Uint64 implements rand.Source64.
-func (s *countingSource) Uint64() uint64 { s.n++; return s.src.Uint64() }
-
-// Seed implements rand.Source.
-func (s *countingSource) Seed(seed int64) { s.src.Seed(seed); s.n = 0 }
-
 // generator is the Reader implementation behind NewReader.
 type generator struct {
 	p      Profile
-	seed   int64 // the full source seed (caller seed ⊕ name hash)
-	src    *countingSource
-	rng    *rand.Rand
+	rng    lagFib    // the record stream's PRNG, held by value
 	cum    []float64 // cumulative page weights for Zipf sampling
 	total  float64   // cum's last entry
 	guide  []int32   // guide table over cum (newGuide); shared by clones
@@ -261,20 +236,12 @@ type generator struct {
 }
 
 // CloneReader implements trace.CloneableReader: the clone continues the
-// exact record stream from the generator's current position. The PRNG is
-// repositioned by replaying the consumed draw count against a fresh source
-// (both Int63 and Uint64 advance the standard source exactly one step, so
-// the count pins the state regardless of which methods consumed it); the
-// popularity and guide tables are shared (immutable after construction).
+// exact record stream from the generator's current position. It is a copy
+// of the generator: the PRNG state is a value, so the copy holds the same
+// state and draws the same numbers, and the popularity and guide tables are
+// shared (immutable after construction).
 func (g *generator) CloneReader() trace.Reader {
-	src := newCountingSource(g.seed)
-	for i := uint64(0); i < g.src.n; i++ {
-		src.src.Uint64()
-	}
-	src.n = g.src.n
 	ng := *g
-	ng.src = src
-	ng.rng = rand.New(src)
 	return &ng
 }
 
@@ -291,12 +258,9 @@ func (p Profile) NewReader(seed int64) trace.Reader {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	src := newCountingSource(seed ^ int64(nameHash(p.Name)))
 	g := &generator{
 		p:      p,
-		seed:   seed ^ int64(nameHash(p.Name)),
-		src:    src,
-		rng:    rand.New(src),
+		rng:    newLagFib(seed ^ int64(nameHash(p.Name))),
 		stride: 1,
 	}
 	if p.StrideLines > 0 {

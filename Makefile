@@ -7,7 +7,7 @@
 # (clrserve daemon report vs direct sim.Run, byte-identical), compdiff
 # (name-composed default memory system vs the seed, bit-identical),
 # recdiff (record streams and LLC vs their references, bit-identical),
-# and ffbench-smoke (fast-forward must not lose to planner-off on the
+# and ffbench-smoke (fast-forward must not lose to the ticked loop on the
 # memory-intensive profile) — plus bench-check, which builds and tests the
 # standing benchmark's own module.
 
@@ -20,8 +20,8 @@ tier1:
 	go vet ./...
 	go test ./...
 
-# race runs the simulator package first and by itself: the decoupled
-# fast-forward stretch (DESIGN.md §15) shares core/controller state with the
+# race runs the simulator package first and by itself: the fast-forward
+# loop's lagged cores (DESIGN.md §9) share core/controller state with the
 # worker-fanned experiment engine, so its identity and lag-invariant tests are
 # the suite's most race-sensitive surface. The second line covers the rest of
 # the tree without re-running it.
@@ -48,22 +48,26 @@ docs-check: fmt
 	if [ -n "$$bad" ]; then \
 		echo "exported identifiers missing doc comments:"; echo "$$bad"; exit 1; fi
 
-# ffdiff proves the next-event fast-forward path bit-identical to the
-# ticked loop: same Result, same canonical RunReport, same figure CSVs,
+# ffdiff proves the next-event fast-forward loop (DESIGN.md §9) bit-identical
+# to the ticked loop: same Result, same canonical RunReport, same figure CSVs,
 # across the full 71-profile workload set, a 4-core mix, an end-to-end
-# Fig. 12 CSV (DESIGN.md §9), and — for the decoupled per-core lag path
-# (DESIGN.md §15) — the heterogeneous-mix matrix (1mcf+3gamess,
-# 2mcf+2gamess, 4×random with fast-forward on vs off, plus an
+# Fig. 12 CSV, and — for per-core lag — the heterogeneous-mix matrix
+# (1mcf+3gamess, 2mcf+2gamess, 4×random with fast-forward on vs off, plus an
 # experiment-level sweep at workers 1 and 4), the RunFor retirement-ceiling
-# legs, and the flush-boundary twin invariant. The integer device clock the
-# skips rest on (DESIGN.md §9) is checked here too: the derived clocks of both
-# standards tick for tick against the float64 accumulator they replaced, the
-# closed-form span against the per-cycle walk, and an on/off identity leg at a
-# 3.3 GHz core (a 4/11 clock). TestFastForwardIdentityBackpressure runs a
+# legs, and the flush-boundary twin invariant on the 1mcf+3gamess mix and on
+# mcf alone, whose single core lags through its memory stalls and jumps
+# (TestDecoupled*, which also checks on the standing benchmark's three
+# simulator configurations that jumped and lagged cycles are counted
+# disjointly). The integer device clock the jumps rest on is checked here
+# too: the derived clocks of both standards tick for tick against the
+# float64 accumulator they replaced, the closed-form span and idle cycles
+# against the per-cycle walk, and an on/off identity leg at a 3.3 GHz core
+# (a 4/11 clock). TestFastForwardIdentityBackpressure runs a
 # four-core mix on queues small enough that cores block on the memory port,
 # which no fast-forward class covers, and TestFastForwardIdentityAcrossReconfigure
 # runs a lagging mix across a stop-the-world migration, after which every
-# core's own clock trails the system clock. The second line checks the
+# core's own clock trails the system clock and a core's first lag replays
+# the epoch boundaries the pause crossed. The second line checks the
 # controller's half: TestSkipTicksMatchesTickedTwin against a ticked twin
 # (its cap-trips leg trips the row-hit cap, so SkipTicks replays CapTrips),
 # TestSkipTicksPanicsOutsideDrainFixpoint pins SkipTicks' precondition (a
@@ -162,11 +166,11 @@ recdiff:
 	go test ./internal/cache -run 'TestCacheMatchesReference|TestPackedKeyKeepsEveryTagBit|FuzzCacheMatchesReference' -count=1
 
 # ffbench-smoke is the fast-forward performance gate: five short rounds on
-# the memory-intensive profile, each running planner-off then fast-forward
-# and printing their throughput ratio, asserting that the median ratio shows
-# planner overhead does not drag throughput below the plain per-cycle loop
-# (within a 3% noise tolerance). The median keeps one outlying run in either
-# mode from deciding the verdict.
+# the memory-intensive profile, each running fast-forward off then on and
+# printing their throughput ratio, asserting that the median ratio shows the
+# fast-forward loop's bookkeeping does not drag throughput below the plain
+# per-cycle loop (within a 3% noise tolerance). The median keeps one
+# outlying run in either mode from deciding the verdict.
 ffbench-smoke:
 	go run ./cmd/ffbench -smoke -instructions 300000
 
@@ -184,8 +188,8 @@ bench:
 
 # bench-ff measures the fast-forward payoff (off vs on) over the
 # compute-bound, memory-intensive, and random single-core profiles plus the
-# heterogeneous multi-core mixes the decoupled lag path targets, and writes
-# BENCH_ff.json (EXPERIMENTS.md tables W4/W6/W7).
+# heterogeneous multi-core mixes per-core lag targets, and writes
+# BENCH_ff.json (EXPERIMENTS.md tables W4/W6/W7/W19).
 bench-ff:
 	go run ./cmd/ffbench -out BENCH_ff.json
 

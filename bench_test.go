@@ -372,10 +372,10 @@ func BenchmarkEndToEndSimulatedInstructions(b *testing.B) {
 // Mode pairs run the identical workload with fast-forward on and off
 // (results are bit-identical by construction — see
 // TestFastForwardIdentityAllProfiles). The compute-bound profile is the
-// headline case: long pure-bubble stretches collapse into bulk skips, so
-// the planner should show it well over 1.5× faster than the per-cycle
+// headline case: long pure-bubble stretches collapse into jumps, so
+// fast-forward should run it well over 1.5× faster than the per-cycle
 // loop. The memory-intensive profile bounds the other end, where horizons
-// are short and planning must hold parity with planner-off. cmd/ffbench
+// are short and fast-forward must hold parity with the ticked loop. cmd/ffbench
 // runs the same comparison with interleaved rounds and CPU-time minima
 // (`make bench-ff`) — these benchmarks are the `go test -bench` view of it.
 

@@ -1,10 +1,10 @@
-// Command ffbench measures the fast-forward planner's runtime payoff and
+// Command ffbench measures the fast-forward loop's runtime payoff and
 // writes the machine-readable BENCH_ff.json report behind `make bench-ff`:
 //
 //	ffbench -out BENCH_ff.json      full measurement (default)
 //	ffbench -out -                  print the report to stdout
 //	ffbench -smoke                  short CI gate: fast-forward must not lose
-//	                                to planner-off on the memory-intensive
+//	                                to the ticked loop on the memory-intensive
 //	                                profile (median of per-round ratios)
 //
 // Each profile runs the identical simulation with fast-forward off and on
@@ -45,10 +45,10 @@ type benchSpec struct {
 // benchSpecs are the measured workloads. Single-core: the two acceptance
 // anchors (the compute-bound profile that must keep its big win, the
 // memory-intensive one where planning must hold parity) plus a synthetic
-// random stream between them. Multi-core: the heterogeneous mixes the
-// decoupled lag path (DESIGN.md §15) exists for — a joint planner can skip
-// nothing while any core streams memory, so these rows isolate what per-core
-// lagging buys — plus a homogeneous all-memory mix as its worst case.
+// random stream between them. Multi-core: the heterogeneous mixes per-core
+// lag (DESIGN.md §9) exists for — no jump can start while any core streams
+// memory, so these rows isolate what lagging the other cores buys — plus a
+// homogeneous all-memory mix as its worst case.
 var benchSpecs = []benchSpec{
 	{"416.gamess-like", []string{"416.gamess-like"}},
 	{"429.mcf-like", []string{"429.mcf-like"}},
@@ -58,17 +58,18 @@ var benchSpecs = []benchSpec{
 	{"4random", []string{"random_00", "random_00", "random_00", "random_00"}},
 }
 
-// smokeProfile is the -smoke gate's workload: memory-intensive, where an
-// always-on planner historically lost to the per-cycle loop.
+// smokeProfile is the -smoke gate's workload: memory-intensive, where
+// fast-forward bookkeeping historically lost to the per-cycle loop.
 const smokeProfile = "429.mcf-like"
 
-// smokeTolerance is the fraction of planner-off throughput fast-forward must
-// reach in -smoke: nominally ≥ 1.0 (event-paced retry keeps failed planning
-// attempts rare), with a small allowance for timing noise on a busy host.
+// smokeTolerance is the fraction of fast-forward-off throughput fast-forward
+// must reach in -smoke: nominally ≥ 1.0 (the stalled core lags, so busy
+// windows cost a loop iteration per device tick, not a core tick per CPU
+// cycle), with a small allowance for timing noise on a busy host.
 const smokeTolerance = 0.97
 
-// smokeRounds is the -smoke gate's round count. Each round runs planner-off
-// then fast-forward back to back and yields one on/off throughput ratio; the
+// smokeRounds is the -smoke gate's round count. Each round runs fast-forward
+// off then on back to back and yields one on/off throughput ratio; the
 // gate judges the median ratio, so one outlying run in either mode cannot
 // decide it (a per-mode minimum over the rounds can be set by a single
 // unusually fast run).
@@ -77,11 +78,12 @@ const smokeRounds = 5
 // modeResult is one (profile, mode) measurement.
 type modeResult struct {
 	SimInstrPerS float64 `json:"sim_instr_per_s"`
-	// Skip accounting (sim.System.FFStats); zero for mode "off".
+	// Jump accounting (sim.System.FFStats): jumps and the CPU cycles they
+	// covered; zero for mode "off".
 	Skips         int64 `json:"skips,omitempty"`
 	SkippedCycles int64 `json:"skipped_cycles,omitempty"`
-	// Decoupled-lag accounting (sim.System.FFLagStats); nonzero only when
-	// the classification went mixed and per-core lagging engaged.
+	// Lag accounting (sim.System.FFLagStats): lag flushes and the
+	// core-cycles of real (not jumped) cycles lagged; zero for mode "off".
 	LagFlushes       int64 `json:"lag_flushes,omitempty"`
 	LaggedCoreCycles int64 `json:"lagged_core_cycles,omitempty"`
 }
@@ -101,8 +103,8 @@ type profileResult struct {
 }
 
 // benchReport is the BENCH_ff.json schema (v3: fast-forward off and on
-// only; multi-core rows with per-core workload lists and decoupled-lag
-// counters), regenerable with `make bench-ff`.
+// only; multi-core rows with per-core workload lists and lag counters),
+// regenerable with `make bench-ff`.
 type benchReport struct {
 	Schema   string          `json:"schema"`
 	GOOS     string          `json:"goos"`
@@ -116,7 +118,7 @@ var ffModes = []sim.FFMode{sim.FFOff, sim.FFOn}
 func main() {
 	var (
 		out    = flag.String("out", "BENCH_ff.json", "write the report as JSON to this file ('-' for stdout)")
-		smoke  = flag.Bool("smoke", false, "short CI gate: assert fast-forward throughput ≥ planner-off on the memory-intensive profile, no report file")
+		smoke  = flag.Bool("smoke", false, "short CI gate: assert fast-forward throughput ≥ fast-forward off on the memory-intensive profile, no report file")
 		instrs = flag.Uint64("instructions", 1_000_000, "instructions per measured run")
 		rounds = flag.Int("rounds", 5, "interleaved measurement rounds (per-mode minima)")
 	)
@@ -182,7 +184,7 @@ func measureSpec(spec benchSpec, instrs uint64, rounds int, logf func(string, ..
 			if r == 0 || sec < best[mi] {
 				best[mi] = sec
 			}
-			// Skip and lag counters are deterministic per mode; any
+			// Jump and lag counters are deterministic per mode; any
 			// round's snapshot is the run's snapshot.
 			stats[mi] = st
 		}
@@ -232,8 +234,8 @@ func measureOnce(profiles []workload.Profile, mode sim.FFMode, instrs uint64) (f
 
 // runSmoke is the CI gate behind `make ffbench-smoke`: smokeRounds short
 // rounds on the memory-intensive profile, each printed, asserting that the
-// median per-round on/off throughput ratio shows no planner overhead
-// dragging fast-forward below the planner-off loop.
+// median per-round on/off throughput ratio shows no fast-forward overhead
+// dragging it below the ticked loop.
 func runSmoke(instrs uint64, logf func(string, ...any)) error {
 	p, ok := workload.ByName(smokeProfile)
 	if !ok {
@@ -259,7 +261,7 @@ func runSmoke(instrs uint64, logf func(string, ...any)) error {
 	med := sorted[len(sorted)/2]
 	logf("%s: median on/off ratio %.3fx over %d rounds", smokeProfile, med, smokeRounds)
 	if med < smokeTolerance {
-		return fmt.Errorf("fast-forward below planner-off on %s: median on/off ratio %.3fx < %.2f over %d rounds",
+		return fmt.Errorf("fast-forward below the ticked loop on %s: median on/off ratio %.3fx < %.2f over %d rounds",
 			smokeProfile, med, smokeTolerance, smokeRounds)
 	}
 	return nil

@@ -1,20 +1,17 @@
 package cpu
 
 // This file is the core's half of the system simulator's next-event
-// fast-forward path (see internal/sim and DESIGN.md §9, §15). The contract:
+// fast-forward path (see internal/sim and DESIGN.md §9). The contract:
 // the core classifies its own next-cycle behaviour (FFState), and the sim
 // layer bulk-advances it with Skip. The bulk advance is bit-identical to
 // calling Tick the same number of times under the declared preconditions;
 // any divergence is a bug the differential tests catch.
 //
-// The sim layer consumes a classification in two ways:
-//   - Joint skip (DESIGN.md §9): every core is skippable, the span is
-//     bounded up front (horizons, hit dues, CapCycles), and the whole
-//     system jumps at once.
-//   - Decoupled lag (DESIGN.md §15): only some cores are skippable; each
-//     accumulates a lag counter while the rest tick, and the accumulated
-//     cycles are flushed through the same Skip at the first event that
-//     could end the classification's validity window.
+// The sim layer consumes a classification one way: a skippable core lags.
+// It accumulates a lag counter in place of its Ticks, while other cores
+// tick or the whole system jumps, and the accumulated cycles are flushed
+// through Skip at the first event that could end the classification's
+// validity window.
 //
 // Validity windows, per class: Burst and Fill hold for at most CapCycles
 // further ticks (the classification itself excludes the boundary tick) and
@@ -25,7 +22,7 @@ package cpu
 // stall) are event-bounded only: they hold until a completion and CapCycles
 // is unbounded. The drained-EOF no-op holds forever. The sim layer must
 // therefore flush a lagged core BEFORE delivering any completion to it, and
-// a skipped/lagged span may never include a completion.
+// a lag may never span a completion.
 //
 // No class touches the memory system: a tick that would re-attempt the
 // memory port (a pending load under the MSHR limit, or a pending store)

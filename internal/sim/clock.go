@@ -15,10 +15,17 @@ type devClock struct {
 	num, den, rem int64
 }
 
-// newDevClock derives the clock for ratio = CPU period / device period: the
-// smallest-denominator fraction whose float64 quotient equals ratio (else the
-// nearest one with den ≤ 2¹⁶), from whichever of rem = 0 and rem = −1
-// replays the float accumulator over the first 4·den+64 cycles (else 0).
+// maxClockRatio is the largest CPU:device period ratio NewSystem accepts, a
+// device clock 2¹⁶ times the core's. It keeps the derivation's integers,
+// num = round(ratio·den) and den·⌊acc⌋, far below int64 overflow, and the
+// float accumulator far below 2⁵³, where its acc-- stops being exact.
+const maxClockRatio = 1 << 16
+
+// newDevClock derives the clock for ratio = CPU period / device period, at
+// most maxClockRatio: the smallest-denominator fraction whose float64
+// quotient equals ratio (else the nearest one with den ≤ 2¹⁶), from
+// whichever of rem = 0 and rem = −1 replays the float accumulator over the
+// first 4·den+64 cycles (else 0).
 func newDevClock(ratio float64) devClock {
 	c, best := devClock{num: 1, den: 1 << 16}, math.Inf(1)
 	for den := int64(1); den <= 1<<16 && best > 0; den++ {
@@ -39,14 +46,15 @@ func newDevClock(ratio float64) devClock {
 // replaysFloat reports whether the clock started from rem ticks on the same
 // CPU cycles as the float64 accumulator over the first 4·den+64 cycles: each
 // float tick takes den off rem, so rem leaves [0, den) as soon as the two
-// tick counts of a cycle differ.
+// tick counts of a cycle differ. The accumulator's per-tick acc-- is exact
+// below 2⁵³, so a cycle's ⌊acc⌋ ticks take ⌊acc⌋ off it in one exact step.
 func (c devClock) replaysFloat(ratio float64, rem int64) bool {
 	acc := 0.0
 	for n := 4*c.den + 64; n > 0; n-- {
-		for acc += ratio; acc >= 1; acc-- {
-			rem -= c.den
-		}
-		if rem += c.num; rem < 0 || rem >= c.den {
+		acc += ratio
+		t := math.Floor(acc)
+		acc -= t
+		if rem += c.num - c.den*int64(t); rem < 0 || rem >= c.den {
 			return false
 		}
 	}
@@ -70,9 +78,19 @@ func (c *devClock) span(kMax, maxDev int64) (k, ticks int64) {
 	return k, c.ticks(k)
 }
 
-// skip moves the clock over k CPU cycles whose device ticks the caller
-// applies in bulk.
-func (c *devClock) skip(k int64) { c.rem += c.num*k - c.den*c.ticks(k) }
+// idle returns how many CPU cycles pass before the next device tick: the
+// largest k with ticks(k) = 0, span(kMax, 0) for any kMax ≥ k. It takes one
+// division, none when the next cycle ticks.
+func (c *devClock) idle() int64 {
+	if c.rem+c.num >= c.den {
+		return 0
+	}
+	return (c.den - c.rem - 1) / c.num
+}
+
+// skip moves the clock over k CPU cycles carrying ticks device ticks, which
+// the caller applies in bulk.
+func (c *devClock) skip(k, ticks int64) { c.rem += c.num*k - c.den*ticks }
 
 // clockCycle advances the device clock one CPU cycle, ticking every
 // controller once per device cycle that falls due (more than once when the

@@ -85,8 +85,9 @@ func TestDeviceClockDerivation(t *testing.T) {
 // 4/11, its float ratio just below it), a device faster than the core
 // (several ticks per cycle), and a ratio no fraction of den ≤ 2¹⁶
 // quotients to exactly (the nearest is used: the next convergent of
-// 0.1234567891 after 10/81 has a den near 10⁷). None of them allocates.
-// A device faster than the core also runs through clockCycle.
+// 0.1234567891 after 10/81 has a den near 10⁷), also near maxClockRatio,
+// where the replay's cycles carry some 40,000 ticks each. None of them
+// allocates. A device faster than the core also runs through clockCycle.
 func TestDeviceClockOtherRatios(t *testing.T) {
 	for _, tc := range []struct {
 		ratio         float64
@@ -95,6 +96,7 @@ func TestDeviceClockOtherRatios(t *testing.T) {
 		{(1.0 / 3.3) / (1.0 / 1.2), 4, 11, -1},
 		{7.0 / 3, 7, 3, 0},
 		{0.1234567891, 10, 81, -1},
+		{40000.000123, 2601640008, 65041, 0},
 	} {
 		c := newDevClock(tc.ratio)
 		if c.num != tc.num || c.den != tc.den || c.rem != tc.rem {
@@ -150,7 +152,8 @@ func randLog(rng *rand.Rand, max int64) int64 {
 // TestDeviceClockSpanMatchesWalk is the closed form's property test: for
 // random clocks, starting remainders, span caps up to ffMaxSpan and tick
 // budgets from 0 to the idle horizon, span answers what the per-cycle walk
-// answers, and skip lands the clock where the walk does.
+// answers, skip lands the clock where the walk does, and idle counts the
+// cycles the walk takes before its first tick.
 func TestDeviceClockSpanMatchesWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	clocks := []devClock{{num: 3, den: 10}, {num: 2, den: 5}, {num: 4, den: 11}, {num: 7, den: 3}, {num: 1, den: 1}}
@@ -173,16 +176,19 @@ func TestDeviceClockSpanMatchesWalk(t *testing.T) {
 			t.Fatalf("clock %d/%d from %d, kMax %d, maxDev %d: span = (%d, %d), walk = (%d, %d)",
 				c.num, c.den, c.rem, kMax, maxDev, k, ticks, wk, wt)
 		}
-		if c.skip(k); c != after {
-			t.Fatalf("kMax %d, maxDev %d: skip(%d) lands on %+v, the walk on %+v", kMax, maxDev, k, c, after)
+		if wi, _, _ := walkClock(c, ffMaxSpan, 0); c.idle() != wi {
+			t.Fatalf("clock %d/%d from %d: idle = %d, walk = %d", c.num, c.den, c.rem, c.idle(), wi)
+		}
+		if c.skip(k, ticks); c != after {
+			t.Fatalf("kMax %d, maxDev %d: skip(%d, %d) lands on %+v, the walk on %+v", kMax, maxDev, k, ticks, c, after)
 		}
 	}
 }
 
 // TestFastForwardIdentityCPUClock runs the fast-forward on/off identity at a
-// 3.3 GHz core, whose 4/11 clock puts the closed-form span, the stretch's
-// batch jump and jointViable on a second ratio: one compute-bound core and
-// the 1×mcf+3×gamess mix, which must lag cores on the way.
+// 3.3 GHz core, whose 4/11 clock puts the closed-form span and the jumps'
+// idle cycles on a second ratio: one compute-bound core and the
+// 1×mcf+3×gamess mix, which must lag cores on the way.
 func TestFastForwardIdentityCPUClock(t *testing.T) {
 	opts := ffDiffOpts()
 	opts.CPUClockGHz = 3.3

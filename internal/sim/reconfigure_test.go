@@ -151,7 +151,9 @@ func TestReconfigureRefreshScheduleFollows(t *testing.T) {
 // second RunFor, fast-forward on against off. The migration pauses the cores
 // while the system clock runs on, so afterwards every core's own clock is
 // behind it; bulk advances must still replay the epoch IPC series at
-// system-clock boundaries.
+// system-clock boundaries. A core can lag on the first cycle after the
+// migration, so its first flush also replays the boundaries the pause
+// crossed, as the one lump the ticked loop records.
 func TestFastForwardIdentityAcrossReconfigure(t *testing.T) {
 	gam := mustProfile(t, "416.gamess-like")
 	rnd := randomProfile()

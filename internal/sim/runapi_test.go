@@ -134,6 +134,7 @@ func TestBadOptionsTypedError(t *testing.T) {
 		{"CPU.IssueWidth", func(o *Options) { o.CPU.IssueWidth = -1 }},
 		{"CPUClockGHz", func(o *Options) { o.CPUClockGHz = -4 }},
 		{"CPUClockGHz", func(o *Options) { o.CPUClockGHz = math.NaN() }},
+		{"CPUClockGHz", func(o *Options) { o.CPUClockGHz = 1e-300 }}, // newDevClock would never return
 	} {
 		opts := DefaultOptions()
 		opts.TargetInstructions = 2_000

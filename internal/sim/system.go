@@ -73,11 +73,24 @@ type System struct {
 	pendingWB []uint64
 	reqFree   []*pooledRequest // fetch and writeback requests the controllers handed back
 
-	// Scratch buffer for the fast-forward planner (see fastforward.go),
-	// plus skip accounting (FFStats).
-	ffStates  []cpu.FFState
-	ffSkips   int64
-	ffSkipped int64
+	// Fast-forward state (fastforward.go). A lagged core (ffLagged[i])
+	// counts ffLag[i] cycles instead of ticking, under the classification
+	// ffStates[i] captured when its lag opened, until ffLagCap[i] (CapCycles
+	// tightened by any RunFor ceiling). ffSkips and ffSkipped count jumps
+	// and the cycles they covered (FFStats), ffLagFlushes and
+	// ffLaggedCycles flushes and core-cycles lagged on real cycles
+	// (FFLagStats).
+	ffStates       []cpu.FFState
+	ffLagged       []bool
+	ffLag          []int64
+	ffLagCap       []int64
+	ffSkips        int64
+	ffSkipped      int64
+	ffLagFlushes   int64
+	ffLaggedCycles int64
+	// ffOnFlush, when non-nil, runs after every lag flush (test-only
+	// instrumentation for the flush-boundary twin invariant).
+	ffOnFlush func(core int, k int64)
 
 	// Coalesced joint-horizon cache (jointHorizon): the minimum controller
 	// horizon, valid while every per-channel HorizonGen is unchanged and
@@ -86,48 +99,28 @@ type System struct {
 	ffJointH  int64
 	ffJointOK bool
 
-	// Planner-off countdown (runLoop): real steps left before the next
-	// planning attempt after a paced or failed one.
-	ffSleep int64
-
-	// Decoupled per-core lag state (decoupled.go): when planSkip finds a
-	// mixed classification (some cores skippable, some not), each skippable
-	// core carries a lag counter instead of ticking while the rest of the
-	// system steps for real. ffStates[i] holds the captured classification
-	// for the whole lag interval; ffLagCap bounds it (CapCycles plus any
-	// RunFor ceiling). ffAnyLag is the cheap "is anything lagged" gate the
-	// completion hooks check.
-	ffCanLag       []bool
-	ffLagged       []bool
-	ffLag          []int64
-	ffLagCap       []int64
-	ffRetryAt      []int64
-	ffAnyLag       bool
-	ffMixed        bool
-	ffLagFlushes   int64
-	ffLaggedCycles int64
-	// ffOnFlush, when non-nil, runs after every lag flush (test-only
-	// instrumentation for the flush-boundary twin invariant).
-	ffOnFlush func(core int, k int64)
-
 	// paused counts the CPU cycles the cores sat paused during
 	// stop-the-world migration (stepMemoryOnly): a core's own clock runs
 	// this far behind cpuCycle.
 	paused int64
 }
 
-// FFStats reports how much of the run the fast-forward path covered: the
-// number of bulk skips applied and the total CPU cycles they absorbed.
+// FFStats reports how much of the run the fast-forward loop jumped
+// (DESIGN.md §9): the number of jumps and the CPU cycles they covered, in
+// which no core ticked.
 func (s *System) FFStats() (skips, skippedCycles int64) {
 	return s.ffSkips, s.ffSkipped
 }
 
-// FFLagStats reports the decoupled-skip path's activity (DESIGN.md §15):
-// how many lag flushes ran and how many core-cycles were absorbed by lag
-// counters instead of per-cycle Ticks. Like FFStats these are wall-clock
-// diagnostics (surfaced by cmd/ffbench as `lag_flushes` and
-// `lagged_core_cycles`), deliberately kept out of Result and the canonical
-// RunReport so reports stay identical across fast-forward modes.
+// FFLagStats reports the fast-forward loop's per-core lag: how many lag
+// flushes ran, and how many core-cycles of real (not jumped) cycles lag
+// counters absorbed instead of per-cycle Ticks. The two stats are disjoint:
+// the run ticked its cores cores × (CPUCycles − skippedCycles) −
+// laggedCoreCycles times.
+// Like FFStats these are wall-clock diagnostics (surfaced by cmd/ffbench as
+// `lag_flushes` and `lagged_core_cycles`), deliberately kept out of Result
+// and the canonical RunReport so reports stay identical across
+// fast-forward modes.
 func (s *System) FFLagStats() (lagFlushes, laggedCoreCycles int64) {
 	return s.ffLagFlushes, s.ffLaggedCycles
 }
@@ -156,6 +149,11 @@ func newSystem(profiles []workload.Profile, clr core.Config, opts Options, ws *w
 	devCfg, refresh, err := clr.Build(dev)
 	if err != nil {
 		return nil, fmt.Errorf("sim: standard %q: %w", opts.Standard, err)
+	}
+	ratio := (1.0 / opts.CPUClockGHz) / devCfg.ClockNS
+	if ratio > maxClockRatio {
+		return nil, &OptionsError{Field: "CPUClockGHz", Detail: fmt.Sprintf(
+			"%v: one core cycle spans %.4g %s cycles, want ≤ %d", opts.CPUClockGHz, ratio, opts.Standard, maxClockRatio)}
 	}
 	// Replace the static threshold with a mutable one so the system can be
 	// reconfigured at run time (Reconfigure); the device consults it at
@@ -222,18 +220,16 @@ func newSystem(profiles []workload.Profile, clr core.Config, opts Options, ws *w
 		devCfg:     devCfg,
 		rankings:   ws.rankings,
 		totalPages: ws.totalPages,
-		clk:        newDevClock((1.0 / opts.CPUClockGHz) / devCfg.ClockNS),
+		clk:        newDevClock(ratio),
 		reg:        reg,
 	}
 	s.ffGens = make([]uint64, len(ctrls))
 
 	s.cores = make([]*cpu.Core, len(profiles))
 	s.ffStates = make([]cpu.FFState, len(profiles))
-	s.ffCanLag = make([]bool, len(profiles))
 	s.ffLagged = make([]bool, len(profiles))
 	s.ffLag = make([]int64, len(profiles))
 	s.ffLagCap = make([]int64, len(profiles))
-	s.ffRetryAt = make([]int64, len(profiles))
 	for i, rd := range ws.readers {
 		s.cores[i] = cpu.New(i, opts.CPU, rd, (*memPort)(s), opts.TargetInstructions)
 	}
@@ -422,9 +418,7 @@ func (r *pooledRequest) complete(int64) {
 		// loadDone stamps the core's local cycle into the window slot,
 		// so the lag must be applied first (per-core address spaces are
 		// private — every waiter on this line belongs to the requester).
-		if s.ffAnyLag && s.ffLagged[r.Core] {
-			s.flushLag(r.Core)
-		}
+		s.flushLag(r.Core)
 		if victim, wb := s.llc.Fill(r.Addr); wb {
 			s.writeback(victim)
 		}
@@ -538,7 +532,7 @@ func (s *System) bankUtil() float64 {
 }
 
 // hitEvent is a scheduled LLC-hit completion. core tags the requester so the
-// decoupled lag path can flush a lagged core before its completion fires.
+// fast-forward loop can flush a lagged core before its completion fires.
 type hitEvent struct {
 	due  int64
 	core int

@@ -152,6 +152,8 @@ func TestValidate(t *testing.T) {
 		{Name: "one-page-steep", FootprintPages: 1, ZipfTheta: -200},
 		{Name: "theta-large", Pattern: PatternRandom, FootprintPages: 64, ZipfTheta: 1e300},
 		{Name: "bounds", Pattern: PatternMixed, FootprintPages: 64, WriteFrac: 1, StreamFrac: 1},
+		{Name: "bubble-2^40", FootprintPages: 1, BubbleMean: 1 << 40},
+		{Name: "bubble-max", FootprintPages: 1, BubbleMean: math.MaxInt / 3 * 2},
 	}
 	if p, err := FromRecords("captured", []trace.Record{{Addr: 0x1000}}); err != nil {
 		t.Fatal(err)
@@ -178,6 +180,8 @@ func TestValidate(t *testing.T) {
 		{"WriteFrac", Profile{FootprintPages: 1, WriteFrac: math.NaN()}},
 		{"StreamFrac", Profile{FootprintPages: 1, StreamFrac: 1.5}},
 		{"BubbleMean", Profile{FootprintPages: 1, BubbleMean: -1}},
+		{"BubbleMean", Profile{FootprintPages: 1, BubbleMean: math.MaxInt}},         // Intn(m+1) panics
+		{"BubbleMean", Profile{FootprintPages: 1, BubbleMean: math.MaxInt / 4 * 3}}, // m/2 + m wraps negative
 		{"ZipfTheta", Profile{FootprintPages: 1, ZipfTheta: math.NaN()}},
 		{"ZipfTheta", Profile{FootprintPages: 1, ZipfTheta: math.Inf(-1)}},
 		{"ZipfTheta", Profile{FootprintPages: 32768, ZipfTheta: -200}},

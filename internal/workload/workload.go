@@ -129,10 +129,11 @@ func (e *ProfileError) Error() string {
 // Validate checks that the profile describes a stream NewReader can
 // generate: a footprint of 1 to math.MaxInt32 pages (record-backed profiles
 // may leave it 0), a known Pattern, WriteFrac and StreamFrac in [0, 1], a
-// non-negative BubbleMean, and a finite ZipfTheta whose page weights and
-// their sum stay finite. The weight of rank r is (r+1)^−θ, so no weight
-// exceeds max(1, n^−θ) for n pages and their sum is below n·max(1, n^−θ):
-// the check is that closed form, not a pass over the weights.
+// BubbleMean from 0 to maxBubbleMean, and a finite ZipfTheta whose page
+// weights and their sum stay finite. The weight of rank r is (r+1)^−θ, so
+// no weight exceeds max(1, n^−θ) for n pages and their sum is below
+// n·max(1, n^−θ): the check is that closed form, not a pass over the
+// weights.
 func (p Profile) Validate() error {
 	bad := func(field, format string, args ...any) error {
 		return &ProfileError{Profile: p.Name, Field: field, Detail: fmt.Sprintf(format, args...)}
@@ -149,8 +150,8 @@ func (p Profile) Validate() error {
 		return bad("WriteFrac", "%v, want in [0, 1]", p.WriteFrac)
 	case !(p.StreamFrac >= 0 && p.StreamFrac <= 1):
 		return bad("StreamFrac", "%v, want in [0, 1]", p.StreamFrac)
-	case p.BubbleMean < 0:
-		return bad("BubbleMean", "%d, want ≥ 0", p.BubbleMean)
+	case p.BubbleMean < 0 || p.BubbleMean > maxBubbleMean:
+		return bad("BubbleMean", "%d, want in [0, %d]", p.BubbleMean, maxBubbleMean)
 	case math.IsNaN(p.ZipfTheta) || math.IsInf(p.ZipfTheta, 0):
 		return bad("ZipfTheta", "%v, want a finite value", p.ZipfTheta)
 	case math.IsInf(float64(n)*math.Pow(float64(n), -p.ZipfTheta), 0):
@@ -329,6 +330,11 @@ func (g *generator) pageAt(r float64) int {
 	}
 	return lo
 }
+
+// maxBubbleMean bounds BubbleMean m so that Intn's argument m+1 and the
+// longest run bubble draws, m/2 + m, fit an int, and so does that record's
+// instruction count (trace.Record.Instructions, one more).
+const maxBubbleMean = math.MaxInt / 3 * 2
 
 // bubble draws the non-memory instruction count before the next access:
 // uniform in [BubbleMean/2, 3*BubbleMean/2] (mean = BubbleMean), or exactly
